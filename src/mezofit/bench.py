@@ -17,7 +17,7 @@ import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig, bp_memory, mezo_memory
 from mezofit.model import LedgerMode, ToyTransformer, loss_from_logits
-from mezofit.tasks import ToyTask, accuracy
+from mezofit.tasks import ToyTask
 from mezofit.zo import (
     NonfiniteGradError,
     NonfiniteLossError,

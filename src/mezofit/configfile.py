@@ -90,7 +90,10 @@ def _model_fields(section_name: str, items: dict[str, str],
 
 def parse_model_config(path_or_text: str | Path, is_text: bool = False) -> ModelConfig:
     """Build the ModelConfig from a config file's [model] section."""
-    parser = _read(path_or_text, is_text)
+    return _model_config(_read(path_or_text, is_text))
+
+
+def _model_config(parser: configparser.ConfigParser) -> ModelConfig:
     if not parser.has_section("model"):
         raise ConfigError("config must contain a [model] section")
     for section in parser.sections():
@@ -105,7 +108,10 @@ def parse_model_config(path_or_text: str | Path, is_text: bool = False) -> Model
 
 def parse_zo_config(path_or_text: str | Path, is_text: bool = False) -> ZOConfig:
     """ZOConfig from the [mezo] section (defaults when absent)."""
-    parser = _read(path_or_text, is_text)
+    return _zo_config(_read(path_or_text, is_text))
+
+
+def _zo_config(parser: configparser.ConfigParser) -> ZOConfig:
     if not parser.has_section("mezo"):
         return ZOConfig()
     fields: dict = {}
@@ -136,8 +142,8 @@ def parse_plan(path_or_text: str | Path, is_text: bool = False) -> ExperimentPla
     bp_/mezo_ override model fields per method.
     """
     parser = _read(path_or_text, is_text)
-    base = parse_model_config(path_or_text, is_text)
-    zo = parse_zo_config(path_or_text, is_text)
+    base = _model_config(parser)
+    zo = _zo_config(parser)
     if not parser.has_section("experiment"):
         raise ConfigError("plan file must contain an [experiment] section")
 

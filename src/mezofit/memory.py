@@ -14,7 +14,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 
 class ConfigError(ValueError):

@@ -6,16 +6,16 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-A forward pass also fills an ActivationLedger counting the elements cached
-for the backward pass (BP mode) or still buffered (MeZO mode, which keeps a
-rolling window of `stored_layers` layers to model allocator behavior).
+A forward pass also fills an ActivationLedger, derived from the input shapes.
+In BP mode it counts the per-layer caches the backward pass reads. In MeZO
+mode the forward itself retains no layer intermediates; the ledger is the
+*modelled* buffer of ceil(stored_layers) layers from the memory formula.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +37,11 @@ class LedgerMode(str, Enum):
 
 @dataclass(frozen=True)
 class ActivationLedger:
-    """Element counts of activations retained during one forward pass."""
+    """Element counts of activations retained during one forward pass.
+
+    Computed from shapes. BP mode: what backward reads. MeZO mode: the
+    modelled ceil(stored_layers)-layer buffer (the forward keeps none).
+    """
 
     embeddings_elements: int
     attention_proj_elements: int
@@ -121,13 +125,11 @@ def _rope_backward(dy: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarr
 
 def loss_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy over positions with target >= 0 (-1 ignores)."""
-    logp, mask, count = _log_softmax_and_mask(logits, targets)
-    picked = np.take_along_axis(
-        logp, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
-    return float(-np.sum(picked, where=mask) / count)
+    return _masked_nll(logits, targets)[0]
 
 
-def _log_softmax_and_mask(logits, targets):
+def _masked_nll(logits, targets):
+    """(mean masked NLL, log-probabilities, mask, unmasked count)."""
     if logits.shape[:2] != targets.shape:
         raise ValueError(
             f"logits batch/positions {logits.shape[:2]} do not match targets {targets.shape}")
@@ -135,17 +137,15 @@ def _log_softmax_and_mask(logits, targets):
     count = int(mask.sum())
     if count == 0:
         raise ValueError("no unmasked target positions")
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    return shifted - logz, mask, count
+    logp = logits - logits.max(axis=-1, keepdims=True)
+    logp -= np.log(np.sum(np.exp(logp), axis=-1, keepdims=True))
+    picked = np.take_along_axis(
+        logp, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
+    return float(-np.sum(picked, where=mask) / count), logp, mask, count
 
 
 def _loss_backward(logits, targets):
-    logp, mask, count = _log_softmax_and_mask(logits, targets)
-    picked = np.take_along_axis(
-        logp, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
-    loss = float(-np.sum(picked, where=mask) / count)
+    loss, logp, mask, count = _masked_nll(logits, targets)
     dlogits = np.exp(logp)
     rows = np.nonzero(mask)
     dlogits[rows[0], rows[1], targets[mask]] -= 1.0
@@ -220,9 +220,6 @@ class ToyTransformer:
         return (param_elements(cfg, ParamCountMode.GENERIC)
                 + (2 * cfg.num_layers + 1) * cfg.hidden_dim)
 
-    def _w(self, params: ParameterVector, name: str, shape) -> np.ndarray:
-        return params.view(name, shape)
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, params: ParameterVector, tokens: np.ndarray,
@@ -240,23 +237,21 @@ class ToyTransformer:
             raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        D, H, dh = cfg.hidden_dim, cfg.num_heads, cfg.head_dim
+        D, H, dh, F = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim
+        L, V = cfg.num_layers, cfg.vocab_size
         cos, sin = self._cos[:N], self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
         neg_mask = self._neg_mask[:N, :N]
+        bp = mode is LedgerMode.BP
 
-        keep_all = mode is LedgerMode.BP
-        window = deque(maxlen=(cfg.num_layers if keep_all
-                               else int(np.ceil(cfg.stored_layers))))
-
-        x = self._w(params, "embed", (cfg.vocab_size, D))[tokens]
-        x0 = x
-        for l in range(cfg.num_layers):
+        layers = []  # what backward reads; BP mode only
+        x = params.view("embed", (V, D))[tokens]
+        for l in range(L):
             x_in = x
             h = _rmsnorm(x_in, params.segment(f"layer{l}.norm_attn"))
-            q = h @ self._w(params, f"layer{l}.wq", (D, D))
-            k = h @ self._w(params, f"layer{l}.wk", (D, D))
-            v = h @ self._w(params, f"layer{l}.wv", (D, D))
+            q = h @ params.view(f"layer{l}.wq", (D, D))
+            k = h @ params.view(f"layer{l}.wk", (D, D))
+            v = h @ params.view(f"layer{l}.wv", (D, D))
             # head-major layout (B, H, N, dh) keeps attention on plain matmuls
             q4 = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
             k4 = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
@@ -267,46 +262,36 @@ class ToyTransformer:
             ex = np.exp(scores)
             probs = ex / ex.sum(axis=-1, keepdims=True)
             ctx = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, N, D)
-            x = x_in + ctx @ self._w(params, f"layer{l}.wo", (D, D))
+            x = x_in + ctx @ params.view(f"layer{l}.wo", (D, D))
             x_mid = x
             h2 = _rmsnorm(x_mid, params.segment(f"layer{l}.norm_ffn"))
-            u = h2 @ self._w(params, f"layer{l}.ffn_in", (D, self.ffn_dim))
+            u = h2 @ params.view(f"layer{l}.ffn_in", (D, F))
             a = _gelu(u)
-            x = x_mid + a @ self._w(params, f"layer{l}.ffn_out", (self.ffn_dim, D))
-            window.append(dict(layer=l, x_in=x_in, h=h, q4=q4, k4=k4, v4=v4,
-                               probs=probs, ctx=ctx, x_mid=x_mid, h2=h2, u=u, a=a))
+            x = x_mid + a @ params.view(f"layer{l}.ffn_out", (F, D))
+            if bp:
+                layers.append(dict(layer=l, x_in=x_in, h=h, q4=q4, k4=k4, v4=v4,
+                                   probs=probs, ctx=ctx, x_mid=x_mid, h2=h2, u=u, a=a))
 
         x_f = x
         hf = _rmsnorm(x_f, params.segment("norm_final"))
-        logits = hf @ self._w(params, "head", (cfg.vocab_size, D)).T
+        logits = hf @ params.view("head", (V, D)).T
 
-        retained = list(window)
-        proj = sum(c["h"].size + c["q4"].size + c["k4"].size + c["v4"].size
-                   + c["ctx"].size for c in retained)
-        score = sum(c["probs"].size for c in retained)
-        ffn = sum(c["h2"].size + c["u"].size + c["a"].size for c in retained)
-        norm = sum(c["x_in"].size + c["x_mid"].size for c in retained)
-        emb = x0.size if (keep_all or any(c["layer"] == 0 for c in retained)) else 0
-        if keep_all:
-            norm += x_f.size + hf.size
+        # BP retains every layer's cache (above); MeZO retains nothing, and its
+        # ledger models the ceil(stored_layers)-layer buffer of the formula.
+        kept = L if bp else int(np.ceil(cfg.stored_layers))
+        bnd = B * N * D
         ledger = ActivationLedger(
-            embeddings_elements=emb,
-            attention_proj_elements=proj,
-            attention_scores_elements=score,
-            ffn_elements=ffn,
-            norm_elements=norm,
-            logits_elements=logits.size,
+            embeddings_elements=bnd if kept == L else 0,
+            attention_proj_elements=kept * 5 * bnd,
+            attention_scores_elements=kept * B * H * N * N,
+            ffn_elements=kept * (bnd + 2 * B * N * F),
+            norm_elements=kept * 2 * bnd + (2 * bnd if bp else 0),
+            logits_elements=B * N * V,
             mode=mode,
         )
-        caches = dict(x0=x0, layers=retained, x_f=x_f, hf=hf, logits=logits,
+        caches = dict(layers=layers, x_f=x_f, hf=hf, logits=logits,
                       cos=cos, sin=sin, tokens=tokens)
         return logits, caches, ledger
-
-    # -- loss / accuracy ----------------------------------------------------
-
-    @staticmethod
-    def loss(logits: np.ndarray, targets: np.ndarray) -> float:
-        return loss_from_logits(logits, targets)
 
     # -- backward -----------------------------------------------------------
 
@@ -323,7 +308,7 @@ class ToyTransformer:
         cos, sin = caches["cos"], caches["sin"]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        head = self._w(params, "head", (cfg.vocab_size, D))
+        head = params.view("head", (cfg.vocab_size, D))
         hf, x_f = caches["hf"], caches["x_f"]
         V = cfg.vocab_size
         grad.view("head", (V, D))[:] = dlogits.reshape(-1, V).T @ hf.reshape(-1, D)
@@ -338,11 +323,11 @@ class ToyTransformer:
             dffn_out = dx
             grad.view(f"layer{l}.ffn_out", (F, D))[:] = (
                 c["a"].reshape(-1, F).T @ dffn_out.reshape(-1, D))
-            da = dffn_out @ self._w(params, f"layer{l}.ffn_out", (F, D)).T
+            da = dffn_out @ params.view(f"layer{l}.ffn_out", (F, D)).T
             du = _gelu_backward(da, c["u"])
             grad.view(f"layer{l}.ffn_in", (D, F))[:] = (
                 c["h2"].reshape(-1, D).T @ du.reshape(-1, F))
-            dh2 = du @ self._w(params, f"layer{l}.ffn_in", (D, F)).T
+            dh2 = du @ params.view(f"layer{l}.ffn_in", (D, F)).T
             dx_mid, dgain = _rmsnorm_backward(dh2, c["x_mid"], params.segment(f"layer{l}.norm_ffn"))
             grad.segment(f"layer{l}.norm_ffn")[:] = dgain
             dx = dx + dx_mid  # residual
@@ -351,7 +336,7 @@ class ToyTransformer:
             dattn = dx
             grad.view(f"layer{l}.wo", (D, D))[:] = (
                 c["ctx"].reshape(-1, D).T @ dattn.reshape(-1, D))
-            dctx = (dattn @ self._w(params, f"layer{l}.wo", (D, D)).T) \
+            dctx = (dattn @ params.view(f"layer{l}.wo", (D, D)).T) \
                 .reshape(B, N, H, dh).transpose(0, 2, 1, 3)
             dprobs = dctx @ c["v4"].transpose(0, 1, 3, 2)
             dv4 = c["probs"].transpose(0, 1, 3, 2) @ dctx
@@ -366,9 +351,9 @@ class ToyTransformer:
             grad.view(f"layer{l}.wq", (D, D))[:] = h2d.T @ dq.reshape(-1, D)
             grad.view(f"layer{l}.wk", (D, D))[:] = h2d.T @ dk.reshape(-1, D)
             grad.view(f"layer{l}.wv", (D, D))[:] = h2d.T @ dv.reshape(-1, D)
-            dh_pre = (dq @ self._w(params, f"layer{l}.wq", (D, D)).T
-                      + dk @ self._w(params, f"layer{l}.wk", (D, D)).T
-                      + dv @ self._w(params, f"layer{l}.wv", (D, D)).T)
+            dh_pre = (dq @ params.view(f"layer{l}.wq", (D, D)).T
+                      + dk @ params.view(f"layer{l}.wk", (D, D)).T
+                      + dv @ params.view(f"layer{l}.wv", (D, D)).T)
             dx_in, dgain = _rmsnorm_backward(dh_pre, c["x_in"], params.segment(f"layer{l}.norm_attn"))
             grad.segment(f"layer{l}.norm_attn")[:] = dgain
             dx = dx + dx_in

@@ -10,7 +10,7 @@ always restored bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -183,45 +183,39 @@ class StepReport:
 # record is replayed by the next pass. Expected record size is a tiny
 # fraction of the vector for unit-scale parameters and epsilon ~ 1e-3.
 
-_Record = list[tuple[int, np.ndarray, np.ndarray]]  # (chunk start, local idx, saved values)
+_Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
 
 
 def _shift(values: np.ndarray, seed: PerturbationSeed, epsilon: float,
-           chunk: int, sign: float, undo: _Record | None) -> _Record:
-    """values <- fl(base + sign*epsilon*z) where base is the pre-perturbation
-    vector, recovered exactly from `undo` (the record of the previous shift).
-    Returns the record needed to undo this shift."""
-    record: _Record = []
-    undo_by_start = {start: (idx, saved) for start, idx, saved in (undo or [])}
+           chunk: int, sign: float,
+           prev: tuple[float, _Record] | None = None) -> _Record:
+    """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
+
+    `base` is the unperturbed vector. With `prev` None, `values` is the base.
+    Otherwise `prev` is (prev_sign, undo) from the previous shift along the
+    same direction, and the base is recovered exactly as
+    values - prev_sign*epsilon*z with the coordinates in `undo` put back.
+    sign = 0 restores the base only. Returns the record undoing this shift.
+    """
+    prev_sign, undo = prev or (0.0, {})
+    record: _Record = {}
     for start, z in iter_noise_chunks(seed, values.size, chunk):
         d = epsilon * z
         block = slice(start, start + d.size)
         base = values[block]
-        if undo is not None:
-            base = base - (-sign) * d  # previous shift had the opposite sign
-            fix = undo_by_start.get(start)
+        if prev_sign:
+            base = base - prev_sign * d
+            fix = undo.get(start)
             if fix is not None:
                 base[fix[0]] = fix[1]
-        shifted = base + sign * d
-        bad = np.nonzero(shifted - sign * d != base)[0]
-        if bad.size:
-            record.append((start, bad, np.array(base[bad])))
-        values[block] = shifted
-    return record
-
-
-def _unshift(values: np.ndarray, seed: PerturbationSeed, epsilon: float,
-             chunk: int, sign: float, undo: _Record) -> None:
-    """Exactly invert the previous `_shift` with the same (seed, sign)."""
-    undo_by_start = {start: (idx, saved) for start, idx, saved in undo}
-    for start, z in iter_noise_chunks(seed, values.size, chunk):
-        d = epsilon * z
-        block = slice(start, start + d.size)
-        base = values[block] - sign * d
-        fix = undo_by_start.get(start)
-        if fix is not None:
-            base[fix[0]] = fix[1]
+        if sign:
+            shifted = base + sign * d
+            bad = np.nonzero(shifted - sign * d != base)[0]
+            if bad.size:
+                record[start] = (bad, base[bad])
+            base = shifted
         values[block] = base
+    return record
 
 
 def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
@@ -243,14 +237,14 @@ def _spsa_full(loss_fn, theta, seed, epsilon, chunk):
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
     values = theta.values
-    rec_up = _shift(values, seed, epsilon, chunk, +1.0, None)
+    up = (+1.0, _shift(values, seed, epsilon, chunk, +1.0))
     loss_plus = float(loss_fn(theta))
     if not np.isfinite(loss_plus):
-        _unshift(values, seed, epsilon, chunk, +1.0, rec_up)
+        _shift(values, seed, epsilon, chunk, 0.0, up)
         raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
-    rec_dn = _shift(values, seed, epsilon, chunk, -1.0, rec_up)
+    down = (-1.0, _shift(values, seed, epsilon, chunk, -1.0, up))
     loss_minus = float(loss_fn(theta))
-    _unshift(values, seed, epsilon, chunk, -1.0, rec_dn)
+    _shift(values, seed, epsilon, chunk, 0.0, down)
     if not np.isfinite(loss_minus):
         raise NonfiniteLossError(f"loss at -epsilon perturbation is {loss_minus}")
     return (loss_plus - loss_minus) / (2.0 * epsilon), loss_plus, loss_minus

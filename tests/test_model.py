@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,7 @@ def test_backward_loss_matches_forward_loss(model, params):
     targets = tokens_for(CFG, seed=6)
     logits, _ = model.forward(params, tokens)
     grad, loss = model.backward(params, tokens, targets)
-    assert loss == pytest.approx(loss_from_logits(logits, targets), rel=1e-15)
+    assert loss == loss_from_logits(logits, targets)  # one shared NLL routine
     assert np.all(np.isfinite(grad.values))
 
 
@@ -258,6 +260,61 @@ def test_ledger_mezo_zero_stored_layers_retains_nothing():
     assert mz.per_layer_elements() == 0
     assert mz.embeddings_elements == 0
     assert mz.logits_elements > 0  # the loss still needs the logits
+
+
+@pytest.mark.parametrize("n", [8, 5])
+@pytest.mark.parametrize("stored", [0.0, 0.25, 1.0, 3.5, 4.0])
+def test_ledger_mezo_counts_follow_shapes(stored, n):
+    cfg = ModelConfig(context_length=8, num_layers=4, hidden_dim=16, num_heads=4,
+                      vocab_size=32, batch_size=2, stored_layers=stored)
+    model = ToyTransformer(cfg)
+    tokens = tokens_for(cfg)[:, :n]
+    _, mz = model.forward(model.init_params(1), tokens, mode=LedgerMode.MEZO)
+    B, N, D, H, F, V = 2, n, 16, 4, model.ffn_dim, 32
+    kept = int(np.ceil(stored))
+    assert mz.mode is LedgerMode.MEZO
+    assert mz.attention_proj_elements == kept * 5 * B * N * D
+    assert mz.attention_scores_elements == kept * B * H * N * N
+    assert mz.ffn_elements == kept * (B * N * D + 2 * B * N * F)
+    assert mz.norm_elements == kept * 2 * B * N * D
+    assert mz.embeddings_elements == (B * N * D if kept == cfg.num_layers else 0)
+    assert mz.logits_elements == B * N * V
+    assert ledger_check(cfg, mz).ok
+
+
+def test_ledger_bp_counts_equal_the_cache_backward_reads(model, params):
+    tokens = tokens_for(CFG)[:, :5]
+    _, caches, ledger = model._forward_impl(params, tokens, LedgerMode.BP)
+    layers = caches["layers"]
+    size = lambda *keys: sum(c[k].size for c in layers for k in keys)
+    assert len(layers) == CFG.num_layers
+    assert ledger.attention_proj_elements == size("h", "q4", "k4", "v4", "ctx")
+    assert ledger.attention_scores_elements == size("probs")
+    assert ledger.ffn_elements == size("h2", "u", "a")
+    assert ledger.norm_elements == (size("x_in", "x_mid")
+                                    + caches["x_f"].size + caches["hf"].size)
+    # the embedding output is the input layer 0 reads
+    assert ledger.embeddings_elements == layers[0]["x_in"].size
+    assert ledger.logits_elements == caches["logits"].size
+
+
+def test_mezo_forward_peak_does_not_grow_with_stored_layers():
+    cfg = ModelConfig(context_length=16, num_layers=4, hidden_dim=32, num_heads=4,
+                      vocab_size=32, batch_size=2, stored_layers=0.0)
+    tokens = tokens_for(cfg)
+
+    def peak(stored):
+        model = ToyTransformer(cfg.replace(stored_layers=stored))
+        params = model.init_params(1)
+        model.forward(params, tokens, mode=LedgerMode.MEZO)  # warm up
+        tracemalloc.start()
+        try:
+            model.forward(params, tokens, mode=LedgerMode.MEZO)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4.0) <= 1.05 * peak(0.0)
 
 
 def test_ledger_check_flags_bad_bp_scores():

@@ -269,7 +269,7 @@ def test_shift_exception_records_are_sparse():
 
     values = np.random.default_rng(8).standard_normal(200_000)
     rec = _shift(values, PerturbationSeed(4, 0), 1e-3, 16384, +1.0, None)
-    recorded = sum(idx.size for _, idx, _ in rec)
+    recorded = sum(idx.size for idx, _ in rec.values())
     assert recorded < 0.01 * values.size
 
 

@@ -6,8 +6,8 @@
     mezofit train  --plan FILE|desk --out DIR [--progress]
     mezofit verify [--dim N] [--seed S] [--epsilon E]
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 infeasible
-budget.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
+file that cannot be read or written), 3 infeasible budget.
 """
 from __future__ import annotations
 
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -70,7 +70,9 @@ def _rms_inv(x: np.ndarray) -> np.ndarray:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    return x * _rms_inv(x) * gain
+    y = x * _rms_inv(x)
+    y *= gain
+    return y
 
 
 def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
@@ -81,9 +83,21 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
     return dx, dgain
 
 
-def _gelu(u: np.ndarray) -> np.ndarray:
-    u2 = u * u
-    return 0.5 * u * (1.0 + np.tanh(_GELU_C * (u + _GELU_A * u2 * u)))
+def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5*u*(1 + tanh(c*(u + a*u*u*u))) as in-place ufuncs, in that order.
+
+    `out` may be `u` itself; the result then overwrites it.
+    """
+    t = u * u
+    t *= _GELU_A
+    t *= u
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    out = np.multiply(u, 0.5, out=out)
+    out *= t
+    return out
 
 
 def _gelu_backward(du_out: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -237,40 +251,20 @@ class ToyTransformer:
             raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        D, H, dh, F = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim
+        D, H, F = cfg.hidden_dim, cfg.num_heads, self.ffn_dim
         L, V = cfg.num_layers, cfg.vocab_size
         cos, sin = self._cos[:N], self._sin[:N]
-        inv_sqrt_dh = 1.0 / np.sqrt(dh)
-        neg_mask = self._neg_mask[:N, :N]
         bp = mode is LedgerMode.BP
 
-        layers = []  # what backward reads; BP mode only
+        # Each block's temporaries die when it returns; only BP mode keeps
+        # the cache backward reads.
+        layers = []
         x = params.view("embed", (V, D))[tokens]
         for l in range(L):
-            x_in = x
-            h = _rmsnorm(x_in, params.segment(f"layer{l}.norm_attn"))
-            q = h @ params.view(f"layer{l}.wq", (D, D))
-            k = h @ params.view(f"layer{l}.wk", (D, D))
-            v = h @ params.view(f"layer{l}.wv", (D, D))
-            # head-major layout (B, H, N, dh) keeps attention on plain matmuls
-            q4 = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-            k4 = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-            v4 = np.ascontiguousarray(v.reshape(B, N, H, dh).transpose(0, 2, 1, 3))
-            scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv_sqrt_dh
-            scores += neg_mask  # -inf above the diagonal: causal attention
-            scores -= scores.max(axis=-1, keepdims=True)
-            ex = np.exp(scores)
-            probs = ex / ex.sum(axis=-1, keepdims=True)
-            ctx = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, N, D)
-            x = x_in + ctx @ params.view(f"layer{l}.wo", (D, D))
-            x_mid = x
-            h2 = _rmsnorm(x_mid, params.segment(f"layer{l}.norm_ffn"))
-            u = h2 @ params.view(f"layer{l}.ffn_in", (D, F))
-            a = _gelu(u)
-            x = x_mid + a @ params.view(f"layer{l}.ffn_out", (F, D))
+            x, attn = self._attention(params, l, x, cos, sin, bp)
+            x, ffn = self._ffn(params, l, x, bp)
             if bp:
-                layers.append(dict(layer=l, x_in=x_in, h=h, q4=q4, k4=k4, v4=v4,
-                                   probs=probs, ctx=ctx, x_mid=x_mid, h2=h2, u=u, a=a))
+                layers.append(dict(layer=l, **attn, **ffn))
 
         x_f = x
         hf = _rmsnorm(x_f, params.segment("norm_final"))
@@ -292,6 +286,43 @@ class ToyTransformer:
         caches = dict(layers=layers, x_f=x_f, hf=hf, logits=logits,
                       cos=cos, sin=sin, tokens=tokens)
         return logits, caches, ledger
+
+    def _attention(self, params, l, x_in, cos, sin, bp):
+        """x_in + attn(rmsnorm(x_in)) @ wo, and (BP mode) what backward reads."""
+        B, N, D = x_in.shape
+        H, dh = self.cfg.num_heads, self.cfg.head_dim
+        h = _rmsnorm(x_in, params.segment(f"layer{l}.norm_attn"))
+        q = h @ params.view(f"layer{l}.wq", (D, D))
+        k = h @ params.view(f"layer{l}.wk", (D, D))
+        v = h @ params.view(f"layer{l}.wv", (D, D))
+        # head-major layout (B, H, N, dh) keeps attention on plain matmuls
+        q4 = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
+        k4 = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
+        v4 = np.ascontiguousarray(v.reshape(B, N, H, dh).transpose(0, 2, 1, 3))
+        # softmax in place: the scores buffer becomes the probabilities
+        probs = q4 @ k4.transpose(0, 1, 3, 2)
+        probs *= 1.0 / np.sqrt(dh)
+        probs += self._neg_mask[:N, :N]  # -inf above the diagonal: causal attention
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctx = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, N, D)
+        out = ctx @ params.view(f"layer{l}.wo", (D, D))
+        out += x_in
+        cache = dict(x_in=x_in, h=h, q4=q4, k4=k4, v4=v4, probs=probs, ctx=ctx) if bp else {}
+        return out, cache
+
+    def _ffn(self, params, l, x_mid, bp):
+        """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out, and (BP mode) what
+        backward reads. Without BP, the GELU output takes u's buffer."""
+        D, F = self.cfg.hidden_dim, self.ffn_dim
+        h2 = _rmsnorm(x_mid, params.segment(f"layer{l}.norm_ffn"))
+        u = h2 @ params.view(f"layer{l}.ffn_in", (D, F))
+        a = _gelu(u, out=None if bp else u)
+        out = a @ params.view(f"layer{l}.ffn_out", (F, D))
+        out += x_mid
+        cache = dict(x_mid=x_mid, h2=h2, u=u, a=a) if bp else {}
+        return out, cache
 
     # -- backward -----------------------------------------------------------
 
@@ -451,20 +482,38 @@ def save_weights(path, cfg: ModelConfig, params: ParameterVector) -> None:
             f.write(params.segment(seg.name).astype("<f8", copy=False).tobytes())
 
 
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated checkpoint: wanted {n} bytes at offset "
+                         f"{f.tell() - len(data)}, found {len(data)}")
+    return data
+
+
 def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
+    """Read a save_weights checkpoint. A short read, bad magic, an unknown
+    version or segments that differ from the config's model raise ValueError."""
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
+        if _read_exact(f, 4) != _MAGIC:
             raise ValueError("not a mezofit weight checkpoint")
-        version, blob_len = struct.unpack("<II", f.read(8))
+        version, blob_len = struct.unpack("<II", _read_exact(f, 8))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        cfg = ModelConfig(**json.loads(f.read(blob_len).decode()))
-        (n_segments,) = struct.unpack("<I", f.read(4))
+        cfg = ModelConfig(**json.loads(_read_exact(f, blob_len).decode()))
+        expected = [(name, int(np.prod(shape)))
+                    for name, shape in ToyTransformer(cfg).segment_shapes()]
+        (n_segments,) = struct.unpack("<I", _read_exact(f, 4))
+        if n_segments != len(expected):
+            raise ValueError(f"checkpoint holds {n_segments} segments, its config needs "
+                             f"{len(expected)}")
         arrays = []
-        for _ in range(n_segments):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            (count,) = struct.unpack("<Q", f.read(8))
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").astype(np.float64)
+        for want in expected:
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2))
+            name = _read_exact(f, name_len).decode()
+            (count,) = struct.unpack("<Q", _read_exact(f, 8))
+            if (name, count) != want:
+                raise ValueError(f"checkpoint segment {name!r} of {count} values, "
+                                 f"its config needs {want[0]!r} of {want[1]}")
+            data = np.frombuffer(_read_exact(f, count * 8), dtype="<f8").astype(np.float64)
             arrays.append((name, data))
     return cfg, ParameterVector.from_arrays(arrays)

@@ -3,10 +3,17 @@
 The estimator perturbs the flat parameter vector in place with Gaussian
 directions that are never materialized at full length: noise streams come
 from a counter-based generator (Philox) keyed by (seed, stream index) and are
-replayed chunk by chunk whenever they are needed again. Peak extra storage is
-a bounded chunk plus a sparse record of the few coordinates whose float
-perturbation cannot be undone by arithmetic alone, so the parameter vector is
-always restored bit-for-bit after an estimate.
+replayed chunk by chunk whenever they are needed again. Each direction builds
+its Philox once and rewinds it (by `bit_generator.state`) for every later
+pass, the update included. It keeps its first chunk for its three passes
+(+shift, -shift, restore), so a vector that fits in one chunk draws that
+direction's noise once before the update. Every pass works in place through a
+few chunk-sized scratch buffers, allocated once per pass.
+
+Peak extra storage is therefore bounded by chunk-sized blocks (the kept chunk
+plus at most three scratch buffers) and a sparse record of the few
+coordinates whose float perturbation cannot be undone by arithmetic alone, so
+the parameter vector is always restored bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
@@ -186,8 +193,40 @@ class StepReport:
 _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
 
 
-def _shift(values: np.ndarray, seed: PerturbationSeed, epsilon: float,
-           chunk: int, sign: float,
+class _Stream:
+    """One direction's noise, replayed chunk by chunk for each pass.
+
+    Its Philox is built once; later passes rewind it by setting
+    `bit_generator.state` instead of rebuilding it. The first chunk is
+    generated once and kept until `rewind`, so a vector of one chunk draws
+    its noise once for all three passes of an estimate.
+    """
+
+    def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
+        self.gen = _generator(seed)
+        self.size, self.chunk = size, chunk
+        self.origin = self.gen.bit_generator.state
+        self.first = self.gen.standard_normal(min(chunk, size))
+        self.after_first = self.gen.bit_generator.state
+
+    def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (offset, z) over the stream: the kept first chunk, then
+        chunks generated into `buf`, which each step overwrites."""
+        yield 0, self.first
+        self.gen.bit_generator.state = self.after_first
+        for start in range(self.chunk, self.size, self.chunk):
+            z = buf[:min(self.chunk, self.size - start)]
+            self.gen.standard_normal(out=z)
+            yield start, z
+
+    def rewind(self) -> np.random.Generator:
+        """Drop the kept chunk and return the generator at the stream start."""
+        self.first = None
+        self.gen.bit_generator.state = self.origin
+        return self.gen
+
+
+def _shift(values: np.ndarray, stream: _Stream, epsilon: float, sign: float,
            prev: tuple[float, _Record] | None = None) -> _Record:
     """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
 
@@ -196,25 +235,26 @@ def _shift(values: np.ndarray, seed: PerturbationSeed, epsilon: float,
     same direction, and the base is recovered exactly as
     values - prev_sign*epsilon*z with the coordinates in `undo` put back.
     sign = 0 restores the base only. Returns the record undoing this shift.
+    Works in place with three chunk-sized scratch buffers.
     """
     prev_sign, undo = prev or (0.0, {})
     record: _Record = {}
-    for start, z in iter_noise_chunks(seed, values.size, chunk):
-        d = epsilon * z
-        block = slice(start, start + d.size)
-        base = values[block]
+    zbuf, d, shifted = np.empty((3, min(stream.chunk, values.size)))
+    for start, z in stream.chunks(zbuf):
+        m = z.size
+        base, dm, up = values[start:start + m], d[:m], shifted[:m]
         if prev_sign:
-            base = base - prev_sign * d
+            base -= np.multiply(z, prev_sign * epsilon, out=dm)
             fix = undo.get(start)
             if fix is not None:
                 base[fix[0]] = fix[1]
         if sign:
-            shifted = base + sign * d
-            bad = np.nonzero(shifted - sign * d != base)[0]
+            np.multiply(z, sign * epsilon, out=dm)
+            np.add(base, dm, out=up)
+            bad = np.nonzero(np.subtract(up, dm, out=dm) != base)[0]
             if bad.size:
                 record[start] = (bad, base[bad])
-            base = shifted
-        values[block] = base
+            base[:] = up
     return record
 
 
@@ -226,25 +266,25 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     """Central-difference directional derivative along a regenerated direction.
 
     Evaluates the loss at theta + eps*z and theta - eps*z by shifting theta in
-    place (z is streamed from `seed`, never stored), restores theta
+    place (z is streamed from `seed`, never stored whole), restores theta
     bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps).
     """
-    g, _, _ = _spsa_full(loss_fn, theta, seed, epsilon, chunk)
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
+    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
     return g
 
 
-def _spsa_full(loss_fn, theta, seed, epsilon, chunk):
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
+def _spsa_full(loss_fn, theta, stream, epsilon):
     values = theta.values
-    up = (+1.0, _shift(values, seed, epsilon, chunk, +1.0))
+    up = (+1.0, _shift(values, stream, epsilon, +1.0))
     loss_plus = float(loss_fn(theta))
     if not np.isfinite(loss_plus):
-        _shift(values, seed, epsilon, chunk, 0.0, up)
+        _shift(values, stream, epsilon, 0.0, up)
         raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
-    down = (-1.0, _shift(values, seed, epsilon, chunk, -1.0, up))
+    down = (-1.0, _shift(values, stream, epsilon, -1.0, up))
     loss_minus = float(loss_fn(theta))
-    _shift(values, seed, epsilon, chunk, 0.0, down)
+    _shift(values, stream, epsilon, 0.0, down)
     if not np.isfinite(loss_minus):
         raise NonfiniteLossError(f"loss at -epsilon perturbation is {loss_minus}")
     return (loss_plus - loss_minus) / (2.0 * epsilon), loss_plus, loss_minus
@@ -261,30 +301,44 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
               chunk: int = DEFAULT_CHUNK) -> tuple[ParameterVector, StepReport]:
     """One MeZO step: average num_perturbations projected gradients, then
     apply theta <- theta - (lr/n) * sum_i g_i * z_i with every z_i regenerated
-    a second time. On a non-finite loss the step is abandoned with theta at
-    its pre-step value."""
+    a second time.
+
+    A non-finite loss raises NonfiniteLossError and a non-finite projected
+    gradient raises NonfiniteGradError; either way theta is at its pre-step
+    value, since the update has not begun. If the update itself overflows
+    (finite gradients whose scaled sum is not), theta keeps the non-finite
+    values written and NonfiniteLossError is raised."""
     if step_index < 0:
         raise ConfigError(f"step_index must be >= 0, got {step_index}")
     sseed = step_seed(cfg.master_seed, step_index)
     n = cfg.num_perturbations
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))
+    size = theta.values.size
 
-    gs, losses = [], []
+    gs, losses, gens = [], [], []
     for s in seeds:
-        g, lp, lm = _spsa_full(loss_fn, theta, s, cfg.epsilon, chunk)
+        stream = _Stream(s, size, chunk)
+        g, lp, lm = _spsa_full(loss_fn, theta, stream, cfg.epsilon)
         gs.append(g)
         losses.append((lp, lm))
+        gens.append(stream.rewind())  # ascending stream order
+    if not np.all(np.isfinite(gs)):
+        raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
 
     if cfg.learning_rate > 0:
         scale = cfg.learning_rate / n
-        gens = [_generator(s) for s in seeds]  # ascending stream order
-        size = theta.values.size
+        zbuf, abuf = np.empty((2, min(chunk, size)))
         for start in range(0, size, chunk):
             m = min(chunk, size - start)
-            acc = gens[0].standard_normal(m) * gs[0]
+            z, acc = zbuf[:m], abuf[:m]
+            gens[0].standard_normal(out=acc)
+            acc *= gs[0]
             for g, gen in zip(gs[1:], gens[1:]):
-                acc += gen.standard_normal(m) * g
-            theta.values[start:start + m] -= scale * acc
+                gen.standard_normal(out=z)
+                z *= g
+                acc += z
+            acc *= scale
+            theta.values[start:start + m] -= acc
         theta.assert_finite()
 
     report = StepReport(step_index, seeds, tuple(gs), tuple(losses))

@@ -287,6 +287,18 @@ def test_cmd_train_steps_zero(tmp_path, capsys):
     assert all(r.split(",")[2] == "0" for r in rows)
 
 
+def test_unwritable_out_exits_2_with_one_line(llama_config, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")  # a path under a regular file
+    assert main(["train", "--plan", "desk", "--out", out]) == 2
+    assert main(["sweep", "--config", llama_config, "--axis", "n", "--from", "1",
+                 "--to", "8", "--points", "2", "--out", out]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert main(["plan", "--config", str(tmp_path / "missing.ini"), "--mode", "bp"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mezofit.memory import ConfigError, ModelConfig, ParamCountMode, param_elements
+from mezofit.memory import (
+    ConfigError,
+    ModelConfig,
+    ParamCountMode,
+    mezo_memory,
+    param_elements,
+)
 from mezofit.model import (
     ActivationLedger,
     LedgerMode,
@@ -317,6 +323,32 @@ def test_mezo_forward_peak_does_not_grow_with_stored_layers():
     assert peak(4.0) <= 1.05 * peak(0.0)
 
 
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
+def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
+    # The bound is mezo_memory's activation term at 8 B per float64 element,
+    # plus the logits, log-probabilities and their exp (3*B*N*V elements),
+    # which the formula leaves out.
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+
+    def loss():
+        return loss_from_logits(model.forward(params, tokens, mode=LedgerMode.MEZO)[0], targets)
+
+    loss()  # warm up
+    tracemalloc.start()
+    try:
+        loss()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = cfg.context_length
+    acts = mezo_memory(cfg.replace(bytes_per_param=8.0)).activations_bytes
+    assert peak <= acts + 3 * B * N * V * 8
+
+
 def test_ledger_check_flags_bad_bp_scores():
     _, ledger = ToyTransformer(CFG).forward(ToyTransformer(CFG).init_params(0),
                                             tokens_for(CFG))
@@ -344,4 +376,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="checkpoint"):
+        load_weights(path)
+
+
+def test_checkpoint_rejects_every_truncation_bad_magic_and_version(tmp_path):
+    cfg = ModelConfig(context_length=4, num_layers=1, hidden_dim=4, num_heads=2,
+                      vocab_size=8, batch_size=1)
+    path = tmp_path / "w.mzfw"
+    save_weights(path, cfg, ToyTransformer(cfg).init_params(0))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.mzfw"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_weights(cut)
+    for bad in (b"MZFX" + blob[4:], blob[:4] + b"\x02" + blob[5:]):
+        cut.write_bytes(bad)
+        with pytest.raises(ValueError, match="checkpoint"):
+            load_weights(cut)
+
+
+def test_checkpoint_rejects_segments_that_do_not_fit_the_config(tmp_path):
+    path = tmp_path / "w.mzfw"
+    save_weights(path, CFG.replace(vocab_size=16), ToyTransformer(CFG).init_params(0))
+    with pytest.raises(ValueError, match="embed"):
         load_weights(path)

@@ -245,6 +245,36 @@ def test_mezo_step_nonfinite_loss_leaves_theta_at_prestep_value():
     assert theta.values.tobytes() == before
 
 
+def test_mezo_step_nonfinite_projected_gradient_leaves_theta_untouched():
+    theta = flat(np.ones(64))
+    before = theta.values.tobytes()
+    calls = []
+
+    def loss(t):  # finite losses whose difference overflows
+        calls.append(1)
+        return 1e308 if len(calls) % 2 else -1e308
+
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=0.1, num_perturbations=2, master_seed=0)
+    with pytest.raises(NonfiniteGradError):
+        mezo_step(loss, theta, cfg, 0)
+    assert len(calls) == 4
+    assert theta.values.tobytes() == before
+
+
+def test_mezo_step_overflowing_update_raises_with_theta_written():
+    theta = flat(np.ones(64))
+    calls = []
+
+    def loss(t):  # projected gradient 1e308: finite, but g*z overflows
+        calls.append(1)
+        return 1e305 if len(calls) % 2 else -1e305
+
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1.0, num_perturbations=1, master_seed=0)
+    with np.errstate(over="ignore"), pytest.raises(NonfiniteLossError):
+        mezo_step(loss, theta, cfg, 0)
+    assert not np.all(np.isfinite(theta.values))
+
+
 def test_mezo_step_memory_overhead_is_bounded():
     # No allocation proportional to the parameter count besides theta itself:
     # peak traced overhead stays a small fraction of theta's footprint.
@@ -265,10 +295,10 @@ def test_mezo_step_memory_overhead_is_bounded():
 
 
 def test_shift_exception_records_are_sparse():
-    from mezofit.zo import _shift
+    from mezofit.zo import _shift, _Stream
 
     values = np.random.default_rng(8).standard_normal(200_000)
-    rec = _shift(values, PerturbationSeed(4, 0), 1e-3, 16384, +1.0, None)
+    rec = _shift(values, _Stream(PerturbationSeed(4, 0), values.size, 16384), 1e-3, +1.0)
     recorded = sum(idx.size for idx, _ in rec.values())
     assert recorded < 0.01 * values.size
 

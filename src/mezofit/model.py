@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig, ParamCountMode, param_elements
-from mezofit.zo import ParameterVector, splitmix64
+from mezofit.zo import ParameterVector, keyed_philox, release_philox, splitmix64
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -222,9 +222,9 @@ class ToyTransformer:
             if name.endswith(("norm_attn", "norm_ffn", "norm_final")):
                 arrays.append((name, np.ones(shape)))
             else:
-                key = np.array([base, idx], dtype=np.uint64)
-                gen = np.random.Generator(np.random.Philox(key=key))
+                gen = keyed_philox(base, idx)
                 arrays.append((name, gen.standard_normal(shape) * scale))
+                release_philox(gen)
         return ParameterVector.from_arrays(arrays)
 
     def param_count(self) -> int:
@@ -490,16 +490,33 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
+def _config_from_blob(blob) -> ModelConfig:
+    """The ModelConfig a checkpoint's JSON blob names; ValueError unless the
+    blob holds every ModelConfig field, no other key and values it accepts."""
+    if not isinstance(blob, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    unknown, missing = sorted(blob.keys() - fields), sorted(fields - blob.keys())
+    if unknown or missing:
+        raise ValueError(f"checkpoint config has unknown keys {unknown} "
+                         f"and lacks keys {missing}")
+    try:
+        return ModelConfig(**blob)
+    except TypeError as exc:
+        raise ValueError(f"checkpoint config is invalid: {exc}") from None
+
+
 def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
     """Read a save_weights checkpoint. A short read, bad magic, an unknown
-    version or segments that differ from the config's model raise ValueError."""
+    version, a config blob that is not a full ModelConfig or segments that
+    differ from the config's model raise ValueError."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != _MAGIC:
             raise ValueError("not a mezofit weight checkpoint")
         version, blob_len = struct.unpack("<II", _read_exact(f, 8))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        cfg = ModelConfig(**json.loads(_read_exact(f, blob_len).decode()))
+        cfg = _config_from_blob(json.loads(_read_exact(f, blob_len).decode()))
         expected = [(name, int(np.prod(shape)))
                     for name, shape in ToyTransformer(cfg).segment_shapes()]
         (n_segments,) = struct.unpack("<I", _read_exact(f, 4))

@@ -3,18 +3,27 @@
 Every sample is a pure function of (task seed, split, sample index), so
 train and eval splits are disjoint by index partition and runs are exactly
 reproducible. Target grids use -1 for positions excluded from the loss.
+
+A sample draws from a Philox keyed by (task seed, index) through
+`zo.keyed_philox`, which rewinds a spare generator instead of building one.
+The next-token chain's successor table depends only on (seed, vocab_size),
+so it is built once per pair and memoised; its arrays are read-only, so no
+caller can change what later samples see.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from mezofit.memory import ConfigError
-from mezofit.zo import splitmix64
+from mezofit.zo import keyed_philox, release_philox, splitmix64
 
 _EVAL_INDEX_BASE = 1 << 40  # train uses [0, 2^40), eval starts here
+_TABLE_SALT = 0x6D61726B   # keys the next-token successor table
+_SAMPLE_SALT = 0x73616D70  # keys each sample's draws
 
 SEP_TOKEN = 0     # sequence-copy separator
 QMARK_TOKEN = 2   # binary-qa "question mark"
@@ -24,6 +33,28 @@ class TaskKind(str, Enum):
     SEQUENCE_COPY = "sequence_copy"
     NEXT_TOKEN_SYNTHETIC = "next_token_synthetic"
     BINARY_QA_SYNTHETIC = "binary_qa_synthetic"
+
+
+# The next-token chain has fanout 2 with a 0.9/0.1 split: the argmax-accuracy
+# ceiling is 0.9 and the dominant successor gives a dense, mostly-clean
+# learning signal. A sample picks each successor by looking a uniform draw up
+# in the cumulative split (the draws Generator.choice(2, p=...) makes).
+_SUCCESSOR_P = np.array([0.9, 0.1])
+_SUCCESSOR_CDF = np.cumsum(_SUCCESSOR_P)
+_SUCCESSOR_P.flags.writeable = _SUCCESSOR_CDF.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _markov_table(seed: int, vocab_size: int) -> np.ndarray:
+    """Per-token successor table of the next-token chain, shape (V, 2);
+    built once per (seed, vocab_size) and read-only, as callers share it."""
+    gen = keyed_philox(splitmix64(seed ^ _TABLE_SALT), 0)
+    succ = np.empty((vocab_size, 2), dtype=np.int64)
+    for v in range(vocab_size):
+        succ[v] = gen.permutation(vocab_size)[:2]
+    release_philox(gen)
+    succ.flags.writeable = False
+    return succ
 
 
 @dataclass(frozen=True)
@@ -49,33 +80,16 @@ class ToyTask:
                 raise ConfigError("binary_qa needs vocab_size >= 5 "
                                   "(answers 0/1, marker, question tokens)")
 
-    # -- deterministic generators -------------------------------------------
-
-    def _rng(self, index: int, salt: int = 0) -> np.random.Generator:
-        key = np.array([splitmix64(self.seed ^ salt) & ((1 << 64) - 1),
-                        index & ((1 << 64) - 1)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     def _markov_successors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-token successor table of the synthetic next-token chain.
-
-        Fanout 2 with a 0.9/0.1 split: the argmax-accuracy ceiling is 0.9 and
-        the dominant successor gives a dense, mostly-clean learning signal.
-        """
-        gen = self._rng(0, salt=0x6D61726B)
-        fanout = min(2, self.vocab_size)
-        succ = np.empty((self.vocab_size, fanout), dtype=np.int64)
-        for v in range(self.vocab_size):
-            succ[v] = gen.permutation(self.vocab_size)[:fanout]
-        probs = np.array([0.9, 0.1][:fanout])
-        return succ, probs / probs.sum()
+        """The synthetic next-token chain's (successors, probabilities)."""
+        return _markov_table(self.seed, self.vocab_size), _SUCCESSOR_P
 
     def sample(self, index: int, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """One (tokens, targets) pair, each of length seq_len."""
         if split not in ("train", "eval"):
             raise ValueError(f"split must be train or eval, got {split!r}")
         idx = index + (_EVAL_INDEX_BASE if split == "eval" else 0)
-        gen = self._rng(idx, salt=0x73616D70)
+        gen = keyed_philox(splitmix64(self.seed ^ _SAMPLE_SALT), idx)
         tokens = np.empty(self.seq_len, dtype=np.int64)
         targets = np.full(self.seq_len, -1, dtype=np.int64)
 
@@ -87,9 +101,9 @@ class ToyTask:
             tokens[p + 1:] = pattern
             targets[p:-1] = pattern  # from the separator on, predict the copy
         elif self.kind is TaskKind.NEXT_TOKEN_SYNTHETIC:
-            succ, probs = self._markov_successors()
+            succ = _markov_table(self.seed, self.vocab_size)
             tokens[0] = gen.integers(0, self.vocab_size)
-            choices = gen.choice(len(probs), size=self.seq_len - 1, p=probs)
+            choices = _SUCCESSOR_CDF.searchsorted(gen.random(self.seq_len - 1), side="right")
             for i in range(1, self.seq_len):
                 tokens[i] = succ[tokens[i - 1], choices[i - 1]]
             targets[:-1] = tokens[1:]
@@ -101,6 +115,7 @@ class ToyTask:
             answer = int((q[0] + q[-1]) % 2)
             tokens[q_len + 1] = answer
             targets[q_len] = answer  # the marker position predicts the answer
+        release_philox(gen)
         return tokens, targets
 
     def batch(self, indices, split: str = "train") -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,19 @@
 The estimator perturbs the flat parameter vector in place with Gaussian
 directions that are never materialized at full length: noise streams come
 from a counter-based generator (Philox) keyed by (seed, stream index) and are
-replayed chunk by chunk whenever they are needed again. Each direction builds
-its Philox once and rewinds it (by `bit_generator.state`) for every later
-pass, the update included. It keeps its first chunk for its three passes
-(+shift, -shift, restore), so a vector that fits in one chunk draws that
-direction's noise once before the update. Every pass works in place through a
-few chunk-sized scratch buffers, allocated once per pass.
+replayed chunk by chunk whenever they are needed again. A Philox can be put at
+the start of any key's stream by setting its `bit_generator.state`, so
+generators are not rebuilt: `keyed_philox` rewinds a spare one from a small
+list (building one only when the list is empty) and `release_philox` hands it
+back. A generator belongs to one owner from `keyed_philox` until that owner
+releases it, so two live streams never share one; `mezo_step` owns its n
+directions' generators through the whole step, while the loss function it
+calls may take and release others (task batches, for instance).
+
+Each direction keeps its first chunk for its three passes (+shift, -shift,
+restore), so a vector that fits in one chunk draws that direction's noise once
+before the update. Every pass works in place through a few chunk-sized
+scratch buffers, allocated once per pass.
 
 Peak extra storage is therefore bounded by chunk-sized blocks (the kept chunk
 plus at most three scratch buffers) and a sparse record of the few
@@ -129,26 +136,60 @@ def step_seed(master_seed: int, step_index: int) -> int:
     return splitmix64((master_seed & _MASK64) ^ splitmix64(step_index & _MASK64))
 
 
-def _generator(seed: PerturbationSeed) -> np.random.Generator:
-    key = np.array([seed.seed & _MASK64, seed.stream_index & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Idle generators, handed back by their owners. Building a Philox costs about
+# ten rewinds, because numpy draws a SeedSequence from OS entropy even when
+# `key=` is given. The list never holds more generators than were live at
+# once, and list.pop gives each one to a single caller.
+_SPARE: list[np.random.Generator] = []
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rewind(gen: np.random.Generator, k0: int, k1: int) -> np.random.Generator:
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (k0 & _MASK64, k1 & _MASK64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def keyed_philox(k0: int, k1: int) -> np.random.Generator:
+    """A generator at the start of the Philox stream keyed by (k0, k1), each
+    taken modulo 2^64: the draws of Generator(Philox(key=[k0, k1])).
+
+    The caller owns it until it hands it back with `release_philox`, and must
+    not use it after that. One never handed back is simply collected."""
+    try:
+        gen = _SPARE.pop()
+    except IndexError:
+        gen = np.random.Generator(np.random.Philox())
+    return _rewind(gen, k0, k1)
+
+
+def release_philox(gen: np.random.Generator) -> None:
+    """Hand back a generator from `keyed_philox` once its owner is done."""
+    _SPARE.append(gen)
 
 
 def generate_noise(seed: PerturbationSeed, length: int) -> np.ndarray:
     """Materialize a standard-normal stream (tests and small vectors only)."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return _generator(seed).standard_normal(length)
+    gen = keyed_philox(seed.seed, seed.stream_index)
+    try:
+        return gen.standard_normal(length)
+    finally:
+        release_philox(gen)
 
 
 def iter_noise_chunks(seed: PerturbationSeed, length: int,
                       chunk: int = DEFAULT_CHUNK) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (offset, block) pieces of the stream without holding it whole."""
-    gen = _generator(seed)
-    for start in range(0, length, chunk):
-        n = min(chunk, length - start)
-        yield start, gen.standard_normal(n)
+    gen = keyed_philox(seed.seed, seed.stream_index)
+    try:
+        for start in range(0, length, chunk):
+            yield start, gen.standard_normal(min(chunk, length - start))
+    finally:
+        release_philox(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +237,39 @@ _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx,
 class _Stream:
     """One direction's noise, replayed chunk by chunk for each pass.
 
-    Its Philox is built once; later passes rewind it by setting
-    `bit_generator.state` instead of rebuilding it. The first chunk is
-    generated once and kept until `rewind`, so a vector of one chunk draws
-    its noise once for all three passes of an estimate.
+    It owns one generator from `keyed_philox` until `release`; later passes
+    rewind it instead of building another. The first chunk is generated once
+    and kept until `rewind`, so a vector of one chunk draws its noise once for
+    all three passes of an estimate.
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
-        self.gen = _generator(seed)
+        self.key = (seed.seed, seed.stream_index)
+        self.gen = keyed_philox(*self.key)
         self.size, self.chunk = size, chunk
-        self.origin = self.gen.bit_generator.state
         self.first = self.gen.standard_normal(min(chunk, size))
-        self.after_first = self.gen.bit_generator.state
+        self.after_first = self.gen.bit_generator.state if size > chunk else None
 
     def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (offset, z) over the stream: the kept first chunk, then
         chunks generated into `buf`, which each step overwrites."""
         yield 0, self.first
-        self.gen.bit_generator.state = self.after_first
+        if self.after_first is not None:
+            self.gen.bit_generator.state = self.after_first
         for start in range(self.chunk, self.size, self.chunk):
             z = buf[:min(self.chunk, self.size - start)]
             self.gen.standard_normal(out=z)
             yield start, z
 
-    def rewind(self) -> np.random.Generator:
-        """Drop the kept chunk and return the generator at the stream start."""
+    def rewind(self) -> None:
+        """Drop the kept chunk and put the generator at the stream start."""
         self.first = None
-        self.gen.bit_generator.state = self.origin
-        return self.gen
+        _rewind(self.gen, *self.key)
+
+    def release(self) -> None:
+        """Hand the generator back; the stream is unusable afterwards."""
+        gen, self.gen = self.gen, None
+        release_philox(gen)
 
 
 def _shift(values: np.ndarray, stream: _Stream, epsilon: float, sign: float,
@@ -271,7 +317,11 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     """
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
-    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
+    stream = _Stream(seed, len(theta), chunk)
+    try:
+        g, _, _ = _spsa_full(loss_fn, theta, stream, epsilon)
+    finally:
+        stream.release()
     return g
 
 
@@ -315,31 +365,35 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))
     size = theta.values.size
 
-    gs, losses, gens = [], [], []
-    for s in seeds:
-        stream = _Stream(s, size, chunk)
-        g, lp, lm = _spsa_full(loss_fn, theta, stream, cfg.epsilon)
-        gs.append(g)
-        losses.append((lp, lm))
-        gens.append(stream.rewind())  # ascending stream order
-    if not np.all(np.isfinite(gs)):
-        raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
-
-    if cfg.learning_rate > 0:
-        scale = cfg.learning_rate / n
-        zbuf, abuf = np.empty((2, min(chunk, size)))
-        for start in range(0, size, chunk):
-            m = min(chunk, size - start)
-            z, acc = zbuf[:m], abuf[:m]
-            gens[0].standard_normal(out=acc)
-            acc *= gs[0]
-            for g, gen in zip(gs[1:], gens[1:]):
-                gen.standard_normal(out=z)
-                z *= g
-                acc += z
-            acc *= scale
-            theta.values[start:start + m] -= acc
-        theta.assert_finite()
+    gs, losses, streams = [], [], []
+    try:
+        for s in seeds:
+            streams.append(_Stream(s, size, chunk))
+            g, lp, lm = _spsa_full(loss_fn, theta, streams[-1], cfg.epsilon)
+            gs.append(g)
+            losses.append((lp, lm))
+            streams[-1].rewind()
+        if not np.all(np.isfinite(gs)):
+            raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
+        if cfg.learning_rate > 0:
+            scale = cfg.learning_rate / n
+            gens = [st.gen for st in streams]  # rewound, ascending stream order
+            zbuf, abuf = np.empty((2, min(chunk, size)))
+            for start in range(0, size, chunk):
+                m = min(chunk, size - start)
+                z, acc = zbuf[:m], abuf[:m]
+                gens[0].standard_normal(out=acc)
+                acc *= gs[0]
+                for g, gen in zip(gs[1:], gens[1:]):
+                    gen.standard_normal(out=z)
+                    z *= g
+                    acc += z
+                acc *= scale
+                theta.values[start:start + m] -= acc
+            theta.assert_finite()
+    finally:
+        for stream in streams:
+            stream.release()
 
     report = StepReport(step_index, seeds, tuple(gs), tuple(losses))
     return theta, report

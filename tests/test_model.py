@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -400,4 +402,29 @@ def test_checkpoint_rejects_segments_that_do_not_fit_the_config(tmp_path):
     path = tmp_path / "w.mzfw"
     save_weights(path, CFG.replace(vocab_size=16), ToyTransformer(CFG).init_params(0))
     with pytest.raises(ValueError, match="embed"):
+        load_weights(path)
+
+
+def _with_config_blob(path, edit) -> None:
+    """Rewrite the config blob of the checkpoint at `path` as edit(blob)."""
+    data = path.read_bytes()
+    version, blob_len = struct.unpack("<II", data[4:12])
+    blob = json.dumps(edit(json.loads(data[12:12 + blob_len]))).encode()
+    path.write_bytes(data[:4] + struct.pack("<II", version, len(blob)) + blob
+                     + data[12 + blob_len:])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda b: {("batch_sz" if k == "batch_size" else k): v for k, v in b.items()},
+     r"unknown keys \['batch_sz'\] and lacks keys \['batch_size'\]"),
+    (lambda b: {k: v for k, v in b.items() if k != "batch_size"},
+     r"unknown keys \[\] and lacks keys \['batch_size'\]"),
+    (lambda b: [b], "not a JSON object"),
+    (lambda b: {**b, "expansion_factor": "4"}, "checkpoint config is invalid"),
+], ids=["renamed", "dropped", "not-an-object", "bad-value"])
+def test_checkpoint_rejects_a_config_blob_that_is_not_a_model_config(tmp_path, edit, match):
+    path = tmp_path / "w.mzfw"
+    save_weights(path, CFG, ToyTransformer(CFG).init_params(0))
+    _with_config_blob(path, edit)
+    with pytest.raises(ValueError, match=match):
         load_weights(path)

@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mezofit.memory import ConfigError
+from mezofit import zo
+from mezofit.memory import ConfigError, ModelConfig
+from mezofit.model import LedgerMode, ToyTransformer, loss_from_logits
+from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import (
     NonfiniteGradError,
     NonfiniteLossError,
@@ -15,7 +18,9 @@ from mezofit.zo import (
     bp_sgd_step,
     generate_noise,
     iter_noise_chunks,
+    keyed_philox,
     mezo_step,
+    release_philox,
     spsa_directional_derivative,
     step_seed,
 )
@@ -95,6 +100,62 @@ def test_noise_moments():
 def test_step_seed_changes_with_step_and_master():
     seen = {step_seed(m, s) for m in (0, 1, 2, -5) for s in range(50)}
     assert len(seen) == 4 * 50
+
+
+_M64 = (1 << 64) - 1
+
+
+def _draws(gen: np.random.Generator):
+    return (gen.standard_normal(1000), gen.integers(0, 17, size=33), gen.random(5),
+            gen.permutation(9), gen.standard_normal(3))
+
+
+@pytest.mark.parametrize("k0, k1", [(0, 0), (_M64, _M64), (0, _M64), (-1, -7),
+                                    (-(1 << 63), 1 << 63)])
+def test_keyed_philox_draws_equal_a_fresh_philox(monkeypatch, k0, k1):
+    key = np.array([k0 & _M64, k1 & _M64], dtype=np.uint64)
+    want = _draws(np.random.Generator(np.random.Philox(key=key)))
+    monkeypatch.setattr(zo, "_SPARE", [])
+    built = keyed_philox(k0, k1)  # no spare: a new generator
+    assert all(np.array_equal(a, b) for a, b in zip(_draws(built), want))
+    release_philox(built)
+    reused = keyed_philox(k0, k1)  # the spare, rewound from mid-stream
+    assert reused is built
+    assert all(np.array_equal(a, b) for a, b in zip(_draws(reused), want))
+    assert keyed_philox(k0, k1) is not reused  # one owner at a time
+
+
+def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
+    # the loss takes and hands back generators (one per task sample) while
+    # the step owns its n directions' generators; none may be shared
+    cfg = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
+                      vocab_size=8, batch_size=4)
+    model = ToyTransformer(cfg)
+    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, 8, 8, seed=1)
+    zcfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=5, master_seed=3)
+    fetched = task.batch(range(cfg.batch_size))
+
+    def loss_of(batch):
+        return lambda t: loss_from_logits(
+            model.forward(t, batch[0], mode=LedgerMode.MEZO)[0], batch[1])
+
+    drawing = lambda t: loss_of(task.batch(range(cfg.batch_size)))(t)
+    for chunk in (1 << 16, 97):  # one chunk; 35 chunks, later ones rewound by state
+        a, b = model.init_params(0), model.init_params(0)
+        for step in range(2):
+            # reference: each g_i from a lone estimate, each z_i regenerated whole
+            seeds = [PerturbationSeed(step_seed(3, step), i) for i in range(5)]
+            ref = a.copy()
+            gs = [spsa_directional_derivative(loss_of(fetched), ref, s, 1e-3) for s in seeds]
+            acc = generate_noise(seeds[0], len(ref)) * gs[0]
+            for s, g in zip(seeds[1:], gs[1:]):
+                acc += generate_noise(s, len(ref)) * g
+            ref.values -= acc * (1e-2 / 5)
+
+            _, report_a = mezo_step(loss_of(fetched), a, zcfg, step, chunk=chunk)
+            _, report_b = mezo_step(drawing, b, zcfg, step, chunk=chunk)
+            assert report_a == report_b and report_a.projected_gradients == tuple(gs)
+            assert a.values.tobytes() == b.values.tobytes() == ref.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

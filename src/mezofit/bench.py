@@ -50,11 +50,13 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.steps < 0 or self.eval_every < 1:
             raise ConfigError("steps must be >= 0 and eval_every >= 1")
-        if not self.lr_grid_bp or not self.lr_grid_mezo:
-            raise ConfigError("learning-rate grids must be non-empty")
+        for name in ("lr_grid_bp", "lr_grid_mezo"):
+            grid = getattr(self, name)
+            if not grid or not all(0 <= lr < np.inf for lr in grid):  # NaN fails too
+                raise ConfigError(f"{name} needs finite rates >= 0, got {grid!r}")
         bp_total = bp_memory(self.bp_model).total_bytes
         mezo_total = mezo_memory(self.mezo_model).total_bytes
-        if bp_total > self.budget_bytes or mezo_total > self.budget_bytes:
+        if not max(bp_total, mezo_total) <= self.budget_bytes:  # a NaN budget fails too
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "
                 f"{mezo_total:.4g} B against a budget of {self.budget_bytes:.4g} B")

@@ -7,7 +7,7 @@
     mezofit verify [--dim N] [--seed S] [--epsilon E]
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
-file that cannot be read or written), 3 infeasible budget.
+file that cannot be read or written, or a non-finite loss), 3 infeasible budget.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 from mezofit.bench import emit_csv, run_experiment, summarize
 from mezofit.configfile import parse_model_config, parse_plan
 from mezofit.memory import (
+    AXIS_FIELD,
     ConfigError,
     InfeasibleError,
     MemoryMode,
@@ -32,14 +33,12 @@ from mezofit.memory import (
     memory_for_mode,
     sweep,
 )
+from mezofit.zo import NonfiniteGradError, NonfiniteLossError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
-
-_MODE_BY_FLAG = {"bp": MemoryMode.BP, "bp-ckpt": MemoryMode.BP_CHECKPOINTED,
-                 "mezo": MemoryMode.MEZO}
 
 
 def _sig3(x: float) -> str:
@@ -71,7 +70,7 @@ def _breakdown_lines(b) -> list[str]:
 
 def cmd_plan(args) -> int:
     cfg = parse_model_config(args.config)
-    b = memory_for_mode(cfg, _MODE_BY_FLAG[args.mode])
+    b = memory_for_mode(cfg, MemoryMode(args.mode))
     if args.json:
         print(json.dumps(b.as_dict(), indent=2, sort_keys=True))
     else:
@@ -118,9 +117,9 @@ def cmd_solve(args) -> int:
     cfg = parse_model_config(args.config)
     budget = parse_budget(args.budget)
     axis = SweepAxis(args.axis)
-    mode = _MODE_BY_FLAG[args.mode]
+    mode = MemoryMode(args.mode)
     value = max_dimension(budget, cfg, axis, mode)
-    field = {"d": "hidden_dim", "l": "num_layers"}[axis.value]
+    field = AXIS_FIELD[axis]
     solved = cfg.replace(**{field: value})
     b = memory_for_mode(solved, mode)
     if args.json:
@@ -161,7 +160,8 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     from mezofit.verify import run_verification
 
-    results = run_verification(dim=args.dim, seed=args.seed, epsilon=args.epsilon)
+    with np.errstate(over="ignore"):  # an overflowing loss raises NonfiniteLossError
+        results = run_verification(dim=args.dim, seed=args.seed, epsilon=args.epsilon)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -181,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="itemized memory breakdown for one mode")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), required=True)
+    p.add_argument("--mode", choices=[m.value for m in MemoryMode], required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="BP/MeZO totals and ratio along one axis")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", choices=["n", "l", "d"], required=True)
+    p.add_argument("--axis", choices=[a.value for a in SweepAxis], required=True)
     p.add_argument("--from", dest="from_", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", required=True,
                    help="bytes, optionally suffixed GB (1e9) or GiB (2^30)")
     p.add_argument("--axis", choices=["d", "l"], required=True)
-    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), required=True)
+    p.add_argument("--mode", choices=[m.value for m in MemoryMode], required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -228,7 +228,8 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError,  # ConfigError is a ValueError
+            NonfiniteLossError, NonfiniteGradError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

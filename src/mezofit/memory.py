@@ -11,13 +11,24 @@ All functions here are pure; no shared mutable state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 
 class ConfigError(ValueError):
     """A model configuration violates its invariants."""
+
+
+@functools.cache
+def field_types(cls) -> MappingProxyType:
+    """Each dataclass field mapped to int or float as its annotation says
+    (``int | None`` maps to int); read-only, since every caller shares it."""
+    return MappingProxyType({name: int if int in (hint, *typing.get_args(hint)) else float
+                             for name, hint in typing.get_type_hints(cls).items()})
 
 
 class InfeasibleError(ValueError):
@@ -61,11 +72,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kv_heads is None:
             object.__setattr__(self, "kv_heads", self.num_heads)
-        for field in ("context_length", "num_layers", "hidden_dim",
-                      "num_heads", "kv_heads", "num_mlps", "vocab_size",
-                      "batch_size"):
+        for field, kind in field_types(ModelConfig).items():
             v = getattr(self, field)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if kind is int and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
                 raise ConfigError(f"{field} must be a positive integer, got {v!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
@@ -175,7 +184,7 @@ class SweepAxis(str, Enum):
     D = "d"  # hidden dimension
 
 
-_AXIS_FIELD = {
+AXIS_FIELD = {
     SweepAxis.N: "context_length",
     SweepAxis.L: "num_layers",
     SweepAxis.D: "hidden_dim",
@@ -208,7 +217,7 @@ class SweepPoint:
 
 def sweep(spec: SweepSpec, checkpointed: bool = False) -> list[SweepPoint]:
     """Evaluate BP/MeZO totals and their ratio along one axis."""
-    field = _AXIS_FIELD[spec.axis]
+    field = AXIS_FIELD[spec.axis]
     points = []
     for v in spec.values:
         try:
@@ -242,7 +251,7 @@ def max_dimension(budget_bytes: float, cfg: ModelConfig, free_axis: SweepAxis,
         vmin = max(1, math.ceil(cfg.stored_layers))
     else:
         raise ConfigError(f"free_axis must be d or l, got {free_axis!r}")
-    field = _AXIS_FIELD[free_axis]
+    field = AXIS_FIELD[free_axis]
 
     def total(units: int) -> float:
         return memory_for_mode(cfg.replace(**{field: units * step}), mode).total_bytes

@@ -186,8 +186,9 @@ class ToyTransformer:
         if cfg.head_dim % 2 != 0:
             raise ConfigError("head dimension must be even for rotary encoding")
         ffn = cfg.hidden_dim * cfg.expansion_factor
-        if abs(ffn - round(ffn)) > 1e-9:
-            raise ConfigError("hidden_dim * expansion_factor must be an integer")
+        if not (np.isfinite(ffn) and abs(ffn - round(ffn)) <= 1e-9):
+            raise ConfigError(
+                f"hidden_dim * expansion_factor must be a finite integer, got {ffn!r}")
         self.cfg = cfg
         self.ffn_dim = int(round(ffn))
         self._cos, self._sin = _rope_tables(cfg.context_length, cfg.head_dim)

@@ -24,6 +24,8 @@ the parameter vector is always restored bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -154,10 +156,12 @@ def _rewind(gen: np.random.Generator, k0: int, k1: int) -> np.random.Generator:
 
 def keyed_philox(k0: int, k1: int) -> np.random.Generator:
     """A generator at the start of the Philox stream keyed by (k0, k1), each
-    taken modulo 2^64: the draws of Generator(Philox(key=[k0, k1])).
+    an integer (Python or numpy) taken modulo 2^64: the draws of
+    Generator(Philox(key=[k0, k1])).
 
     The caller owns it until it hands it back with `release_philox`, and must
     not use it after that. One never handed back is simply collected."""
+    k0, k1 = operator.index(k0), operator.index(k1)
     try:
         gen = _SPARE.pop()
     except IndexError:
@@ -204,8 +208,8 @@ class ZOConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
         if not (isinstance(self.num_perturbations, int) and self.num_perturbations >= 1):

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from mezofit.bench import ExperimentPlan
 from mezofit.cli import _resolve_plan, main, parse_budget
 from mezofit.configfile import PRESETS, parse_model_config, parse_plan, parse_zo_config
 from mezofit.memory import (
@@ -9,6 +11,7 @@ from mezofit.memory import (
     MemoryMode,
     ModelConfig,
     bp_memory,
+    field_types,
     memory_for_mode,
     mezo_memory,
 )
@@ -73,14 +76,30 @@ def test_unknown_keys_and_sections_rejected():
     with pytest.raises(ConfigError, match="unknown key 'hidden_dims'"):
         parse_model_config("[model]\npreset = llama2-7b\nhidden_dims = 4\n",
                            is_text=True)
-    with pytest.raises(ConfigError, match=r"unknown section \[extra\]"):
-        parse_model_config("[model]\npreset = llama2-7b\n[extra]\nx = 1\n",
-                           is_text=True)
+    for parse in (parse_model_config, parse_zo_config, parse_plan):
+        with pytest.raises(ConfigError, match=r"unknown section \[extra\]"):
+            parse(TINY_PLAN + "[extra]\nx = 1\n", is_text=True)
     with pytest.raises(ConfigError, match="unknown preset"):
         parse_model_config("[model]\npreset = llama3\n", is_text=True)
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_model_config("[model]\npreset = llama2-7b\nnum_layers = ten\n",
                            is_text=True)
+
+
+def test_each_key_takes_the_type_of_its_dataclass_field():
+    assert {k for k, t in field_types(ModelConfig).items() if t is int} == {
+        "context_length", "num_layers", "hidden_dim", "num_heads", "kv_heads",
+        "num_mlps", "vocab_size", "batch_size"}
+    cfg = parse_model_config(LLAMA_INI + "kv_heads = 8\nstored_layers = 2\n", is_text=True)
+    assert cfg.kv_heads == 8 and type(cfg.stored_layers) is float
+    zo = parse_zo_config("[mezo]\nlearning_rate = 1\nmaster_seed = -3\n", is_text=True)
+    assert type(zo.learning_rate) is float and zo.master_seed == -3
+    with pytest.raises(ConfigError, match=r"\[mezo\] master_seed must be an integer"):
+        parse_zo_config("[mezo]\nmaster_seed = 1.5\n", is_text=True)
+    with pytest.raises(ConfigError, match=r"\[experiment\] batch_size must be an integer"):
+        parse_plan(TINY_PLAN + "bp_batch_size = 2.5\n", is_text=True)
+    with pytest.raises(ConfigError, match="unknown key 'bp_preset'"):
+        parse_plan(TINY_PLAN + "bp_preset = llama2-7b\n", is_text=True)
 
 
 def test_zo_config_section():
@@ -119,6 +138,99 @@ def test_parse_budget_suffixes():
     assert parse_budget("1.5 GiB") == 1.5 * 2**30
     with pytest.raises(ConfigError):
         parse_budget("12 kB")
+
+
+# ---------------------------------------------------------------------------
+# property and fuzz tests (fixed seeds, standard library only)
+# ---------------------------------------------------------------------------
+
+FUZZ_VALUES = ("", "x", "nan", "inf", "-1", "0", "1e3", "2", "3")
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One random edit of a config: drop a line, duplicate a key, set a value,
+    add a key or an unknown section, or cut the text at a random offset."""
+    lines = text.splitlines(keepends=True)
+    keyed = [i for i, line in enumerate(lines) if "=" in line and line[0] != "#"]
+    if not keyed:  # an earlier cut left no key
+        return text
+    i = rng.choice(keyed)
+    key = lines[i].split("=")[0].strip()
+    op = rng.randrange(6)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i + 1, lines[i])
+    elif op == 2:
+        lines[i] = f"{key} = {rng.choice(FUZZ_VALUES)}\n"
+    elif op == 3:  # a key that may be unknown, or known but absent before
+        extra = rng.choice(("bogus", "bp_bogus", "mezo_preset", "expansion_factor",
+                            "mezo_expansion_factor", "budget_bytes", "epsilon"))
+        lines.insert(i + 1, f"{extra} = {rng.choice(FUZZ_VALUES)}\n")
+    elif op == 4:
+        lines.insert(rng.randrange(len(lines) + 1), "[bogus]\nx = 1\n")
+    else:
+        return text[:rng.randrange(len(text))]
+    return "".join(lines)
+
+
+def fuzz_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    sources = (TINY_PLAN, _resolve_plan("desk")[0])
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(text, rng)
+        yield text
+
+
+def test_parse_plan_fuzz_returns_a_plan_or_raises_config_error():
+    outcomes = set()
+    for text in fuzz_cases(1000, seed=1):
+        try:
+            plan = parse_plan(text, is_text=True)
+        except ConfigError:
+            outcomes.add("rejected")
+        else:
+            assert isinstance(plan, ExperimentPlan)
+            outcomes.add("parsed")
+    assert outcomes == {"parsed", "rejected"}
+
+
+def test_cmd_plan_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "fuzz.ini"
+    codes = set()
+    for n, text in enumerate(fuzz_cases(80, seed=2)):
+        path.write_text(text)
+        code = main(["plan", "--config", str(path), "--mode", ("bp", "mezo")[n % 2]])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+def test_parse_budget_fuzz_and_unit_round_trip():
+    rng = random.Random(2)
+    accepted = 0
+    for _ in range(3000):
+        text = "".join(rng.choice("0123456789.eE+- \tGiBkx")
+                       for _ in range(rng.randrange(10)))
+        try:
+            value = parse_budget(text)
+        except ConfigError:
+            continue
+        assert isinstance(value, float) and value >= 0, text
+        accepted += 1
+    assert accepted > 100
+    for _ in range(500):
+        x = rng.choice((0.0, rng.random(), rng.uniform(0, 1e6),
+                        10 ** rng.uniform(-300, 300)))
+        assert parse_budget(f"{x!r}GiB") == x * 2**30
+        assert parse_budget(f" {x!r} GB ") == x * 1e9
+        assert parse_budget(repr(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +399,24 @@ def test_cmd_train_steps_zero(tmp_path, capsys):
     assert all(r.split(",")[2] == "0" for r in rows)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("steps = 4", "steps = 4\nbudget_bytes = nan"),
+    ("lr_grid_mezo = 1e-3", "lr_grid_mezo = -0.5"),
+    ("lr_grid_bp = 0.5", "lr_grid_bp = nan"),
+    ("lr_grid_bp = 0.5", "lr_grid_bp = 0.5, inf"),
+    ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = inf"),
+    ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = 1e308"),
+], ids=["nan-budget", "negative-lr", "nan-lr", "inf-lr", "inf-ffn", "1e308-ffn"])
+def test_cmd_train_rejects_a_bad_plan_before_training(tmp_path, capsys, old, new):
+    plan_path = tmp_path / "plan.ini"
+    plan_path.write_text(TINY_PLAN.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--plan", str(plan_path), "--out", str(out_dir)]) == 2
+    assert not (out_dir / "records.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_unwritable_out_exits_2_with_one_line(llama_config, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -311,3 +441,12 @@ def test_cmd_verify_rejects_zero_epsilon(capsys):
 def test_cmd_verify_rejects_oversized_dim(capsys):
     assert main(["verify", "--dim", "5000"]) == 2
     assert "dim" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would be a second line
+@pytest.mark.parametrize("epsilon", ["inf", "1e300"])
+def test_cmd_verify_extreme_epsilon_exits_2_with_one_line(capsys, epsilon):
+    assert main(["verify", "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -136,6 +136,14 @@ def test_batch_shapes():
     assert et.shape == (3, 6)
 
 
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_batch_takes_numpy_integer_indices(kind):
+    task = ToyTask(kind, vocab_size=8, seq_len=7, seed=2)
+    for split in ("train", "eval"):
+        got, want = task.batch(np.arange(5), split), task.batch(range(5), split)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_task_validation():
     with pytest.raises(ConfigError):
         ToyTask(TaskKind.SEQUENCE_COPY, vocab_size=16, seq_len=8, seed=0)  # even

@@ -125,6 +125,14 @@ def test_keyed_philox_draws_equal_a_fresh_philox(monkeypatch, k0, k1):
     assert keyed_philox(k0, k1) is not reused  # one owner at a time
 
 
+def test_keyed_philox_takes_numpy_integer_keys_and_refuses_floats():
+    want = _draws(keyed_philox(_M64, -1))
+    got = _draws(keyed_philox(np.uint64(_M64), np.int64(-1)))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(TypeError):
+        keyed_philox(1.0, 0)
+
+
 def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
     # the loss takes and hands back generators (one per task sample) while
     # the step owns its n directions' generators; none may be shared

@@ -60,8 +60,15 @@ class ExperimentPlan:
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "
                 f"{mezo_total:.4g} B against a budget of {self.budget_bytes:.4g} B")
-        if (ToyTransformer(self.mezo_model).param_count()
-                <= ToyTransformer(self.bp_model).param_count()):
+        # the analytic totals count 12*L*D^2 layer weights whatever the FFN width
+        counts = {}
+        for name, cfg in (("BP", self.bp_model), ("MeZO", self.mezo_model)):
+            counts[name] = ToyTransformer(cfg).param_count()
+            if counts[name] * cfg.bytes_per_param > self.budget_bytes:
+                raise ConfigError(
+                    f"matched-budget violation: the {name} model's {counts[name]} weights "
+                    f"alone exceed the budget of {self.budget_bytes:.4g} B")
+        if counts["MeZO"] <= counts["BP"]:
             raise ConfigError(
                 "the MeZO model must have strictly more parameters than the BP model")
         if max(bp_total, mezo_total) / min(bp_total, mezo_total) > 1 + BUDGET_MATCH_TOLERANCE:

@@ -10,6 +10,11 @@ A forward pass also fills an ActivationLedger, derived from the input shapes.
 In BP mode it counts the per-layer caches the backward pass reads. In MeZO
 mode the forward itself retains no layer intermediates; the ledger is the
 *modelled* buffer of ceil(stored_layers) layers from the memory formula.
+
+The backward pass frees each layer's cache as it goes and writes its
+transients in place (`_gelu_backward` overwrites both of its arguments), in
+the float order of the plain expressions, so its gradients are bit for bit
+those of an out-of-place pass.
 """
 from __future__ import annotations
 
@@ -76,10 +81,20 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
+    """Gradients of _rmsnorm, through two scratch buffers in the float order
+    of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
     r = _rms_inv(x)
-    dgain = np.sum(dy * x * r, axis=(0, 1))
-    s = np.sum(dy * gain * x, axis=-1, keepdims=True)
-    dx = dy * gain * r - x * (r ** 3) * s / x.shape[-1]
+    t = dy * x
+    t *= r
+    dgain = np.sum(t, axis=(0, 1))
+    dx = dy * gain
+    np.multiply(dx, x, out=t)
+    s = np.sum(t, axis=-1, keepdims=True)
+    dx *= r
+    np.multiply(x, r ** 3, out=t)
+    t *= s
+    t /= x.shape[-1]
+    dx -= t
     return dx, dgain
 
 
@@ -100,11 +115,29 @@ def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _gelu_backward(du_out: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _gelu_backward(da: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """da * gelu'(u) written into `da`, overwriting `u` too, through three
+    scratch buffers in the float order of 0.5*(1 + t) + 0.5*u*(1 - t*t)*c*
+    (1 + 3a*u*u) with t = tanh(c*(u + a*u*u*u))."""
     u2 = u * u
-    t = np.tanh(_GELU_C * (u + _GELU_A * u2 * u))
-    local = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u2)
-    return du_out * local
+    t = _GELU_A * u2
+    t *= u
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    u2 *= 3.0 * _GELU_A
+    u2 += 1.0
+    q = t * t
+    np.subtract(1.0, q, out=q)
+    u *= 0.5
+    u *= q
+    u *= _GELU_C
+    u *= u2
+    t += 1.0
+    t *= 0.5
+    t += u
+    da *= t
+    return da
 
 
 def _rope_tables(n: int, head_dim: int):
@@ -116,7 +149,8 @@ def _rope_tables(n: int, head_dim: int):
 def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate interleaved pairs of head dims by position-dependent angles.
 
-    x: (B, N, H, dh); cos/sin: (N, dh/2). Non-parametric, orthogonal per pair.
+    x: (B, N, H, dh); cos/sin: (N, dh/2). Non-parametric, orthogonal per pair:
+    its backward is the rotation by -sin, bit for bit the transposed rotation.
     """
     e, o = x[..., 0::2], x[..., 1::2]
     c = cos[None, :, None, :]
@@ -125,16 +159,6 @@ def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     out[..., 0::2] = e * c - o * s
     out[..., 1::2] = e * s + o * c
     return out
-
-
-def _rope_backward(dy: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    de, do = dy[..., 0::2], dy[..., 1::2]
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
-    dx = np.empty_like(dy)
-    dx[..., 0::2] = de * c + do * s
-    dx[..., 1::2] = -de * s + do * c
-    return dx
 
 
 def loss_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -329,68 +353,78 @@ class ToyTransformer:
 
     def backward(self, params: ParameterVector, tokens: np.ndarray,
                  targets: np.ndarray) -> tuple[ParameterVector, float]:
-        """Exact reverse-mode gradient of the masked mean cross-entropy."""
+        """Exact reverse-mode gradient of the masked mean cross-entropy.
+
+        Frees each layer's cache as it goes: popped as the layer's backward
+        starts, `a` and `u` freed once consumed, the rest at its end. The
+        logits and their gradient go once the final norm's gradient exists.
+        `_gelu_backward` overwrites its arguments. Each in-place step keeps
+        the float order of the plain expression, so gradients are unchanged."""
         cfg = self.cfg
-        D, H, dh = cfg.hidden_dim, cfg.num_heads, cfg.head_dim
+        D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
         logits, caches, _ = self._forward_impl(params, tokens, LedgerMode.BP)
         loss, dlogits = _loss_backward(logits, np.asarray(targets))
+        del logits, caches["logits"]
 
         grad = ParameterVector(np.zeros(len(params)), params.segments)
         B, N = caches["tokens"].shape
-        cos, sin = caches["cos"], caches["sin"]
+        cos, nsin = caches["cos"], -caches["sin"]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        head = params.view("head", (cfg.vocab_size, D))
-        hf, x_f = caches["hf"], caches["x_f"]
-        V = cfg.vocab_size
-        grad.view("head", (V, D))[:] = dlogits.reshape(-1, V).T @ hf.reshape(-1, D)
-        dhf = dlogits @ head
-        dx, dgain = _rmsnorm_backward(dhf, x_f, params.segment("norm_final"))
+        grad.view("head", (V, D))[:] = (
+            dlogits.reshape(-1, V).T @ caches.pop("hf").reshape(-1, D))
+        dhf = dlogits @ params.view("head", (V, D))
+        dx, dgain = _rmsnorm_backward(dhf, caches.pop("x_f"), params.segment("norm_final"))
+        del dlogits, dhf
         grad.segment("norm_final")[:] = dgain
 
-        F = self.ffn_dim
-        for c in reversed(caches["layers"]):
+        layers = caches["layers"]
+        while layers:
+            c = layers.pop()
             l = c["layer"]
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
-            dffn_out = dx
             grad.view(f"layer{l}.ffn_out", (F, D))[:] = (
-                c["a"].reshape(-1, F).T @ dffn_out.reshape(-1, D))
-            da = dffn_out @ params.view(f"layer{l}.ffn_out", (F, D)).T
-            du = _gelu_backward(da, c["u"])
+                c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D))
+            du = _gelu_backward(dx @ params.view(f"layer{l}.ffn_out", (F, D)).T, c.pop("u"))
             grad.view(f"layer{l}.ffn_in", (D, F))[:] = (
                 c["h2"].reshape(-1, D).T @ du.reshape(-1, F))
             dh2 = du @ params.view(f"layer{l}.ffn_in", (D, F)).T
             dx_mid, dgain = _rmsnorm_backward(dh2, c["x_mid"], params.segment(f"layer{l}.norm_ffn"))
             grad.segment(f"layer{l}.norm_ffn")[:] = dgain
-            dx = dx + dx_mid  # residual
+            dx += dx_mid  # residual
 
             # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
-            dattn = dx
             grad.view(f"layer{l}.wo", (D, D))[:] = (
-                c["ctx"].reshape(-1, D).T @ dattn.reshape(-1, D))
-            dctx = (dattn @ params.view(f"layer{l}.wo", (D, D)).T) \
+                c["ctx"].reshape(-1, D).T @ dx.reshape(-1, D))
+            dctx = (dx @ params.view(f"layer{l}.wo", (D, D)).T) \
                 .reshape(B, N, H, dh).transpose(0, 2, 1, 3)
-            dprobs = dctx @ c["v4"].transpose(0, 1, 3, 2)
-            dv4 = c["probs"].transpose(0, 1, 3, 2) @ dctx
-            inner = np.sum(dprobs * c["probs"], axis=-1, keepdims=True)
-            dscores = c["probs"] * (dprobs - inner)
-            dq4 = (dscores @ c["k4"]) * inv_sqrt_dh
-            dk4 = (dscores.transpose(0, 1, 3, 2) @ c["q4"]) * inv_sqrt_dh
-            dq = _rope_backward(dq4.transpose(0, 2, 1, 3), cos, sin).reshape(B, N, D)
-            dk = _rope_backward(dk4.transpose(0, 2, 1, 3), cos, sin).reshape(B, N, D)
-            dv = dv4.transpose(0, 2, 1, 3).reshape(B, N, D)
+            probs = c["probs"]
+            dscores = dctx @ c["v4"].transpose(0, 1, 3, 2)  # dprobs, then dscores in place
+            dv = (probs.transpose(0, 1, 3, 2) @ dctx).transpose(0, 2, 1, 3).reshape(B, N, D)
+            inner = np.sum(dscores * probs, axis=-1, keepdims=True)
+            dscores -= inner
+            dscores *= probs
+            dq4 = dscores @ c["k4"]
+            dq4 *= inv_sqrt_dh
+            dk4 = dscores.transpose(0, 1, 3, 2) @ c["q4"]
+            dk4 *= inv_sqrt_dh
+            dq = _rope(dq4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
+            dk = _rope(dk4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
             h2d = c["h"].reshape(-1, D)
             grad.view(f"layer{l}.wq", (D, D))[:] = h2d.T @ dq.reshape(-1, D)
             grad.view(f"layer{l}.wk", (D, D))[:] = h2d.T @ dk.reshape(-1, D)
             grad.view(f"layer{l}.wv", (D, D))[:] = h2d.T @ dv.reshape(-1, D)
-            dh_pre = (dq @ params.view(f"layer{l}.wq", (D, D)).T
-                      + dk @ params.view(f"layer{l}.wk", (D, D)).T
-                      + dv @ params.view(f"layer{l}.wv", (D, D)).T)
+            dh_pre = dq @ params.view(f"layer{l}.wq", (D, D)).T
+            dh_pre += dk @ params.view(f"layer{l}.wk", (D, D)).T
+            dh_pre += dv @ params.view(f"layer{l}.wv", (D, D)).T
             dx_in, dgain = _rmsnorm_backward(dh_pre, c["x_in"], params.segment(f"layer{l}.norm_attn"))
             grad.segment(f"layer{l}.norm_attn")[:] = dgain
-            dx = dx + dx_in
+            dx += dx_in
+            # nothing of this layer may outlive it into the next one
+            del c, probs, du, dh2, dx_mid, dctx, dscores, inner, dq4, dk4, dq, dk, dv, h2d, \
+                dh_pre, dx_in
 
-        demb = grad.view("embed", (cfg.vocab_size, D))
+        demb = grad.view("embed", (V, D))
         np.add.at(demb, caches["tokens"].ravel(), dx.reshape(-1, D))
         return grad, loss
 

@@ -125,6 +125,13 @@ def test_bundled_desk_plan_loads():
     assert plan.bp_model.context_length < plan.mezo_model.context_length
 
 
+def test_parse_plan_refuses_weights_over_the_budget():
+    # the analytic totals ignore the FFN width; a 1e6 expansion gives the
+    # MeZO model about 1e9 parameters under a 20,032 B budget
+    with pytest.raises(ConfigError, match="MeZO model's 1024002640 weights"):
+        parse_plan(TINY_PLAN + "mezo_expansion_factor = 1e6\n", is_text=True)
+
+
 def test_parse_plan_missing_key():
     broken = TINY_PLAN.replace("steps = 4\n", "")
     with pytest.raises(ConfigError, match="steps"):
@@ -406,7 +413,8 @@ def test_cmd_train_steps_zero(tmp_path, capsys):
     ("lr_grid_bp = 0.5", "lr_grid_bp = 0.5, inf"),
     ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = inf"),
     ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = 1e308"),
-], ids=["nan-budget", "negative-lr", "nan-lr", "inf-lr", "inf-ffn", "1e308-ffn"])
+    ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = 1e6"),
+], ids=["nan-budget", "negative-lr", "nan-lr", "inf-lr", "inf-ffn", "1e308-ffn", "1e6-ffn"])
 def test_cmd_train_rejects_a_bad_plan_before_training(tmp_path, capsys, old, new):
     plan_path = tmp_path / "plan.ini"
     plan_path.write_text(TINY_PLAN.replace(old, new))

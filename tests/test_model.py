@@ -9,13 +9,19 @@ from mezofit.memory import (
     ConfigError,
     ModelConfig,
     ParamCountMode,
+    activation_bytes,
     mezo_memory,
     param_elements,
 )
 from mezofit.model import (
+    _GELU_A,
+    _GELU_C,
     ActivationLedger,
     LedgerMode,
     ToyTransformer,
+    _gelu_backward,
+    _rms_inv,
+    _rmsnorm_backward,
     compare_ledger_scaling,
     ledger_check,
     load_weights,
@@ -192,6 +198,66 @@ def test_backward_loss_matches_forward_loss(model, params):
     grad, loss = model.backward(params, tokens, targets)
     assert loss == loss_from_logits(logits, targets)  # one shared NLL routine
     assert np.all(np.isfinite(grad.values))
+
+
+def _gelu_backward_reference(du_out, u):
+    u2 = u * u
+    t = np.tanh(_GELU_C * (u + _GELU_A * u2 * u))
+    local = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u2)
+    return du_out * local
+
+
+def _rmsnorm_backward_reference(dy, x, gain):
+    r = _rms_inv(x)
+    dgain = np.sum(dy * x * r, axis=(0, 1))
+    s = np.sum(dy * gain * x, axis=-1, keepdims=True)
+    dx = dy * gain * r - x * (r ** 3) * s / x.shape[-1]
+    return dx, dgain
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 5), (3, 7, 33), (8, 64, 128)])
+def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    u, da = rng.standard_normal(shape) * 3, rng.standard_normal(shape)
+    want = _gelu_backward_reference(da, u).tobytes()
+    assert _gelu_backward(da.copy(), u.copy()).tobytes() == want
+    dy, x, gain = (rng.standard_normal(shape), rng.standard_normal(shape),
+                   rng.standard_normal(shape[-1]))
+    got, want = _rmsnorm_backward(dy, x, gain), _rmsnorm_backward_reference(dy, x, gain)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_backward_repeats_bitwise_and_leaves_its_inputs_alone(model, params):
+    tokens, targets = tokens_for(CFG, seed=5), tokens_for(CFG, seed=6)
+    targets[0, 2] = -1
+    before = [a.tobytes() for a in (params.values, tokens, targets)]
+    (g1, loss1), (g2, loss2) = (model.backward(params, tokens, targets) for _ in range(2))
+    assert g1.values.tobytes() == g2.values.tobytes() and loss1 == loss2
+    assert [a.tobytes() for a in (params.values, tokens, targets)] == before
+
+
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
+def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
+    # activation_bytes at 8 B per float64 element, plus the 8*P gradient, plus
+    # k = 3 B*N*F buffers: the scratch of _gelu_backward (u*u, the tanh and
+    # 1 - tanh^2), live beside the layer's cached u and the incoming gradient
+    # of a, whose buffer replaces the cached a freed just before. The last
+    # term is the logits, log-probabilities and dlogits (3*B*N*V elements).
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+    model.backward(params, tokens, targets)  # warm up
+    tracemalloc.start()
+    try:
+        model.backward(params, tokens, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N, F, k = cfg.context_length, model.ffn_dim, 3
+    acts = activation_bytes(cfg.replace(bytes_per_param=8.0))
+    assert peak <= acts + 8 * len(params) + k * 8 * B * N * F + 3 * 8 * B * N * V
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig, bp_memory, mezo_memory
-from mezofit.model import LedgerMode, ToyTransformer, loss_from_logits
+from mezofit.model import ToyTransformer, loss_from_logits
 from mezofit.tasks import ToyTask
 from mezofit.zo import (
     NonfiniteGradError,
@@ -159,7 +159,7 @@ def _windowed_accuracy(cfg: ModelConfig, model: ToyTransformer,
     Positions outside the model's context window count as incorrect: a model
     that cannot ingest a position cannot answer it."""
     vis_tokens, vis_targets = _crop_to_window(cfg, tokens, targets)
-    logits, _ = model.forward(theta, vis_tokens, mode=LedgerMode.MEZO)
+    logits, _ = model.forward(theta, vis_tokens)
     mask = vis_targets >= 0
     correct = int(np.sum(logits.argmax(axis=-1)[mask] == vis_targets[mask]))
     total = int(np.sum(targets >= 0))
@@ -185,7 +185,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
         nonlocal rmax
         acc = _windowed_accuracy(cfg, model, theta, eval_tokens, eval_targets)
         rmax = max(rmax, acc)
-        probe_logits, _ = model.forward(theta, probe[0], mode=LedgerMode.MEZO)
+        probe_logits, _ = model.forward(theta, probe[0])
         train_loss = loss_from_logits(probe_logits, probe[1])
         run.records.append(RunRecord(method, lr, step,
                                      time.perf_counter() - t0, train_loss,
@@ -195,6 +195,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
                   f"acc {acc:.3f} (max {rmax:.3f})", flush=True)
 
     evaluate(0)
+    zo_cfg = dataclasses.replace(plan.zo, learning_rate=lr)
     for step in range(plan.steps):
         tokens, targets = _crop_to_window(
             cfg, *task.batch(range(step * batch_size, (step + 1) * batch_size)))
@@ -202,11 +203,8 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
             if method == "bp":
                 bp_sgd_step(lambda t: model.backward(t, tokens, targets), theta, lr)
             else:
-                zo_cfg = dataclasses.replace(plan.zo, learning_rate=lr)
-                mezo_step(
-                    lambda t: loss_from_logits(
-                        model.forward(t, tokens, mode=LedgerMode.MEZO)[0], targets),
-                    theta, zo_cfg, step)
+                mezo_step(lambda t: loss_from_logits(model.forward(t, tokens)[0], targets),
+                          theta, zo_cfg, step)
         except (NonfiniteLossError, NonfiniteGradError) as exc:
             run.failed = True
             run.fail_reason = f"step {step}: {exc}"

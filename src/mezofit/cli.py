@@ -83,8 +83,9 @@ def _sweep_values(axis: SweepAxis, lo: int, hi: int, points: int,
                   heads: int) -> tuple[int, ...]:
     if lo >= hi:
         raise ConfigError(f"--from ({lo}) must be below --to ({hi})")
-    if points < 2:
-        raise ConfigError("--points must be at least 2")
+    if not 2 <= points <= hi - lo + 1:
+        raise ConfigError(f"--points must lie in [2, {hi - lo + 1}], the count of integers "
+                          f"from --from to --to, got {points}")
     if axis is SweepAxis.L:
         values = np.linspace(lo, hi, points)
     else:

@@ -54,7 +54,8 @@ class ModelConfig:
 
     ``stored_layers`` is the implementation-specific number of layers' worth
     of activations a MeZO runtime keeps buffered (0 <= stored_layers <=
-    num_layers, fractions allowed).
+    num_layers, fractions allowed). It only scales ``mezo_memory``'s
+    activation term; the desk model's MeZO forward buffers no layer.
     """
 
     context_length: int

@@ -6,10 +6,12 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-A forward pass also fills an ActivationLedger, derived from the input shapes.
-In BP mode it counts the per-layer caches the backward pass reads. In MeZO
-mode the forward itself retains no layer intermediates; the ledger is the
-*modelled* buffer of ceil(stored_layers) layers from the memory formula.
+A forward pass in MeZO mode (the default) keeps nothing: each layer's
+intermediates die when the layer returns, and the GELU output takes the
+buffer of its input. In BP mode, which only `backward` asks for, it also
+returns the cache the backward pass reads: every layer's inputs, normed
+inputs, rotated queries and keys, values, attention probabilities, context,
+FFN pre-activation and GELU output, plus the final norm's input and output.
 
 The backward pass frees each layer's cache as it goes and writes its
 transients in place (`_gelu_backward` overwrites both of its arguments), in
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,34 +37,11 @@ _ROPE_BASE = 10000.0
 
 
 class LedgerMode(str, Enum):
+    """What a forward pass keeps. MEZO keeps nothing past each layer; BP
+    keeps the cache `backward` reads."""
+
     BP = "bp"
     MEZO = "mezo"
-
-
-@dataclass(frozen=True)
-class ActivationLedger:
-    """Element counts of activations retained during one forward pass.
-
-    Computed from shapes. BP mode: what backward reads. MeZO mode: the
-    modelled ceil(stored_layers)-layer buffer (the forward keeps none).
-    """
-
-    embeddings_elements: int
-    attention_proj_elements: int
-    attention_scores_elements: int
-    ffn_elements: int
-    norm_elements: int
-    logits_elements: int
-    mode: LedgerMode
-
-    def nonscore_elements(self) -> int:
-        return (self.embeddings_elements + self.attention_proj_elements
-                + self.ffn_elements + self.norm_elements)
-
-    def per_layer_elements(self) -> int:
-        """Everything owned by the layer stack (scores included)."""
-        return (self.attention_proj_elements + self.attention_scores_elements
-                + self.ffn_elements + self.norm_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +240,21 @@ class ToyTransformer:
     # -- forward ------------------------------------------------------------
 
     def forward(self, params: ParameterVector, tokens: np.ndarray,
-                mode: LedgerMode = LedgerMode.BP) -> tuple[np.ndarray, ActivationLedger]:
-        logits, _, ledger = self._forward_impl(params, tokens, mode)
-        return logits, ledger
-
-    def _forward_impl(self, params, tokens, mode):
+                mode: LedgerMode = LedgerMode.MEZO) -> tuple[np.ndarray, dict | None]:
+        """(logits, cache). In BP mode the cache is what `backward` reads:
+        under "layers" one dict of arrays per layer, and the final norm's input
+        "x_f" and output "hf". In MeZO mode it is None. The logits are bit for
+        bit the same in either mode."""
         cfg = self.cfg
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, positions), got shape {tokens.shape}")
-        B, N = tokens.shape
+        N = tokens.shape[1]
         if N > cfg.context_length:
             raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        D, H, F = cfg.hidden_dim, cfg.num_heads, self.ffn_dim
-        L, V = cfg.num_layers, cfg.vocab_size
+        D, V = cfg.hidden_dim, cfg.vocab_size
         cos, sin = self._cos[:N], self._sin[:N]
         bp = mode is LedgerMode.BP
 
@@ -285,32 +262,15 @@ class ToyTransformer:
         # the cache backward reads.
         layers = []
         x = params.view("embed", (V, D))[tokens]
-        for l in range(L):
+        for l in range(cfg.num_layers):
             x, attn = self._attention(params, l, x, cos, sin, bp)
             x, ffn = self._ffn(params, l, x, bp)
             if bp:
-                layers.append(dict(layer=l, **attn, **ffn))
+                layers.append({**attn, **ffn})
 
-        x_f = x
-        hf = _rmsnorm(x_f, params.segment("norm_final"))
+        hf = _rmsnorm(x, params.segment("norm_final"))
         logits = hf @ params.view("head", (V, D)).T
-
-        # BP retains every layer's cache (above); MeZO retains nothing, and its
-        # ledger models the ceil(stored_layers)-layer buffer of the formula.
-        kept = L if bp else int(np.ceil(cfg.stored_layers))
-        bnd = B * N * D
-        ledger = ActivationLedger(
-            embeddings_elements=bnd if kept == L else 0,
-            attention_proj_elements=kept * 5 * bnd,
-            attention_scores_elements=kept * B * H * N * N,
-            ffn_elements=kept * (bnd + 2 * B * N * F),
-            norm_elements=kept * 2 * bnd + (2 * bnd if bp else 0),
-            logits_elements=B * N * V,
-            mode=mode,
-        )
-        caches = dict(layers=layers, x_f=x_f, hf=hf, logits=logits,
-                      cos=cos, sin=sin, tokens=tokens)
-        return logits, caches, ledger
+        return logits, dict(layers=layers, x_f=x, hf=hf) if bp else None
 
     def _attention(self, params, l, x_in, cos, sin, bp):
         """x_in + attn(rmsnorm(x_in)) @ wo, and (BP mode) what backward reads."""
@@ -362,13 +322,14 @@ class ToyTransformer:
         the float order of the plain expression, so gradients are unchanged."""
         cfg = self.cfg
         D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
-        logits, caches, _ = self._forward_impl(params, tokens, LedgerMode.BP)
+        logits, caches = self.forward(params, tokens, LedgerMode.BP)
         loss, dlogits = _loss_backward(logits, np.asarray(targets))
-        del logits, caches["logits"]
+        del logits
 
         grad = ParameterVector(np.zeros(len(params)), params.segments)
-        B, N = caches["tokens"].shape
-        cos, nsin = caches["cos"], -caches["sin"]
+        tokens = np.asarray(tokens)
+        B, N = tokens.shape
+        cos, nsin = self._cos[:N], -self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
         grad.view("head", (V, D))[:] = (
@@ -381,7 +342,7 @@ class ToyTransformer:
         layers = caches["layers"]
         while layers:
             c = layers.pop()
-            l = c["layer"]
+            l = len(layers)
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
             grad.view(f"layer{l}.ffn_out", (F, D))[:] = (
                 c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D))
@@ -425,72 +386,8 @@ class ToyTransformer:
                 dh_pre, dx_in
 
         demb = grad.view("embed", (V, D))
-        np.add.at(demb, caches["tokens"].ravel(), dx.reshape(-1, D))
+        np.add.at(demb, tokens.ravel(), dx.reshape(-1, D))
         return grad, loss
-
-
-# ---------------------------------------------------------------------------
-# ledger verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LedgerReport:
-    ok: bool
-    problems: tuple[str, ...]
-    scores_expected: int
-    per_bnld_constant: float
-
-
-def ledger_check(cfg: ModelConfig, ledger: ActivationLedger) -> LedgerReport:
-    """Check the structural laws a ledger must satisfy for this config and
-    report the (unasserted) non-score elements per B*L*N*D."""
-    B, L, N, D, H = (cfg.batch_size, cfg.num_layers, cfg.context_length,
-                     cfg.hidden_dim, cfg.num_heads)
-    problems = []
-    if min(dataclasses.astuple(ledger)[:6]) < 0:
-        raise ValueError("ledger counts must be non-negative")
-    scores_expected = B * L * H * N * N
-    if ledger.mode is LedgerMode.BP:
-        if ledger.attention_scores_elements != scores_expected:
-            problems.append(
-                f"attention scores: {ledger.attention_scores_elements} != "
-                f"B*L*H*N^2 = {scores_expected}")
-        if ledger.logits_elements != B * N * cfg.vocab_size:
-            problems.append("logits count != B*N*V")
-    else:
-        cap = int(np.ceil(cfg.stored_layers))
-        worth = cap * (scores_expected // L) if L else 0
-        if ledger.attention_scores_elements > worth:
-            problems.append(
-                f"MeZO retained scores {ledger.attention_scores_elements} exceed "
-                f"ceil(stored_layers) = {cap} layers' worth {worth}")
-    constant = ledger.nonscore_elements() / (B * L * N * D)
-    return LedgerReport(not problems, tuple(problems), scores_expected, constant)
-
-
-def compare_ledger_scaling(cfg_a: ModelConfig, ledger_a: ActivationLedger,
-                           cfg_b: ModelConfig, ledger_b: ActivationLedger) -> list[str]:
-    """Flags for scaling violations between a base ledger and one taken after
-    doubling either the context length or the hidden dimension."""
-    flags = []
-    if (cfg_b.context_length == 2 * cfg_a.context_length
-            and cfg_b.hidden_dim == cfg_a.hidden_dim):
-        if ledger_b.attention_scores_elements != 4 * ledger_a.attention_scores_elements:
-            flags.append("score storage is not quadratic in context length")
-        for name in ("embeddings_elements", "attention_proj_elements",
-                     "ffn_elements", "norm_elements", "logits_elements"):
-            if getattr(ledger_b, name) != 2 * getattr(ledger_a, name):
-                flags.append(f"{name} is not linear in context length")
-    elif (cfg_b.hidden_dim == 2 * cfg_a.hidden_dim
-          and cfg_b.context_length == cfg_a.context_length):
-        if ledger_b.attention_scores_elements != ledger_a.attention_scores_elements:
-            flags.append("score storage should not depend on hidden dimension")
-        for name in ("attention_proj_elements", "ffn_elements"):
-            if getattr(ledger_b, name) != 2 * getattr(ledger_a, name):
-                flags.append(f"{name} is not linear in hidden dimension")
-    else:
-        raise ValueError("configs must differ by exactly one doubling of N or D")
-    return flags
 
 
 # ---------------------------------------------------------------------------

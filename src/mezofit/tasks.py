@@ -80,10 +80,6 @@ class ToyTask:
                 raise ConfigError("binary_qa needs vocab_size >= 5 "
                                   "(answers 0/1, marker, question tokens)")
 
-    def _markov_successors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The synthetic next-token chain's (successors, probabilities)."""
-        return _markov_table(self.seed, self.vocab_size), _SUCCESSOR_P
-
     def sample(self, index: int, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """One (tokens, targets) pair, each of length seq_len."""
         if split not in ("train", "eval"):

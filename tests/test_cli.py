@@ -335,6 +335,18 @@ def test_cmd_sweep_rejects_bad_range(llama_config, capsys):
                  "--from", "100", "--to", "10", "--points", "4"]) == 2
 
 
+@pytest.mark.parametrize("axis,lo,hi,points", [
+    ("l", 1, 4, 10_000_000_000_000),  # would ask numpy for ~80 TB
+    ("l", 1, 4, 5),                   # only 4 integers lie in [1, 4]
+    ("n", 1, 8, 1),
+], ids=["1e13", "one-too-many", "one"])
+def test_cmd_sweep_rejects_impossible_points(llama_config, capsys, axis, lo, hi, points):
+    assert main(["sweep", "--config", llama_config, "--axis", axis, "--from", str(lo),
+                 "--to", str(hi), "--points", str(points)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --points") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # solve command
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Unused-import lint over the package, using only the standard library."""
+"""Unused-import and dead-private-name lints over the package, using only
+the standard library."""
 import ast
 from pathlib import Path
 
@@ -34,3 +35,48 @@ def test_lint_flags_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` of each private (`_name`, not dunder) function, method,
+    class or module-level constant that no name, attribute or import alias in
+    any of the sources refers to. Assigning a name does not count as a use."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(module, n.id) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in used)
+
+
+def test_lint_flags_dead_private_names():
+    sources = {
+        "a.py": ("_USED, _DEAD = 1, 2\n_IMPORTED = 3\n"
+                 "def _helper():\n    return _USED\n"
+                 "class _Box:\n    def __init__(self):\n        self._dead_attr = 0\n"
+                 "    def _method(self):\n        return self._called()\n"
+                 "    def _called(self):\n        return 0\n"
+                 "def public():\n    return _Box()._method()\n"),
+        "b.py": '"""Mentions _dead_fn."""\nfrom a import _IMPORTED\n_DEAD = 0\n'
+                "def _dead_fn():\n    pass\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_helper", "b.py:_DEAD",
+                                           "b.py:_dead_fn"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []

@@ -16,14 +16,11 @@ from mezofit.memory import (
 from mezofit.model import (
     _GELU_A,
     _GELU_C,
-    ActivationLedger,
     LedgerMode,
     ToyTransformer,
     _gelu_backward,
     _rms_inv,
     _rmsnorm_backward,
-    compare_ledger_scaling,
-    ledger_check,
     load_weights,
     loss_from_logits,
     save_weights,
@@ -105,11 +102,10 @@ def test_causality(model, params):
 
 
 def test_attention_softmax_rows_sum_to_one(model, params):
-    _, caches, _ = model._forward_impl(params, tokens_for(CFG), LedgerMode.BP)
-    for c in caches["layers"]:
+    logits, cache = model.forward(params, tokens_for(CFG), LedgerMode.BP)
+    for c in cache["layers"]:
         sums = c["probs"].sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) < 1e-12)
-    logits = caches["logits"]
     p = np.exp(logits - logits.max(-1, keepdims=True))
     p /= p.sum(-1, keepdims=True)
     assert np.all(np.abs(p.sum(-1) - 1.0) < 1e-12)
@@ -261,115 +257,85 @@ def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
 
 
 # ---------------------------------------------------------------------------
-# activation ledger
+# activations: the BP cache and the MeZO forward's peak
 # ---------------------------------------------------------------------------
 
-def test_ledger_bp_counts(model, params):
-    _, ledger = model.forward(params, tokens_for(CFG))
-    B, N, D, L, H, R = 2, 8, 16, 2, 4, 4
-    assert ledger.attention_scores_elements == B * L * H * N * N
-    assert ledger.embeddings_elements == B * N * D
-    assert ledger.attention_proj_elements == 5 * L * B * N * D
-    assert ledger.ffn_elements == (1 + 2 * R) * L * B * N * D
-    assert ledger.logits_elements == B * N * 32
-    report = ledger_check(CFG, ledger)
-    assert report.ok, report.problems
-    assert report.per_bnld_constant > 0
+def layer_sizes(cache) -> list[dict[str, int]]:
+    """Per layer, the elements the BP cache holds for attention scores,
+    attention (normed input, rotated queries and keys, values, context), FFN
+    (normed input, pre-activation, GELU output) and the two norm inputs."""
+    groups = dict(scores=("probs",), attn=("h", "q4", "k4", "v4", "ctx"),
+                  ffn=("h2", "u", "a"), norm=("x_in", "x_mid"))
+    return [{g: sum(c[k].size for k in keys) for g, keys in groups.items()}
+            for c in cache["layers"]]
 
 
-def test_ledger_doubling_context_quadruples_scores(model, params):
-    cfg2 = CFG.replace(context_length=16)
-    model2 = ToyTransformer(cfg2)
-    params2 = model2.init_params(7)
-    _, base = model.forward(params, tokens_for(CFG))
-    _, doubled = model2.forward(params2, tokens_for(cfg2))
-    assert doubled.attention_scores_elements == 4 * base.attention_scores_elements
-    assert compare_ledger_scaling(CFG, base, cfg2, doubled) == []
+def cache_bytes(cache) -> int:
+    return (sum(a.nbytes for c in cache["layers"] for a in c.values())
+            + cache["x_f"].nbytes + cache["hf"].nbytes)
 
 
-def test_ledger_doubling_hidden_dim_doubles_linear_categories(model, params):
-    cfg2 = CFG.replace(hidden_dim=32)
-    model2 = ToyTransformer(cfg2)
-    params2 = model2.init_params(7)
-    _, base = model.forward(params, tokens_for(CFG))
-    _, doubled = model2.forward(params2, tokens_for(cfg2))
-    assert doubled.ffn_elements == 2 * base.ffn_elements
-    assert doubled.attention_proj_elements == 2 * base.attention_proj_elements
-    assert doubled.attention_scores_elements == base.attention_scores_elements
-    assert compare_ledger_scaling(CFG, base, cfg2, doubled) == []
-
-
-def test_ledger_scaling_flags_violations():
-    _, base = ToyTransformer(CFG).forward(ToyTransformer(CFG).init_params(0),
-                                          tokens_for(CFG))
-    import dataclasses
-    broken = dataclasses.replace(base, attention_scores_elements=base.attention_scores_elements + 1)
-    cfg2 = CFG.replace(context_length=16)
-    flags = compare_ledger_scaling(CFG, base, cfg2, broken)
-    assert any("quadratic" in f for f in flags)
-    with pytest.raises(ValueError, match="doubling"):
-        compare_ledger_scaling(CFG, base, CFG.replace(num_layers=4), base)
-
-
-def test_ledger_mezo_retains_one_layer_of_four():
-    cfg = ModelConfig(context_length=8, num_layers=4, hidden_dim=16,
-                      num_heads=4, vocab_size=32, batch_size=2, stored_layers=1.0)
+def bp_cache(cfg):
     model = ToyTransformer(cfg)
-    params = model.init_params(1)
-    tokens = tokens_for(cfg)
-    _, bp = model.forward(params, tokens, mode=LedgerMode.BP)
-    _, mz = model.forward(params, tokens, mode=LedgerMode.MEZO)
-    assert mz.mode is LedgerMode.MEZO
-    assert mz.per_layer_elements() <= bp.per_layer_elements() / cfg.num_layers
-    assert mz.per_layer_elements() > 0
-    report = ledger_check(cfg, mz)
-    assert report.ok, report.problems
+    return model.forward(model.init_params(7), tokens_for(cfg), LedgerMode.BP)[1]
 
 
-def test_ledger_mezo_zero_stored_layers_retains_nothing():
-    cfg = CFG.replace(stored_layers=0.0)
-    model = ToyTransformer(cfg)
-    _, mz = model.forward(model.init_params(1), tokens_for(cfg),
-                          mode=LedgerMode.MEZO)
-    assert mz.per_layer_elements() == 0
-    assert mz.embeddings_elements == 0
-    assert mz.logits_elements > 0  # the loss still needs the logits
+@pytest.mark.parametrize("n", [8, 5])
+def test_bp_cache_holds_what_backward_reads(model, params, n):
+    tokens = tokens_for(CFG)[:, :n]
+    logits, cache = model.forward(params, tokens, LedgerMode.BP)
+    mezo_logits, nothing = model.forward(params, tokens)
+    assert nothing is None  # MeZO, the default, keeps nothing
+    assert logits.tobytes() == mezo_logits.tobytes()
+    B, D, H, F = CFG.batch_size, CFG.hidden_dim, CFG.num_heads, model.ffn_dim
+    assert sorted(cache) == ["hf", "layers", "x_f"]
+    assert layer_sizes(cache) == CFG.num_layers * [dict(
+        scores=B * H * n * n, attn=5 * B * n * D, ffn=B * n * D + 2 * B * n * F,
+        norm=2 * B * n * D)]
+    assert cache["x_f"].shape == cache["hf"].shape == (B, n, D)
+    # layer 0 reads the embedding rows themselves
+    embed = params.view("embed", (CFG.vocab_size, D))
+    assert cache["layers"][0]["x_in"].tobytes() == embed[tokens].tobytes()
+
+
+@pytest.mark.parametrize("doubled,ratios", [
+    ("context_length", dict(scores=4, attn=2, ffn=2, norm=2)),
+    ("hidden_dim", dict(scores=1, attn=2, ffn=2, norm=2)),
+], ids=["2N", "2D"])
+def test_bp_cache_scaling_laws(doubled, ratios):
+    base = layer_sizes(bp_cache(CFG))
+    twice = layer_sizes(bp_cache(CFG.replace(**{doubled: 2 * getattr(CFG, doubled)})))
+    assert [{g: t[g] / b[g] for g in b} for b, t in zip(base, twice)] == \
+        CFG.num_layers * [ratios]
+
+
+@pytest.mark.parametrize("changes", [{}, dict(context_length=16), dict(hidden_dim=32)],
+                         ids=["base", "2N", "2D"])
+def test_bp_cache_within_activation_bytes(changes):
+    cfg = CFG.replace(**changes)
+    assert cache_bytes(bp_cache(cfg)) <= activation_bytes(cfg.replace(bytes_per_param=8.0))
 
 
 @pytest.mark.parametrize("n", [8, 5])
 @pytest.mark.parametrize("stored", [0.0, 0.25, 1.0, 3.5, 4.0])
-def test_ledger_mezo_counts_follow_shapes(stored, n):
+def test_mezo_forward_peak_within_one_layer_of_the_bp_cache(stored, n):
     cfg = ModelConfig(context_length=8, num_layers=4, hidden_dim=16, num_heads=4,
                       vocab_size=32, batch_size=2, stored_layers=stored)
     model = ToyTransformer(cfg)
-    tokens = tokens_for(cfg)[:, :n]
-    _, mz = model.forward(model.init_params(1), tokens, mode=LedgerMode.MEZO)
-    B, N, D, H, F, V = 2, n, 16, 4, model.ffn_dim, 32
-    kept = int(np.ceil(stored))
-    assert mz.mode is LedgerMode.MEZO
-    assert mz.attention_proj_elements == kept * 5 * B * N * D
-    assert mz.attention_scores_elements == kept * B * H * N * N
-    assert mz.ffn_elements == kept * (B * N * D + 2 * B * N * F)
-    assert mz.norm_elements == kept * 2 * B * N * D
-    assert mz.embeddings_elements == (B * N * D if kept == cfg.num_layers else 0)
-    assert mz.logits_elements == B * N * V
-    assert ledger_check(cfg, mz).ok
-
-
-def test_ledger_bp_counts_equal_the_cache_backward_reads(model, params):
-    tokens = tokens_for(CFG)[:, :5]
-    _, caches, ledger = model._forward_impl(params, tokens, LedgerMode.BP)
-    layers = caches["layers"]
-    size = lambda *keys: sum(c[k].size for c in layers for k in keys)
-    assert len(layers) == CFG.num_layers
-    assert ledger.attention_proj_elements == size("h", "q4", "k4", "v4", "ctx")
-    assert ledger.attention_scores_elements == size("probs")
-    assert ledger.ffn_elements == size("h2", "u", "a")
-    assert ledger.norm_elements == (size("x_in", "x_mid")
-                                    + caches["x_f"].size + caches["hf"].size)
-    # the embedding output is the input layer 0 reads
-    assert ledger.embeddings_elements == layers[0]["x_in"].size
-    assert ledger.logits_elements == caches["logits"].size
+    params, tokens = model.init_params(1), tokens_for(cfg)[:, :n]
+    cache = model.forward(params, tokens, LedgerMode.BP)[1]
+    one_layer = max(sum(a.nbytes for a in c.values()) for c in cache["layers"])
+    model.forward(params, tokens)  # warm up
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            assert model.forward(params, tokens)[1] is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(set(peaks)) == 1  # the same count on every repeat
+    assert peaks[0] <= one_layer <= cache_bytes(cache) / cfg.num_layers
 
 
 def test_mezo_forward_peak_does_not_grow_with_stored_layers():
@@ -415,16 +381,6 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     N = cfg.context_length
     acts = mezo_memory(cfg.replace(bytes_per_param=8.0)).activations_bytes
     assert peak <= acts + 3 * B * N * V * 8
-
-
-def test_ledger_check_flags_bad_bp_scores():
-    _, ledger = ToyTransformer(CFG).forward(ToyTransformer(CFG).init_params(0),
-                                            tokens_for(CFG))
-    import dataclasses
-    broken = dataclasses.replace(ledger, attention_scores_elements=1)
-    report = ledger_check(CFG, broken)
-    assert not report.ok
-    assert "B*L*H*N^2" in report.problems[0]
 
 
 # ---------------------------------------------------------------------------

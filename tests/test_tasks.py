@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from mezofit.memory import ConfigError
-from mezofit.tasks import QMARK_TOKEN, SEP_TOKEN, TaskKind, ToyTask, accuracy
+from mezofit.tasks import (
+    _SUCCESSOR_P,
+    QMARK_TOKEN,
+    SEP_TOKEN,
+    TaskKind,
+    ToyTask,
+    _markov_table,
+    accuracy,
+)
 from mezofit.zo import splitmix64
 
 
@@ -38,11 +46,11 @@ def test_sequence_copy_structure():
     assert np.all(targets[:p] == -1) and targets[-1] == -1
 
 
-def test_next_token_follows_markov_successors():
+def test_next_token_follows_the_markov_table():
     task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=12, seq_len=32, seed=3)
-    succ, probs = task._markov_successors()
+    succ = _markov_table(task.seed, task.vocab_size)
     assert succ.shape == (12, 2)
-    assert probs.sum() == pytest.approx(1.0)
+    assert _SUCCESSOR_P.sum() == pytest.approx(1.0)
     tokens, targets = task.sample(9)
     for i in range(31):
         assert tokens[i + 1] in succ[tokens[i]]
@@ -52,11 +60,11 @@ def test_next_token_follows_markov_successors():
 
 def test_markov_table_is_shared_and_read_only():
     task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=12, seq_len=32, seed=3)
-    succ, probs = task._markov_successors()
+    succ = _markov_table(task.seed, task.vocab_size)
     other = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=12, seq_len=9, seed=3)
-    assert other._markov_successors()[0] is succ  # built once per (seed, vocab)
+    assert _markov_table(other.seed, other.vocab_size) is succ  # built once per (seed, vocab)
     before = task.batch(range(8))
-    for arr in (succ, probs):
+    for arr in (succ, _SUCCESSOR_P):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     after = task.batch(range(8))

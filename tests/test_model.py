@@ -357,6 +357,44 @@ def test_mezo_forward_peak_does_not_grow_with_stored_layers():
     assert peak(4.0) <= 1.05 * peak(0.0)
 
 
+def test_ledger_mezo_retains_one_layer_of_four():
+    cfg = ModelConfig(context_length=8, num_layers=4, hidden_dim=16,
+                      num_heads=4, vocab_size=32, batch_size=2, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params, tokens = model.init_params(1), tokens_for(cfg)
+    model.forward(params, tokens, mode=LedgerMode.BP)  # warm up
+
+    def peak(mode):
+        tracemalloc.start()
+        try:
+            model.forward(params, tokens, mode=mode)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # measured against the BP forward's own peak, which holds all four layers
+    mz = peak(LedgerMode.MEZO)
+    assert 0 < mz <= peak(LedgerMode.BP) / cfg.num_layers
+
+
+def test_ledger_mezo_zero_stored_layers_retains_nothing(model, params):
+    cfg = CFG.replace(stored_layers=0.0)
+    zero, tokens = ToyTransformer(cfg), tokens_for(cfg)
+    zero.forward(params, tokens, mode=LedgerMode.MEZO)  # warm up
+    tracemalloc.start()
+    try:
+        logits, cache = zero.forward(params, tokens, mode=LedgerMode.MEZO)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cache is None
+    B, N, D = cfg.batch_size, cfg.context_length, cfg.hidden_dim
+    assert logits.shape == (B, N, cfg.vocab_size)  # the loss still needs the logits
+    # past the logits, less than one (B, N, D) activation outlives the forward
+    assert live - logits.nbytes < 8 * B * N * D
+    assert logits.tobytes() == model.forward(params, tokens)[0].tobytes()
+
+
 @pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
 def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     # The bound is mezo_memory's activation term at 8 B per float64 element,

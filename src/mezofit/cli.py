@@ -54,9 +54,10 @@ def parse_budget(text: str) -> float:
     m = re.fullmatch(r"\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*(GiB|GB|B)?\s*", text)
     if not m:
         raise ConfigError(f"cannot parse budget {text!r} (use bytes, GB, or GiB)")
-    value = float(m.group(1))
-    unit = m.group(2) or "B"
-    return value * {"B": 1.0, "GB": 1e9, "GiB": float(2**30)}[unit]
+    value = float(m.group(1)) * {"B": 1.0, "GB": 1e9, "GiB": float(2**30)}[m.group(2) or "B"]
+    if not np.isfinite(value):
+        raise ConfigError(f"budget {text!r} is not a finite number of bytes")
+    return value
 
 
 def _breakdown_lines(b) -> list[str]:
@@ -81,6 +82,8 @@ def cmd_plan(args) -> int:
 
 def _sweep_values(axis: SweepAxis, lo: int, hi: int, points: int,
                   heads: int) -> tuple[int, ...]:
+    if lo < 1:
+        raise ConfigError(f"--from must be at least 1, got {lo}")
     if lo >= hi:
         raise ConfigError(f"--from ({lo}) must be below --to ({hi})")
     if not 2 <= points <= hi - lo + 1:

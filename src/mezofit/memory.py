@@ -118,7 +118,7 @@ class MemoryBreakdown:
 def param_elements(cfg: ModelConfig, mode: ParamCountMode = ParamCountMode.SIMPLIFIED) -> int:
     """Trainable-element count (norm gains excluded, they are negligible)."""
     L, D, V = cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
-    if mode is ParamCountMode.SIMPLIFIED:
+    if ParamCountMode(mode) is ParamCountMode.SIMPLIFIED:
         return 12 * L * D * D + 2 * V * D
     # attention: q and o projections are D x D, k and v shrink with kv_heads
     attn = L * (2 * D * D + 2 * D * (D // cfg.num_heads) * cfg.kv_heads)
@@ -163,6 +163,7 @@ def mezo_memory(cfg: ModelConfig) -> MemoryBreakdown:
 
 
 def memory_for_mode(cfg: ModelConfig, mode: MemoryMode) -> MemoryBreakdown:
+    mode = MemoryMode(mode)
     if mode is MemoryMode.BP:
         return bp_memory(cfg, checkpointed=False)
     if mode is MemoryMode.BP_CHECKPOINTED:
@@ -244,6 +245,7 @@ def max_dimension(budget_bytes: float, cfg: ModelConfig, free_axis: SweepAxis,
     multiples of num_heads; num_layers candidates start at
     ceil(stored_layers) so the configuration stays valid.
     """
+    free_axis = SweepAxis(free_axis)
     if free_axis is SweepAxis.D:
         step = cfg.num_heads
         vmin = cfg.num_heads

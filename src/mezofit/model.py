@@ -256,7 +256,7 @@ class ToyTransformer:
             raise ValueError("token id out of range")
         D, V = cfg.hidden_dim, cfg.vocab_size
         cos, sin = self._cos[:N], self._sin[:N]
-        bp = mode is LedgerMode.BP
+        bp = LedgerMode(mode) is LedgerMode.BP
 
         # Each block's temporaries die when it returns; only BP mode keeps
         # the cache backward reads.

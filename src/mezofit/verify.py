@@ -157,6 +157,8 @@ def run_verification(dim: int = 64, seed: int = 0,
     """The full check battery used by the CLI. dim caps the flat test vector."""
     if not 1 <= dim <= MAX_VERIFY_DIM:
         raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ZOConfig(epsilon=epsilon)  # reject invalid epsilon up front
     return [
         check_restoration(dim=dim, seeds=1000, epsilon=epsilon, seed=seed),

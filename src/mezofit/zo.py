@@ -12,15 +12,17 @@ releases it, so two live streams never share one; `mezo_step` owns its n
 directions' generators through the whole step, while the loss function it
 calls may take and release others (task batches, for instance).
 
-Each direction keeps its first chunk for its three passes (+shift, -shift,
-restore), so a vector that fits in one chunk draws that direction's noise once
-before the update. Every pass works in place through a few chunk-sized
-scratch buffers, allocated once per pass.
+One `_Stream` walks a direction's noise for all four passes (+shift,
+-shift, restore, update). A vector that fits in one chunk keeps its noise for
+the three passes of its estimate, so it is drawn once before the update; a
+longer one is redrawn from the stream start on every pass. Every pass works in
+place through a few chunk-sized scratch buffers, allocated once per pass.
 
-Peak extra storage is therefore bounded by chunk-sized blocks (the kept chunk
-plus at most three scratch buffers) and a sparse record of the few
-coordinates whose float perturbation cannot be undone by arithmetic alone, so
-the parameter vector is always restored bit-for-bit after an estimate.
+Extra storage at a loss evaluation is therefore one sparse record of the few
+coordinates whose float perturbation cannot be undone by arithmetic alone,
+plus the whole noise vector only when it fits in one chunk; a pass adds at
+most three chunk-sized scratch buffers. The record makes the parameter vector
+come back bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
@@ -239,73 +241,66 @@ _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx,
 
 
 class _Stream:
-    """One direction's noise, replayed chunk by chunk for each pass.
+    """One direction's noise, walked from its start by every pass.
 
-    It owns one generator from `keyed_philox` until `release`; later passes
-    rewind it instead of building another. The first chunk is generated once
-    and kept until `rewind`, so a vector of one chunk draws its noise once for
-    all three passes of an estimate.
+    It owns one generator from `keyed_philox` until `release`. A vector of one
+    chunk keeps its noise until the shift that restores the base. `shift`
+    keeps its sign and undo record for the next shift to read.
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
         self.key = (seed.seed, seed.stream_index)
         self.gen = keyed_philox(*self.key)
         self.size, self.chunk = size, chunk
-        self.first = self.gen.standard_normal(min(chunk, size))
-        self.after_first = self.gen.bit_generator.state if size > chunk else None
+        self.kept = self.gen.standard_normal(size) if size <= chunk else None
+        self.sign, self.undo = 0.0, {}
 
     def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (offset, z) over the stream: the kept first chunk, then
-        chunks generated into `buf`, which each step overwrites."""
-        yield 0, self.first
-        if self.after_first is not None:
-            self.gen.bit_generator.state = self.after_first
-        for start in range(self.chunk, self.size, self.chunk):
+        """Yield (offset, z) over the stream from its start: the kept noise,
+        or chunks generated into `buf`, which each step overwrites."""
+        if self.kept is not None:
+            yield 0, self.kept
+            return
+        _rewind(self.gen, *self.key)
+        for start in range(0, self.size, self.chunk):
             z = buf[:min(self.chunk, self.size - start)]
             self.gen.standard_normal(out=z)
             yield start, z
 
-    def rewind(self) -> None:
-        """Drop the kept chunk and put the generator at the stream start."""
-        self.first = None
-        _rewind(self.gen, *self.key)
+    def shift(self, values: np.ndarray, epsilon: float, sign: float) -> None:
+        """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
+
+        `base` is the unperturbed vector: `values` itself before the first
+        shift, afterwards values - last_sign*epsilon*z with the coordinates of
+        the last undo record put back, which recovers it exactly. sign = 0
+        restores the base only and drops the kept noise. Works in place with
+        three chunk-sized scratch buffers.
+        """
+        record: _Record = {}
+        zbuf, d, shifted = np.empty((3, min(self.chunk, values.size)))
+        for start, z in self.chunks(zbuf):
+            m = z.size
+            base, dm, up = values[start:start + m], d[:m], shifted[:m]
+            if self.sign:
+                base -= np.multiply(z, self.sign * epsilon, out=dm)
+                fix = self.undo.get(start)
+                if fix is not None:
+                    base[fix[0]] = fix[1]
+            if sign:
+                np.multiply(z, sign * epsilon, out=dm)
+                np.add(base, dm, out=up)
+                bad = np.nonzero(np.subtract(up, dm, out=dm) != base)[0]
+                if bad.size:
+                    record[start] = (bad, base[bad])
+                base[:] = up
+        self.sign, self.undo = sign, record
+        if not sign:
+            self.kept = None
 
     def release(self) -> None:
         """Hand the generator back; the stream is unusable afterwards."""
         gen, self.gen = self.gen, None
         release_philox(gen)
-
-
-def _shift(values: np.ndarray, stream: _Stream, epsilon: float, sign: float,
-           prev: tuple[float, _Record] | None = None) -> _Record:
-    """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
-
-    `base` is the unperturbed vector. With `prev` None, `values` is the base.
-    Otherwise `prev` is (prev_sign, undo) from the previous shift along the
-    same direction, and the base is recovered exactly as
-    values - prev_sign*epsilon*z with the coordinates in `undo` put back.
-    sign = 0 restores the base only. Returns the record undoing this shift.
-    Works in place with three chunk-sized scratch buffers.
-    """
-    prev_sign, undo = prev or (0.0, {})
-    record: _Record = {}
-    zbuf, d, shifted = np.empty((3, min(stream.chunk, values.size)))
-    for start, z in stream.chunks(zbuf):
-        m = z.size
-        base, dm, up = values[start:start + m], d[:m], shifted[:m]
-        if prev_sign:
-            base -= np.multiply(z, prev_sign * epsilon, out=dm)
-            fix = undo.get(start)
-            if fix is not None:
-                base[fix[0]] = fix[1]
-        if sign:
-            np.multiply(z, sign * epsilon, out=dm)
-            np.add(base, dm, out=up)
-            bad = np.nonzero(np.subtract(up, dm, out=dm) != base)[0]
-            if bad.size:
-                record[start] = (bad, base[bad])
-            base[:] = up
-    return record
 
 
 def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
@@ -331,14 +326,14 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
 
 def _spsa_full(loss_fn, theta, stream, epsilon):
     values = theta.values
-    up = (+1.0, _shift(values, stream, epsilon, +1.0))
+    stream.shift(values, epsilon, +1.0)
     loss_plus = float(loss_fn(theta))
     if not np.isfinite(loss_plus):
-        _shift(values, stream, epsilon, 0.0, up)
+        stream.shift(values, epsilon, 0.0)
         raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
-    down = (-1.0, _shift(values, stream, epsilon, -1.0, up))
+    stream.shift(values, epsilon, -1.0)
     loss_minus = float(loss_fn(theta))
-    _shift(values, stream, epsilon, 0.0, down)
+    stream.shift(values, epsilon, 0.0)
     if not np.isfinite(loss_minus):
         raise NonfiniteLossError(f"loss at -epsilon perturbation is {loss_minus}")
     return (loss_plus - loss_minus) / (2.0 * epsilon), loss_plus, loss_minus
@@ -355,7 +350,7 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
               chunk: int = DEFAULT_CHUNK) -> tuple[ParameterVector, StepReport]:
     """One MeZO step: average num_perturbations projected gradients, then
     apply theta <- theta - (lr/n) * sum_i g_i * z_i with every z_i regenerated
-    a second time.
+    from its seed.
 
     A non-finite loss raises NonfiniteLossError and a non-finite projected
     gradient raises NonfiniteGradError; either way theta is at its pre-step
@@ -376,22 +371,17 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
             g, lp, lm = _spsa_full(loss_fn, theta, streams[-1], cfg.epsilon)
             gs.append(g)
             losses.append((lp, lm))
-            streams[-1].rewind()
         if not np.all(np.isfinite(gs)):
             raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
         if cfg.learning_rate > 0:
             scale = cfg.learning_rate / n
-            gens = [st.gen for st in streams]  # rewound, ascending stream order
             zbuf, abuf = np.empty((2, min(chunk, size)))
-            for start in range(0, size, chunk):
-                m = min(chunk, size - start)
-                z, acc = zbuf[:m], abuf[:m]
-                gens[0].standard_normal(out=acc)
-                acc *= gs[0]
-                for g, gen in zip(gs[1:], gens[1:]):
-                    gen.standard_normal(out=z)
-                    z *= g
-                    acc += z
+            walks = [st.chunks(zbuf) for st in streams]  # in lockstep, one chunk apiece
+            for start, z in walks[0]:
+                m = z.size
+                acc = np.multiply(z, gs[0], out=abuf[:m])
+                for g, walk in zip(gs[1:], walks[1:]):
+                    acc += np.multiply(next(walk)[1], g, out=zbuf[:m])
                 acc *= scale
                 theta.values[start:start + m] -= acc
             theta.assert_finite()

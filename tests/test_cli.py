@@ -138,13 +138,18 @@ def test_parse_plan_missing_key():
         parse_plan(broken, is_text=True)
 
 
-def test_parse_budget_suffixes():
+def test_parse_budget_suffixes(llama_config, capsys):
     assert parse_budget("123") == 123.0
     assert parse_budget("80GB") == 80e9
     assert parse_budget("2GiB") == 2.0 * 2**30
     assert parse_budget("1.5 GiB") == 1.5 * 2**30
-    with pytest.raises(ConfigError):
-        parse_budget("12 kB")
+    for text in ("12 kB", "1e400", "1e300GiB"):  # unknown unit; infinite budgets
+        with pytest.raises(ConfigError):
+            parse_budget(text)
+        assert main(["solve", "--config", llama_config, "--budget", text,
+                     "--axis", "d", "--mode", "mezo"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +335,14 @@ def test_cmd_sweep_layers_checkpointed(llama_config, capsys):
     assert float(last[3]) == pytest.approx(2.18, abs=0.02)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
 def test_cmd_sweep_rejects_bad_range(llama_config, capsys):
-    assert main(["sweep", "--config", llama_config, "--axis", "n",
-                 "--from", "100", "--to", "10", "--points", "4"]) == 2
+    for axis, lo, hi in (("n", 100, 10), ("n", -5, 10), ("n", 0, 10), ("d", 0, 64),
+                         ("l", 0, 4)):
+        assert main(["sweep", "--config", llama_config, "--axis", axis,
+                     "--from", str(lo), "--to", str(hi), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --from") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("axis,lo,hi,points", [
@@ -461,6 +471,13 @@ def test_cmd_verify_rejects_zero_epsilon(capsys):
 def test_cmd_verify_rejects_oversized_dim(capsys):
     assert main(["verify", "--dim", "5000"]) == 2
     assert "dim" in capsys.readouterr().err
+
+
+def test_cmd_verify_rejects_negative_seed_with_one_line(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed") and captured.err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second line

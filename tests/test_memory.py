@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mezofit.memory import (
@@ -19,6 +20,7 @@ from mezofit.memory import (
     param_elements,
     sweep,
 )
+from mezofit.model import LedgerMode, ToyTransformer
 
 # The 7B-class reference configuration used throughout.
 LLAMA7B = ModelConfig(context_length=2048, num_layers=32, hidden_dim=4096,
@@ -356,3 +358,37 @@ def test_config_rejects_bad_values():
         ModelConfig(**good, bytes_per_param=0.0)
     with pytest.raises(ConfigError, match="context_length"):
         ModelConfig(**{**good, "context_length": 2.5})
+
+
+# ---------------------------------------------------------------------------
+# modes given as plain strings
+# ---------------------------------------------------------------------------
+
+SMALL = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=2,
+                    vocab_size=8, batch_size=2, expansion_factor=2.0)
+
+
+def _forward(mode):
+    model = ToyTransformer(SMALL)
+    tokens = np.arange(16).reshape(2, 8) % SMALL.vocab_size
+    logits, cache = model.forward(model.init_params(0), tokens, mode)
+    return logits.tobytes(), None if cache is None else len(cache["layers"])
+
+
+CALLS = {
+    "memory_for_mode": (lambda m: memory_for_mode(SMALL, m), MemoryMode),
+    "param_elements": (lambda m: param_elements(SMALL, m), ParamCountMode),
+    "forward": (_forward, LedgerMode),
+    "max_dimension-mode": (lambda m: max_dimension(1e6, SMALL, SweepAxis.D, m), MemoryMode),
+    "max_dimension-axis": (lambda a: max_dimension(1e6, SMALL, a, MemoryMode.BP),
+                           (SweepAxis.D, SweepAxis.L)),
+}
+
+
+@pytest.mark.parametrize("call, member", [
+    pytest.param(call, m, id=f"{name}-{m.value}")
+    for name, (call, members) in CALLS.items() for m in members])
+def test_a_mode_string_acts_as_its_enum_member(call, member):
+    assert call(member.value) == call(member)
+    with pytest.raises(ValueError):
+        call("no-such-mode")

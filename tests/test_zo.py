@@ -363,12 +363,37 @@ def test_mezo_step_memory_overhead_is_bounded():
     assert peak < theta.values.nbytes * 0.2
 
 
+def test_mezo_step_holds_less_than_a_chunk_at_every_loss_evaluation():
+    # a multi-chunk stream keeps no noise between passes: what is live while
+    # the loss runs is the undo record and a few small objects
+    dim, chunk = 400_000, 8192
+    theta = flat(np.random.default_rng(3).standard_normal(dim))
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-4, num_perturbations=2,
+                   master_seed=11)
+    held = []
+
+    def loss(t):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return float(t.values @ t.values) * 0.5
+
+    mezo_step(loss, theta, cfg, 0, chunk=chunk)  # warm up code paths
+    held.clear()
+    tracemalloc.start()
+    try:
+        mezo_step(loss, theta, cfg, 1, chunk=chunk)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4
+    assert max(held) < chunk * 8, held
+
+
 def test_shift_exception_records_are_sparse():
-    from mezofit.zo import _shift, _Stream
+    from mezofit.zo import _Stream
 
     values = np.random.default_rng(8).standard_normal(200_000)
-    rec = _shift(values, _Stream(PerturbationSeed(4, 0), values.size, 16384), 1e-3, +1.0)
-    recorded = sum(idx.size for idx, _ in rec.values())
+    stream = _Stream(PerturbationSeed(4, 0), values.size, 16384)
+    stream.shift(values, 1e-3, +1.0)
+    recorded = sum(idx.size for idx, _ in stream.undo.values())
     assert recorded < 0.01 * values.size
 
 

@@ -84,6 +84,8 @@ def _sweep_values(axis: SweepAxis, lo: int, hi: int, points: int,
                   heads: int) -> tuple[int, ...]:
     if lo < 1:
         raise ConfigError(f"--from must be at least 1, got {lo}")
+    if hi > np.iinfo(np.int64).max:  # numpy makes object arrays of ends past uint64
+        raise ConfigError(f"--to must be at most {np.iinfo(np.int64).max}, got {hi}")
     if lo >= hi:
         raise ConfigError(f"--from ({lo}) must be below --to ({hi})")
     if not 2 <= points <= hi - lo + 1:

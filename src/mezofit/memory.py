@@ -265,12 +265,14 @@ def max_dimension(budget_bytes: float, cfg: ModelConfig, free_axis: SweepAxis,
             f"budget {budget_bytes:.6g} B is below the memory at the minimum "
             f"admissible {field} = {vmin}")
 
-    # exponential growth to bracket, then bisection on the unit index
+    # exponential growth to bracket, then bisection on the unit index. The
+    # weights alone, 12 * bytes_per_param * L * D^2 bytes, overrun the budget
+    # once the axis value passes budget / bytes_per_param, so a unit index
+    # above `top` needs no evaluation to bracket.
+    top = budget_bytes / cfg.bytes_per_param / step
     lo, hi = umin, umin * 2
-    while total(hi) <= budget_bytes:
+    while hi <= top and total(hi) <= budget_bytes:
         lo, hi = hi, hi * 2
-        if hi > 1 << 42:
-            raise InfeasibleError("budget brackets no finite axis value")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if total(mid) <= budget_bytes:

@@ -122,13 +122,3 @@ class ToyTask:
 
     def eval_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         return self.batch(range(count), split="eval")
-
-
-def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of argmax predictions matching targets at unmasked positions."""
-    targets = np.asarray(targets)
-    mask = targets >= 0
-    if not mask.any():
-        raise ValueError("no unmasked target positions")
-    pred = logits.argmax(axis=-1)
-    return float(np.mean(pred[mask] == targets[mask]))

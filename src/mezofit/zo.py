@@ -8,21 +8,23 @@ the start of any key's stream by setting its `bit_generator.state`, so
 generators are not rebuilt: `keyed_philox` rewinds a spare one from a small
 list (building one only when the list is empty) and `release_philox` hands it
 back. A generator belongs to one owner from `keyed_philox` until that owner
-releases it, so two live streams never share one; `mezo_step` owns its n
-directions' generators through the whole step, while the loss function it
-calls may take and release others (task batches, for instance).
+releases it, so two live streams never share one. The estimator borrows a
+generator for one pass over a stream and hands it back when the pass ends, so
+it holds none while the loss function runs; the loss may take and release
+generators of its own (task batches, for instance).
 
 One `_Stream` walks a direction's noise for all four passes (+shift,
 -shift, restore, update). A vector that fits in one chunk keeps its noise for
 the three passes of its estimate, so it is drawn once before the update; a
 longer one is redrawn from the stream start on every pass. Every pass works in
-place through a few chunk-sized scratch buffers, allocated once per pass.
+place through two chunk-sized scratch buffers, allocated once per pass.
 
-Extra storage at a loss evaluation is therefore one sparse record of the few
-coordinates whose float perturbation cannot be undone by arithmetic alone,
-plus the whole noise vector only when it fits in one chunk; a pass adds at
-most three chunk-sized scratch buffers. The record makes the parameter vector
-come back bit-for-bit after an estimate.
+The estimator's own bytes at a loss evaluation are one sparse record of the
+few coordinates whose float perturbation cannot be undone by arithmetic alone,
+plus the whole noise vector only when it fits in one chunk. With a pass's
+scratch they peak at the kept noise plus two scratch buffers for a one-chunk
+vector, and at two chunk buffers plus the record for a longer one. The record
+makes the parameter vector come back bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
@@ -110,10 +112,6 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.segments)
 
-    def assert_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise NonfiniteLossError("parameter vector contains NaN/Inf")
-
 
 # ---------------------------------------------------------------------------
 # deterministic noise streams
@@ -148,14 +146,6 @@ _SPARE: list[np.random.Generator] = []
 _ZEROS = (0, 0, 0, 0)
 
 
-def _rewind(gen: np.random.Generator, k0: int, k1: int) -> np.random.Generator:
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (k0 & _MASK64, k1 & _MASK64)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
-
-
 def keyed_philox(k0: int, k1: int) -> np.random.Generator:
     """A generator at the start of the Philox stream keyed by (k0, k1), each
     an integer (Python or numpy) taken modulo 2^64: the draws of
@@ -168,7 +158,11 @@ def keyed_philox(k0: int, k1: int) -> np.random.Generator:
         gen = _SPARE.pop()
     except IndexError:
         gen = np.random.Generator(np.random.Philox())
-    return _rewind(gen, k0, k1)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (k0 & _MASK64, k1 & _MASK64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def release_philox(gen: np.random.Generator) -> None:
@@ -243,16 +237,15 @@ _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx,
 class _Stream:
     """One direction's noise, walked from its start by every pass.
 
-    It owns one generator from `keyed_philox` until `release`. A vector of one
-    chunk keeps its noise until the shift that restores the base. `shift`
-    keeps its sign and undo record for the next shift to read.
+    It holds no generator: each walk of `chunks` borrows one and hands it back
+    when the walk ends. A vector of one chunk keeps its noise, drawn by
+    `generate_noise`, until the shift that restores the base. `shift` keeps
+    its sign and undo record for the next shift to read.
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
-        self.key = (seed.seed, seed.stream_index)
-        self.gen = keyed_philox(*self.key)
-        self.size, self.chunk = size, chunk
-        self.kept = self.gen.standard_normal(size) if size <= chunk else None
+        self.seed, self.size, self.chunk = seed, size, chunk
+        self.kept = generate_noise(seed, size) if size <= chunk else None
         self.sign, self.undo = 0.0, {}
 
     def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -261,11 +254,14 @@ class _Stream:
         if self.kept is not None:
             yield 0, self.kept
             return
-        _rewind(self.gen, *self.key)
-        for start in range(0, self.size, self.chunk):
-            z = buf[:min(self.chunk, self.size - start)]
-            self.gen.standard_normal(out=z)
-            yield start, z
+        gen = keyed_philox(self.seed.seed, self.seed.stream_index)
+        try:
+            for start in range(0, self.size, self.chunk):
+                z = buf[:min(self.chunk, self.size - start)]
+                gen.standard_normal(out=z)
+                yield start, z
+        finally:
+            release_philox(gen)
 
     def shift(self, values: np.ndarray, epsilon: float, sign: float) -> None:
         """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
@@ -274,13 +270,14 @@ class _Stream:
         shift, afterwards values - last_sign*epsilon*z with the coordinates of
         the last undo record put back, which recovers it exactly. sign = 0
         restores the base only and drops the kept noise. Works in place with
-        three chunk-sized scratch buffers.
+        two chunk-sized scratch buffers: z is drawn into the first unless it
+        is kept, and the shifted chunk goes there once z has been scaled.
         """
         record: _Record = {}
-        zbuf, d, shifted = np.empty((3, min(self.chunk, values.size)))
+        zbuf, d = np.empty((2, min(self.chunk, values.size)))
         for start, z in self.chunks(zbuf):
             m = z.size
-            base, dm, up = values[start:start + m], d[:m], shifted[:m]
+            base, dm, up = values[start:start + m], d[:m], zbuf[:m]
             if self.sign:
                 base -= np.multiply(z, self.sign * epsilon, out=dm)
                 fix = self.undo.get(start)
@@ -297,11 +294,6 @@ class _Stream:
         if not sign:
             self.kept = None
 
-    def release(self) -> None:
-        """Hand the generator back; the stream is unusable afterwards."""
-        gen, self.gen = self.gen, None
-        release_philox(gen)
-
 
 def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
                                 theta: ParameterVector,
@@ -316,11 +308,7 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     """
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
-    stream = _Stream(seed, len(theta), chunk)
-    try:
-        g, _, _ = _spsa_full(loss_fn, theta, stream, epsilon)
-    finally:
-        stream.release()
+    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
     return g
 
 
@@ -365,29 +353,31 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     size = theta.values.size
 
     gs, losses, streams = [], [], []
-    try:
-        for s in seeds:
-            streams.append(_Stream(s, size, chunk))
-            g, lp, lm = _spsa_full(loss_fn, theta, streams[-1], cfg.epsilon)
-            gs.append(g)
-            losses.append((lp, lm))
-        if not np.all(np.isfinite(gs)):
-            raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
-        if cfg.learning_rate > 0:
-            scale = cfg.learning_rate / n
-            zbuf, abuf = np.empty((2, min(chunk, size)))
-            walks = [st.chunks(zbuf) for st in streams]  # in lockstep, one chunk apiece
-            for start, z in walks[0]:
-                m = z.size
-                acc = np.multiply(z, gs[0], out=abuf[:m])
-                for g, walk in zip(gs[1:], walks[1:]):
-                    acc += np.multiply(next(walk)[1], g, out=zbuf[:m])
-                acc *= scale
-                theta.values[start:start + m] -= acc
-            theta.assert_finite()
-    finally:
-        for stream in streams:
-            stream.release()
+    for s in seeds:
+        streams.append(_Stream(s, size, chunk))
+        g, lp, lm = _spsa_full(loss_fn, theta, streams[-1], cfg.epsilon)
+        gs.append(g)
+        losses.append((lp, lm))
+    if not np.all(np.isfinite(gs)):
+        raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
+    if cfg.learning_rate > 0:
+        scale = cfg.learning_rate / n
+        zbuf, abuf = np.empty((2, min(chunk, size)))
+        walks = [st.chunks(zbuf) for st in streams]  # in lockstep, one chunk apiece
+        finite = True
+        for start, z in walks[0]:
+            m = z.size
+            acc = np.multiply(z, gs[0], out=abuf[:m])
+            for g, walk in zip(gs[1:], walks[1:]):
+                acc += np.multiply(next(walk)[1], g, out=zbuf[:m])
+            acc *= scale
+            part = theta.values[start:start + m]
+            part -= acc
+            finite = finite and bool(np.isfinite(part).all())
+        for walk in walks[1:]:
+            next(walk, None)  # past its last chunk: the walk hands its generator back
+        if not finite:
+            raise NonfiniteLossError("parameter vector contains NaN/Inf")
 
     report = StepReport(step_index, seeds, tuple(gs), tuple(losses))
     return theta, report

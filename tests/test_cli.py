@@ -337,12 +337,13 @@ def test_cmd_sweep_layers_checkpointed(llama_config, capsys):
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
 def test_cmd_sweep_rejects_bad_range(llama_config, capsys):
-    for axis, lo, hi in (("n", 100, 10), ("n", -5, 10), ("n", 0, 10), ("d", 0, 64),
-                         ("l", 0, 4)):
+    for axis, lo, hi, flag in (("n", 100, 10, "--from"), ("n", -5, 10, "--from"),
+                               ("n", 0, 10, "--from"), ("d", 0, 64, "--from"),
+                               ("l", 0, 4, "--from"), ("n", 1, 10**20, "--to")):
         assert main(["sweep", "--config", llama_config, "--axis", axis,
                      "--from", str(lo), "--to", str(hi), "--points", "3"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --from") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("axis,lo,hi,points", [
@@ -383,6 +384,15 @@ def test_cmd_solve_infeasible_exit_3(llama_config, capsys):
     assert main(["solve", "--config", llama_config, "--budget", "1",
                  "--axis", "d", "--mode", "mezo"]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["d", "l"])
+@pytest.mark.parametrize("mode", ["bp", "mezo"])
+def test_cmd_solve_near_the_largest_float_budget(llama_config, capsys, axis, mode):
+    code = main(["solve", "--config", llama_config, "--budget", "1.7e308",
+                 "--axis", axis, "--mode", mode])
+    err = capsys.readouterr().err
+    assert code == 0 and not err or code == 3 and err.count("\n") == 1, (code, err)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mezofit.memory import (
+    AXIS_FIELD,
     ConfigError,
     InfeasibleError,
     MemoryMode,
@@ -323,6 +324,17 @@ def test_solver_layers_axis_matches_scan():
     feasible = [l for l in range(1, 200)
                 if bp_memory(cfg.replace(num_layers=l)).total_bytes <= budget]
     assert got == max(feasible) == 77
+
+
+@pytest.mark.parametrize("axis", [SweepAxis.D, SweepAxis.L])
+@pytest.mark.parametrize("mode", [MemoryMode.BP, MemoryMode.MEZO])
+def test_solver_brackets_a_budget_far_beyond_any_model(axis, mode):
+    # 1e30 B holds about 1e21 LLaMA-7B layers: no fixed cap on the unit
+    # count may stand in for the budget
+    unit = LLAMA7B.num_heads if axis is SweepAxis.D else 1
+    got = max_dimension(1e30, LLAMA7B, axis, mode)
+    total = lambda v: memory_for_mode(LLAMA7B.replace(**{AXIS_FIELD[axis]: v}), mode).total_bytes
+    assert total(got) <= 1e30 < total(got + unit)
 
 
 def test_solver_infeasible_budget():

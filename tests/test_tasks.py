@@ -11,7 +11,6 @@ from mezofit.tasks import (
     TaskKind,
     ToyTask,
     _markov_table,
-    accuracy,
 )
 from mezofit.zo import splitmix64
 
@@ -159,14 +158,3 @@ def test_task_validation():
         ToyTask(TaskKind.BINARY_QA_SYNTHETIC, vocab_size=4, seq_len=10, seed=0)
     with pytest.raises(ConfigError):
         ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=1, seq_len=6, seed=0)
-
-
-def test_accuracy_counts_unmasked_positions_only():
-    logits = np.zeros((1, 3, 4))
-    logits[0, 0, 2] = 5.0
-    logits[0, 1, 1] = 5.0
-    logits[0, 2, 0] = 5.0
-    targets = np.array([[2, 3, -1]])
-    assert accuracy(logits, targets) == 0.5
-    with pytest.raises(ValueError):
-        accuracy(logits, np.full((1, 3), -1))

@@ -8,6 +8,7 @@ from mezofit.memory import ConfigError, ModelConfig
 from mezofit.model import LedgerMode, ToyTransformer, loss_from_logits
 from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import (
+    DEFAULT_CHUNK,
     NonfiniteGradError,
     NonfiniteLossError,
     ParameterVector,
@@ -54,12 +55,6 @@ def test_parameter_vector_segments_tile_exactly():
         ParameterVector(np.zeros(4), (Segment("a", 0, 2),))
     with pytest.raises(ValueError, match="unique"):
         ParameterVector(np.zeros(4), (Segment("a", 0, 2), Segment("a", 2, 2)))
-
-
-def test_assert_finite():
-    pv = flat([1.0, np.inf])
-    with pytest.raises(NonfiniteLossError):
-        pv.assert_finite()
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,8 @@ def test_keyed_philox_takes_numpy_integer_keys_and_refuses_floats():
 
 
 def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
-    # the loss takes and hands back generators (one per task sample) while
-    # the step owns its n directions' generators; none may be shared
+    # the loss takes and hands back generators (one per task sample) between
+    # the step's noise passes, each of which borrows one; none may be shared
     cfg = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
                       vocab_size=8, batch_size=4)
     model = ToyTransformer(cfg)
@@ -385,6 +380,81 @@ def test_mezo_step_holds_less_than_a_chunk_at_every_loss_evaluation():
         tracemalloc.stop()
     assert len(held) == 4
     assert max(held) < chunk * 8, held
+
+
+def _checked_out(monkeypatch) -> list[int]:
+    """Count generators taken from keyed_philox and not yet handed back."""
+    out = [0]
+    take, give = zo.keyed_philox, zo.release_philox
+
+    def counted_take(k0, k1):
+        out[0] += 1
+        return take(k0, k1)
+
+    def counted_give(gen):
+        out[0] -= 1
+        give(gen)
+
+    monkeypatch.setattr(zo, "keyed_philox", counted_take)
+    monkeypatch.setattr(zo, "release_philox", counted_give)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
+def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, chunk):
+    out = _checked_out(monkeypatch)
+    seen = []
+
+    def scripted(loss_at):  # loss_at(k) is the k-th evaluation's loss, from 1
+        seen.clear()
+
+        def loss(t):
+            seen.append(out[0])
+            return loss_at(len(seen))
+        return loss
+
+    theta = flat(np.random.default_rng(6).standard_normal(1000))
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=4, master_seed=7)
+    mezo_step(scripted(lambda k: quadratic(theta)), theta, cfg, 0, chunk=chunk)
+    assert seen == [0] * 8 and out[0] == 0
+    spsa_directional_derivative(scripted(lambda k: quadratic(theta)), theta,
+                                PerturbationSeed(2, 0), 1e-3, chunk=chunk)
+    assert seen == [0] * 2 and out[0] == 0
+
+    with pytest.raises(NonfiniteLossError):
+        mezo_step(scripted(lambda k: np.inf if k == 3 else 1.0), theta, cfg, 1, chunk=chunk)
+    assert seen == [0] * 3 and out[0] == 0
+    with pytest.raises(NonfiniteLossError):
+        spsa_directional_derivative(scripted(lambda k: np.nan if k == 2 else 1.0), theta,
+                                    PerturbationSeed(3, 0), 1e-3, chunk=chunk)
+    assert seen == [0] * 2 and out[0] == 0
+    with pytest.raises(NonfiniteGradError):  # finite losses whose difference overflows
+        mezo_step(scripted(lambda k: 1e308 if k % 2 else -1e308), theta, cfg, 2, chunk=chunk)
+    assert seen == [0] * 8 and out[0] == 0
+    # raised by the update; `raised` keeps its traceback, and so the step's frame, alive
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonfiniteLossError) as raised:
+        mezo_step(scripted(lambda k: 1e305 if k % 2 else -1e305), theta,
+                  ZOConfig(learning_rate=1.0, num_perturbations=4), 3, chunk=chunk)
+    assert seen == [0] * 8 and out[0] == 0, raised
+
+
+@pytest.mark.parametrize("size, chunk, bound", [
+    (3376, DEFAULT_CHUNK, 3.5 * 3376 * 8),  # one chunk: kept noise + 2 scratch
+    (100_000, 8192, 3 * 8192 * 8),          # many: 2 chunk buffers + undo record
+], ids=["one-chunk", "many-chunks"])
+def test_noise_only_step_peak_holds_the_estimators_own_bytes(size, chunk, bound):
+    theta = flat(np.random.default_rng(4).standard_normal(size))
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-3, num_perturbations=4, master_seed=2)
+    zero = lambda t: 0.0
+    mezo_step(zero, theta, cfg, 0, chunk=chunk)  # warm up code paths
+    tracemalloc.start()
+    try:
+        mezo_step(zero, theta, cfg, 1, chunk=chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_shift_exception_records_are_sparse():

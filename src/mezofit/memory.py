@@ -145,7 +145,10 @@ def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:
     embed_head = 4 * b * V * D  # embedding + LM head + their gradients
     acts = activation_bytes(cfg)
     if checkpointed:
-        acts = acts * math.sqrt(L) / L
+        # acts * sqrt(L) overflows before the division for the largest
+        # totals; dividing by sqrt(L) instead moves the last bits of finite ones
+        scaled = acts * math.sqrt(L)
+        acts = scaled / L if math.isfinite(scaled) else acts / math.sqrt(L)
     mode = MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP
     return MemoryBreakdown(weights, gradients, embed_head, acts,
                            weights + gradients + embed_head + acts, mode)

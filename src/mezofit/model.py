@@ -6,12 +6,18 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-A forward pass in MeZO mode (the default) keeps nothing: each layer's
-intermediates die when the layer returns, and the GELU output takes the
-buffer of its input. In BP mode, which only `backward` asks for, it also
-returns the cache the backward pass reads: every layer's inputs, normed
-inputs, rotated queries and keys, values, attention probabilities, context,
-FFN pre-activation and GELU output, plus the final norm's input and output.
+A forward pass in MeZO mode (the default) keeps nothing past the operation
+that reads it: each buffer is dropped once read, the GELU output takes the
+buffer of its input, and GELU and the loss's log-sum-exp work through one
+`_TILE` of scratch, so the loss never builds the full log-probabilities. Its
+peak is then the largest block's live set: in attention, the block input,
+the rotated queries and keys, the values and the B*H*N*N scores; in the FFN,
+the block input, its normed input or its output, and the B*N*F
+pre-activation; at the head, the final norm's input and output and the
+logits. In BP mode, which only `backward` asks for, it also returns the
+cache the backward pass reads: every layer's inputs, normed inputs, rotated
+queries and keys, values, attention probabilities, context, FFN
+pre-activation and GELU output, plus the final norm's input and output.
 
 The backward pass frees each layer's cache as it goes and writes its
 transients in place (`_gelu_backward` overwrites both of its arguments), in
@@ -34,6 +40,9 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 _NORM_EPS = 1e-6
 _ROPE_BASE = 10000.0
+# Elements of scratch that _gelu and the loss's log-sum-exp work through at
+# a time: 128 KiB of float64, small beside a layer's activations.
+_TILE = 1 << 14
 
 
 class LedgerMode(str, Enum):
@@ -49,7 +58,13 @@ class LedgerMode(str, Enum):
 # ---------------------------------------------------------------------------
 
 def _rms_inv(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+    # np.mean's float order (sum, then divide by the count) without its
+    # per-call overhead, each later step in place in the one (..., 1) buffer
+    r = np.add.reduce(x * x, axis=-1, keepdims=True)
+    r /= x.shape[-1]
+    r += _NORM_EPS
+    np.sqrt(r, out=r)
+    return np.divide(1.0, r, out=r)
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -77,19 +92,27 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
 
 
 def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5*u*(1 + tanh(c*(u + a*u*u*u))) as in-place ufuncs, in that order.
+    """0.5*u*(1 + tanh(c*(u + a*u*u*u))) as in-place ufuncs, in that order,
+    one `_TILE` of elements at a time through one scratch tile.
 
     `out` may be `u` itself; the result then overwrites it.
     """
-    t = u * u
-    t *= _GELU_A
-    t *= u
-    t += u
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    t += 1.0
-    out = np.multiply(u, 0.5, out=out)
-    out *= t
+    if out is None:
+        out = np.empty_like(u)
+    src, dst = u.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(_TILE, src.size))
+    for i in range(0, src.size, _TILE):
+        x, y = src[i:i + _TILE], dst[i:i + _TILE]
+        t = scratch[:x.size]
+        np.multiply(x, x, out=t)
+        t *= _GELU_A
+        t *= x
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(x, 0.5, out=y)
+        y *= t
     return out
 
 
@@ -134,8 +157,12 @@ def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     c = cos[None, :, None, :]
     s = sin[None, :, None, :]
     out = np.empty_like(x)
-    out[..., 0::2] = e * c - o * s
-    out[..., 1::2] = e * s + o * c
+    oe, oo = out[..., 0::2], out[..., 1::2]
+    # e*c - o*s and e*s + o*c, each written into its half of `out`
+    np.multiply(e, c, out=oe)
+    oe -= o * s
+    np.multiply(e, s, out=oo)
+    oo += o * c
     return out
 
 
@@ -145,7 +172,12 @@ def loss_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _masked_nll(logits, targets):
-    """(mean masked NLL, log-probabilities, mask, unmasked count)."""
+    """(mean masked NLL, row maxima, row log-sum-exps, mask, unmasked count).
+
+    Each row's log-sum-exp log(sum(exp(logit - max))) is taken through a
+    tile of whole rows, and only the picked entries are formed, as
+    (logit - max) - lse: the float order of the full log-probabilities,
+    which are never built. The maxima and log-sum-exps are (B, N, 1)."""
     if logits.shape[:2] != targets.shape:
         raise ValueError(
             f"logits batch/positions {logits.shape[:2]} do not match targets {targets.shape}")
@@ -153,16 +185,34 @@ def _masked_nll(logits, targets):
     count = int(mask.sum())
     if count == 0:
         raise ValueError("no unmasked target positions")
-    logp = logits - logits.max(axis=-1, keepdims=True)
-    logp -= np.log(np.sum(np.exp(logp), axis=-1, keepdims=True))
-    picked = np.take_along_axis(
-        logp, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
-    return float(-np.sum(picked, where=mask) / count), logp, mask, count
+    V = logits.shape[-1]
+    rows = logits.reshape(-1, V)
+    top = rows.max(axis=-1, keepdims=True)
+    lse = np.empty_like(top)
+    step = max(1, _TILE // V)
+    scratch = np.empty((min(step, len(rows)), V))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        t = scratch[:len(block)]
+        np.subtract(block, top[i:i + step], out=t)
+        np.exp(t, out=t)
+        np.sum(t, axis=-1, keepdims=True, out=lse[i:i + step])
+    np.log(lse, out=lse)
+    picked = np.take_along_axis(rows, np.where(mask, targets, 0).reshape(-1, 1), axis=-1)
+    picked -= top
+    picked -= lse
+    loss = float(-np.sum(picked.reshape(mask.shape), where=mask) / count)
+    shape = (*mask.shape, 1)
+    return loss, top.reshape(shape), lse.reshape(shape), mask, count
 
 
 def _loss_backward(logits, targets):
-    loss, logp, mask, count = _masked_nll(logits, targets)
-    dlogits = np.exp(logp)
+    """(loss, dlogits): the softmax, made from the full log-probabilities
+    (logits - max) - lse in place, minus the one-hot targets, over count."""
+    loss, top, lse, mask, count = _masked_nll(logits, targets)
+    dlogits = logits - top
+    dlogits -= lse
+    np.exp(dlogits, out=dlogits)
     rows = np.nonzero(mask)
     dlogits[rows[0], rows[1], targets[mask]] -= 1.0
     dlogits *= mask[..., None] / count
@@ -273,40 +323,57 @@ class ToyTransformer:
         return logits, dict(layers=layers, x_f=x, hf=hf) if bp else None
 
     def _attention(self, params, l, x_in, cos, sin, bp):
-        """x_in + attn(rmsnorm(x_in)) @ wo, and (BP mode) what backward reads."""
+        """x_in + attn(rmsnorm(x_in)) @ wo, and (BP mode) what backward reads.
+        Each buffer is dropped once the next operation has read it; in BP
+        mode the cache keeps the ones backward reads."""
         B, N, D = x_in.shape
         H, dh = self.cfg.num_heads, self.cfg.head_dim
         h = _rmsnorm(x_in, params.segment(f"layer{l}.norm_attn"))
         q = h @ params.view(f"layer{l}.wq", (D, D))
         k = h @ params.view(f"layer{l}.wk", (D, D))
         v = h @ params.view(f"layer{l}.wv", (D, D))
-        # head-major layout (B, H, N, dh) keeps attention on plain matmuls
-        q4 = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-        k4 = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-        v4 = np.ascontiguousarray(v.reshape(B, N, H, dh).transpose(0, 2, 1, 3))
+        cache = dict(x_in=x_in, h=h) if bp else {}
+        del h
+        # head-major layout (B, H, N, dh) keeps attention on plain matmuls;
+        # each rebinding drops the projection it replaces
+        q = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
+        k = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
+        v = np.ascontiguousarray(v.reshape(B, N, H, dh).transpose(0, 2, 1, 3))
         # softmax in place: the scores buffer becomes the probabilities
-        probs = q4 @ k4.transpose(0, 1, 3, 2)
+        probs = q @ k.transpose(0, 1, 3, 2)
+        if bp:
+            cache.update(q4=q, k4=k)
+        del q, k
         probs *= 1.0 / np.sqrt(dh)
         probs += self._neg_mask[:N, :N]  # -inf above the diagonal: causal attention
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        ctx = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, N, D)
+        ctx = probs @ v
+        if bp:
+            cache.update(v4=v, probs=probs)
+        del probs, v
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, N, D)
         out = ctx @ params.view(f"layer{l}.wo", (D, D))
         out += x_in
-        cache = dict(x_in=x_in, h=h, q4=q4, k4=k4, v4=v4, probs=probs, ctx=ctx) if bp else {}
+        if bp:
+            cache["ctx"] = ctx
         return out, cache
 
     def _ffn(self, params, l, x_mid, bp):
         """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out, and (BP mode) what
-        backward reads. Without BP, the GELU output takes u's buffer."""
+        backward reads. Without BP, the normed input goes once u exists and
+        the GELU output takes u's buffer."""
         D, F = self.cfg.hidden_dim, self.ffn_dim
         h2 = _rmsnorm(x_mid, params.segment(f"layer{l}.norm_ffn"))
         u = h2 @ params.view(f"layer{l}.ffn_in", (D, F))
+        cache = dict(x_mid=x_mid, h2=h2) if bp else {}
+        del h2
         a = _gelu(u, out=None if bp else u)
+        if bp:
+            cache.update(u=u, a=a)
         out = a @ params.view(f"layer{l}.ffn_out", (F, D))
         out += x_mid
-        cache = dict(x_mid=x_mid, h2=h2, u=u, a=a) if bp else {}
         return out, cache
 
     # -- backward -----------------------------------------------------------

@@ -337,6 +337,17 @@ def test_solver_brackets_a_budget_far_beyond_any_model(axis, mode):
     assert total(got) <= 1e30 < total(got + unit)
 
 
+@pytest.mark.parametrize("budget", [1e300, 1.7e308])
+def test_checkpointed_solver_fits_at_least_the_plain_layers_near_the_largest_float(budget):
+    # checkpointing never adds memory, so under one budget it fits at least
+    # as many layers as plain BP; an activation term that overflows to inf
+    # before its division used to answer ~1e199 layers against BP's ~1e291
+    got = max_dimension(budget, LLAMA7B, SweepAxis.L, MemoryMode.BP_CHECKPOINTED)
+    total = lambda l: bp_memory(LLAMA7B.replace(num_layers=l), checkpointed=True).total_bytes
+    assert total(got) <= budget < total(got + 1)
+    assert got >= max_dimension(budget, LLAMA7B, SweepAxis.L, MemoryMode.BP)
+
+
 def test_solver_infeasible_budget():
     with pytest.raises(InfeasibleError):
         max_dimension(1.0, LLAMA7B, SweepAxis.D, MemoryMode.MEZO)

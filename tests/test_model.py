@@ -16,9 +16,13 @@ from mezofit.memory import (
 from mezofit.model import (
     _GELU_A,
     _GELU_C,
+    _NORM_EPS,
+    _TILE,
     LedgerMode,
     ToyTransformer,
+    _gelu,
     _gelu_backward,
+    _loss_backward,
     _rms_inv,
     _rmsnorm_backward,
     load_weights,
@@ -223,6 +227,50 @@ def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _full_log_softmax_reference(logits, targets):
+    """The loss and its logits gradient through the full log-probabilities."""
+    mask = targets >= 0
+    count = int(mask.sum())
+    logp = logits - logits.max(axis=-1, keepdims=True)
+    logp -= np.log(np.sum(np.exp(logp), axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
+    dlogits = np.exp(logp)
+    rows = np.nonzero(mask)
+    dlogits[rows[0], rows[1], targets[mask]] -= 1.0
+    dlogits *= mask[..., None] / count
+    return float(-np.sum(picked, where=mask) / count), dlogits
+
+
+@pytest.mark.parametrize("changes,n", [
+    ({}, 8),
+    # B*N*F = 21,312 and B*N*V = 33,411: more than one tile, neither a multiple
+    (dict(context_length=40, hidden_dim=48, vocab_size=301, batch_size=3), 37),
+    # each row wider than one tile
+    (dict(num_layers=1, hidden_dim=8, num_heads=2, kv_heads=2, vocab_size=_TILE + 27), 5),
+], ids=["one-tile", "odd-V-cropped-N", "V-past-one-tile"])
+def test_lean_forward_and_loss_match_the_full_expressions_bitwise(changes, n):
+    cfg = CFG.replace(**changes)
+    model = ToyTransformer(cfg)
+    params = model.init_params(4)
+    tokens = tokens_for(cfg, seed=8)[:, :n]
+    targets = tokens_for(cfg, seed=9)[:, :n]
+    targets[0, ::3] = -1
+    logits, _ = model.forward(params, tokens)
+    assert logits.tobytes() == model.forward(params, tokens, LedgerMode.BP)[0].tobytes()
+    want_loss, want_dlogits = _full_log_softmax_reference(logits, targets)
+    loss, dlogits = _loss_backward(logits, targets)
+    assert loss_from_logits(logits, targets) == loss == want_loss
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+    u = np.random.default_rng(n).standard_normal(
+        (cfg.batch_size, n, model.ffn_dim)) * 3
+    want = (u * 0.5 * (1.0 + np.tanh((u * u * _GELU_A * u + u) * _GELU_C))).tobytes()
+    assert _gelu(u).tobytes() == want
+    assert _gelu(u, out=u).tobytes() == want
+    x = u[..., :cfg.hidden_dim]
+    assert _rms_inv(x).tobytes() == (
+        1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)).tobytes()
+
+
 def test_backward_repeats_bitwise_and_leaves_its_inputs_alone(model, params):
     tokens, targets = tokens_for(CFG, seed=5), tokens_for(CFG, seed=6)
     targets[0, 2] = -1
@@ -419,6 +467,38 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     N = cfg.context_length
     acts = mezo_memory(cfg.replace(bytes_per_param=8.0)).activations_bytes
     assert peak <= acts + 3 * B * N * V * 8
+
+
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
+def test_mezo_loss_peak_within_the_largest_block_and_one_tile(D, L, V, B):
+    # Shape-derived live sets, in float64 elements, of the MeZO forward's
+    # blocks when each buffer dies once the next operation has read it:
+    # attention holds x_in, q, k, v and a rotated copy beside one half-width
+    # rotary product, then x_in, q4, k4, v4 and the B*H*N*N scores; the FFN
+    # x_mid, the normed input or the output, and the B*N*F pre-activation;
+    # the head x, its norm and the logits. GELU and the loss's log-sum-exp
+    # add one tile of scratch.
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+
+    def loss():
+        return loss_from_logits(model.forward(params, tokens)[0], targets)
+
+    loss()  # warm up
+    tracemalloc.start()
+    try:
+        loss()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N, H, F = cfg.context_length, cfg.num_heads, model.ffn_dim
+    act = B * N * D
+    attention = max(5.5 * act, 4 * act + B * H * N * N)
+    ffn, head = 2 * act + B * N * F, 2 * act + B * N * V
+    assert peak <= 8 * (max(attention, ffn, head) + _TILE)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from mezofit.memory import (
     MemoryBreakdown,
     MemoryMode,
     ModelConfig,
-    ParamCountMode,
     SweepAxis,
     SweepSpec,
     activation_bytes,

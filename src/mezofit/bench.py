@@ -234,18 +234,6 @@ def emit_csv(records) -> str:
     return out.getvalue()
 
 
-def parse_csv(text: str) -> list[RunRecord]:
-    lines = text.strip().split("\n")
-    if lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError("unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        method, lr, step, wall, loss, acc, rmax = line.split(",")
-        records.append(RunRecord(method, float(lr), int(step), float(wall),
-                                 float(loss), float(acc), float(rmax)))
-    return records
-
-
 def steps_to_fraction_of_plateau(records: list[RunRecord], fraction: float = 0.9) -> int:
     """First evaluated step whose running max reaches `fraction` of the final
     running max (the plateau)."""

@@ -41,13 +41,6 @@ class MemoryMode(str, Enum):
     MEZO = "mezo"
 
 
-class ParamCountMode(str, Enum):
-    # SIMPLIFIED is the 12*L*D^2 + 2*V*D form used by the byte formulas below;
-    # GENERIC exposes the kv-head / MLP-count / expansion-factor knobs.
-    SIMPLIFIED = "simplified"
-    GENERIC = "generic"
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and precision knobs of a decoder-only transformer.
@@ -56,6 +49,12 @@ class ModelConfig:
     of activations a MeZO runtime keeps buffered (0 <= stored_layers <=
     num_layers, fractions allowed). It only scales ``mezo_memory``'s
     activation term; the desk model's MeZO forward buffers no layer.
+
+    ``kv_heads`` and ``num_mlps`` enter no analytic total, and the desk model
+    accepts only ``kv_heads == num_heads`` and ``num_mlps == 2``.
+    ``expansion_factor`` sets only the desk model's FFN width
+    (hidden_dim * expansion_factor); the totals assume 12*L*D^2 layer
+    weights whatever it is.
     """
 
     context_length: int
@@ -115,21 +114,19 @@ class MemoryBreakdown:
         return d
 
 
-def param_elements(cfg: ModelConfig, mode: ParamCountMode = ParamCountMode.SIMPLIFIED) -> int:
-    """Trainable-element count (norm gains excluded, they are negligible)."""
+def param_elements(cfg: ModelConfig) -> int:
+    """Trainable-element count 12*L*D^2 + 2*V*D, the one the byte formulas
+    below use (norm gains excluded, they are negligible)."""
     L, D, V = cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
-    if ParamCountMode(mode) is ParamCountMode.SIMPLIFIED:
-        return 12 * L * D * D + 2 * V * D
-    # attention: q and o projections are D x D, k and v shrink with kv_heads
-    attn = L * (2 * D * D + 2 * D * (D // cfg.num_heads) * cfg.kv_heads)
-    ffn = cfg.num_mlps * L * D * (D * cfg.expansion_factor)
-    return int(round(attn + ffn + 2 * V * D))
+    return 12 * L * D * D + 2 * V * D
 
 
-def activation_bytes(cfg: ModelConfig) -> float:
-    """Bytes of cached activations for a full-backprop forward pass."""
-    B, L, N, D, H, b = (cfg.batch_size, cfg.num_layers, cfg.context_length,
-                        cfg.hidden_dim, cfg.num_heads, cfg.bytes_per_param)
+def activation_bytes(cfg: ModelConfig, layers: float | None = None) -> float:
+    """Bytes of cached activations for a full-backprop forward pass through
+    `layers` layers (all num_layers of them by default)."""
+    B, N, D, H, b = (cfg.batch_size, cfg.context_length, cfg.hidden_dim, cfg.num_heads,
+                     cfg.bytes_per_param)
+    L = cfg.num_layers if layers is None else layers
     return B * L * N * D * (2 + 16 * b + (2 * b + 1) * N * H / D)
 
 
@@ -145,10 +142,16 @@ def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:
     embed_head = 4 * b * V * D  # embedding + LM head + their gradients
     acts = activation_bytes(cfg)
     if checkpointed:
-        # acts * sqrt(L) overflows before the division for the largest
-        # totals; dividing by sqrt(L) instead moves the last bits of finite ones
+        # acts * sqrt(L) overflows before the division for the largest L, and
+        # acts itself for larger L still; each fallback runs only past an
+        # overflow, so no finite total moves
         scaled = acts * math.sqrt(L)
-        acts = scaled / L if math.isfinite(scaled) else acts / math.sqrt(L)
+        if math.isfinite(scaled):
+            acts = scaled / L
+        elif math.isfinite(acts):
+            acts /= math.sqrt(L)
+        else:
+            acts = activation_bytes(cfg, math.sqrt(L))
     mode = MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP
     return MemoryBreakdown(weights, gradients, embed_head, acts,
                            weights + gradients + embed_head + acts, mode)
@@ -160,7 +163,12 @@ def mezo_memory(cfg: ModelConfig) -> MemoryBreakdown:
     b, L, D, V = cfg.bytes_per_param, cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
     weights = 12 * b * L * D * D
     embed_head = 2 * b * V * D
-    acts = (cfg.stored_layers / L) * activation_bytes(cfg)
+    acts = activation_bytes(cfg)
+    # for the largest L the full product overflows before the stored_layers/L
+    # scaling; only then are stored_layers layers taken directly, so no finite
+    # total moves
+    acts = ((cfg.stored_layers / L) * acts if math.isfinite(acts)
+            else activation_bytes(cfg, cfg.stored_layers))
     return MemoryBreakdown(weights, 0.0, embed_head, acts,
                            weights + embed_head + acts, MemoryMode.MEZO)
 

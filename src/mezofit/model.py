@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from enum import Enum
 
 import numpy as np
 
-from mezofit.memory import ConfigError, ModelConfig, ParamCountMode, param_elements
+from mezofit.memory import ConfigError, ModelConfig
 from mezofit.zo import ParameterVector, keyed_philox, release_philox, splitmix64
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -226,8 +227,9 @@ def _loss_backward(logits, targets):
 class ToyTransformer:
     """Decoder-only transformer bound to one ModelConfig.
 
-    Parameters live in a ParameterVector whose named segments match the
-    generic parameter-count formula exactly (norm gains counted on top).
+    Parameters live in a ParameterVector tiled by `segment_shapes`: the
+    embedding, then each layer's `_per_layer` segments, then the final norm
+    and the head. Every view of a weight or gradient is read off that layout.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -242,7 +244,13 @@ class ToyTransformer:
             raise ConfigError(
                 f"hidden_dim * expansion_factor must be a finite integer, got {ffn!r}")
         self.cfg = cfg
-        self.ffn_dim = int(round(ffn))
+        self.ffn_dim = F = int(round(ffn))
+        D, V = cfg.hidden_dim, cfg.vocab_size
+        # (name, shape) in checkpoint order; a layer's names take the prefix "layer{l}."
+        self._per_layer = (("norm_attn", (D,)), ("wq", (D, D)), ("wk", (D, D)),
+                           ("wv", (D, D)), ("wo", (D, D)), ("norm_ffn", (D,)),
+                           ("ffn_in", (D, F)), ("ffn_out", (F, D)))
+        self._ends = (("embed", (V, D)), ("norm_final", (D,)), ("head", (V, D)))
         self._cos, self._sin = _rope_tables(cfg.context_length, cfg.head_dim)
         n = cfg.context_length
         self._neg_mask = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
@@ -250,29 +258,24 @@ class ToyTransformer:
     # -- parameters ---------------------------------------------------------
 
     def segment_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        D, V, F = self.cfg.hidden_dim, self.cfg.vocab_size, self.ffn_dim
-        shapes: list[tuple[str, tuple[int, ...]]] = [("embed", (V, D))]
-        for l in range(self.cfg.num_layers):
-            shapes += [
-                (f"layer{l}.norm_attn", (D,)),
-                (f"layer{l}.wq", (D, D)),
-                (f"layer{l}.wk", (D, D)),
-                (f"layer{l}.wv", (D, D)),
-                (f"layer{l}.wo", (D, D)),
-                (f"layer{l}.norm_ffn", (D,)),
-                (f"layer{l}.ffn_in", (D, F)),
-                (f"layer{l}.ffn_out", (F, D)),
-            ]
-        shapes += [("norm_final", (D,)), ("head", (V, D))]
-        return shapes
+        embed, *final = self._ends
+        return [embed, *((f"layer{l}.{name}", shape) for l in range(self.cfg.num_layers)
+                         for name, shape in self._per_layer), *final]
+
+    def _layer(self, params: ParameterVector, l: int | None = None) -> dict[str, np.ndarray]:
+        """Layer l's segments of `params` (weights or gradients), or with no l
+        the embedding, final norm and head, as shaped views keyed by short name."""
+        table, prefix = (self._ends, "") if l is None else (self._per_layer, f"layer{l}.")
+        return {name: params.view(prefix + name, shape) for name, shape in table}
 
     def init_params(self, seed: int) -> ParameterVector:
-        """Scaled-normal matrices (scale 1/sqrt(D)), unit norm gains."""
+        """Scaled-normal matrices (scale 1/sqrt(D)); the 1-D segments, the
+        norm gains, are ones."""
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
         arrays = []
         base = splitmix64(seed & ((1 << 64) - 1))
         for idx, (name, shape) in enumerate(self.segment_shapes()):
-            if name.endswith(("norm_attn", "norm_ffn", "norm_final")):
+            if len(shape) == 1:
                 arrays.append((name, np.ones(shape)))
             else:
                 gen = keyed_philox(base, idx)
@@ -281,11 +284,8 @@ class ToyTransformer:
         return ParameterVector.from_arrays(arrays)
 
     def param_count(self) -> int:
-        """Trainable elements: generic projection/FFN/embedding count plus
-        the (2L+1)*D norm gains."""
-        cfg = self.cfg
-        return (param_elements(cfg, ParamCountMode.GENERIC)
-                + (2 * cfg.num_layers + 1) * cfg.hidden_dim)
+        """Trainable elements, norm gains included."""
+        return sum(math.prod(shape) for _, shape in self.segment_shapes())
 
     # -- forward ------------------------------------------------------------
 
@@ -304,34 +304,36 @@ class ToyTransformer:
             raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        D, V = cfg.hidden_dim, cfg.vocab_size
         cos, sin = self._cos[:N], self._sin[:N]
         bp = LedgerMode(mode) is LedgerMode.BP
 
         # Each block's temporaries die when it returns; only BP mode keeps
         # the cache backward reads.
         layers = []
-        x = params.view("embed", (V, D))[tokens]
+        ends = self._layer(params)
+        x = ends["embed"][tokens]
         for l in range(cfg.num_layers):
-            x, attn = self._attention(params, l, x, cos, sin, bp)
-            x, ffn = self._ffn(params, l, x, bp)
+            w = self._layer(params, l)
+            x, attn = self._attention(w, x, cos, sin, bp)
+            x, ffn = self._ffn(w, x, bp)
             if bp:
                 layers.append({**attn, **ffn})
 
-        hf = _rmsnorm(x, params.segment("norm_final"))
-        logits = hf @ params.view("head", (V, D)).T
+        hf = _rmsnorm(x, ends["norm_final"])
+        logits = hf @ ends["head"].T
         return logits, dict(layers=layers, x_f=x, hf=hf) if bp else None
 
-    def _attention(self, params, l, x_in, cos, sin, bp):
-        """x_in + attn(rmsnorm(x_in)) @ wo, and (BP mode) what backward reads.
+    def _attention(self, w, x_in, cos, sin, bp):
+        """x_in + attn(rmsnorm(x_in)) @ wo over one layer's weights `w`, and
+        (BP mode) what backward reads.
         Each buffer is dropped once the next operation has read it; in BP
         mode the cache keeps the ones backward reads."""
         B, N, D = x_in.shape
         H, dh = self.cfg.num_heads, self.cfg.head_dim
-        h = _rmsnorm(x_in, params.segment(f"layer{l}.norm_attn"))
-        q = h @ params.view(f"layer{l}.wq", (D, D))
-        k = h @ params.view(f"layer{l}.wk", (D, D))
-        v = h @ params.view(f"layer{l}.wv", (D, D))
+        h = _rmsnorm(x_in, w["norm_attn"])
+        q = h @ w["wq"]
+        k = h @ w["wk"]
+        v = h @ w["wv"]
         cache = dict(x_in=x_in, h=h) if bp else {}
         del h
         # head-major layout (B, H, N, dh) keeps attention on plain matmuls;
@@ -354,25 +356,24 @@ class ToyTransformer:
             cache.update(v4=v, probs=probs)
         del probs, v
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B, N, D)
-        out = ctx @ params.view(f"layer{l}.wo", (D, D))
+        out = ctx @ w["wo"]
         out += x_in
         if bp:
             cache["ctx"] = ctx
         return out, cache
 
-    def _ffn(self, params, l, x_mid, bp):
-        """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out, and (BP mode) what
-        backward reads. Without BP, the normed input goes once u exists and
-        the GELU output takes u's buffer."""
-        D, F = self.cfg.hidden_dim, self.ffn_dim
-        h2 = _rmsnorm(x_mid, params.segment(f"layer{l}.norm_ffn"))
-        u = h2 @ params.view(f"layer{l}.ffn_in", (D, F))
+    def _ffn(self, w, x_mid, bp):
+        """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out over one layer's weights
+        `w`, and (BP mode) what backward reads. Without BP, the normed input
+        goes once u exists and the GELU output takes u's buffer."""
+        h2 = _rmsnorm(x_mid, w["norm_ffn"])
+        u = h2 @ w["ffn_in"]
         cache = dict(x_mid=x_mid, h2=h2) if bp else {}
         del h2
         a = _gelu(u, out=None if bp else u)
         if bp:
             cache.update(u=u, a=a)
-        out = a @ params.view(f"layer{l}.ffn_out", (F, D))
+        out = a @ w["ffn_out"]
         out += x_mid
         return out, cache
 
@@ -399,33 +400,27 @@ class ToyTransformer:
         cos, nsin = self._cos[:N], -self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        grad.view("head", (V, D))[:] = (
-            dlogits.reshape(-1, V).T @ caches.pop("hf").reshape(-1, D))
-        dhf = dlogits @ params.view("head", (V, D))
-        dx, dgain = _rmsnorm_backward(dhf, caches.pop("x_f"), params.segment("norm_final"))
+        ends, g_ends = self._layer(params), self._layer(grad)
+        g_ends["head"][:] = dlogits.reshape(-1, V).T @ caches.pop("hf").reshape(-1, D)
+        dhf = dlogits @ ends["head"]
+        dx, g_ends["norm_final"][:] = _rmsnorm_backward(dhf, caches.pop("x_f"), ends["norm_final"])
         del dlogits, dhf
-        grad.segment("norm_final")[:] = dgain
 
         layers = caches["layers"]
         while layers:
             c = layers.pop()
-            l = len(layers)
+            w, g = self._layer(params, len(layers)), self._layer(grad, len(layers))
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
-            grad.view(f"layer{l}.ffn_out", (F, D))[:] = (
-                c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D))
-            du = _gelu_backward(dx @ params.view(f"layer{l}.ffn_out", (F, D)).T, c.pop("u"))
-            grad.view(f"layer{l}.ffn_in", (D, F))[:] = (
-                c["h2"].reshape(-1, D).T @ du.reshape(-1, F))
-            dh2 = du @ params.view(f"layer{l}.ffn_in", (D, F)).T
-            dx_mid, dgain = _rmsnorm_backward(dh2, c["x_mid"], params.segment(f"layer{l}.norm_ffn"))
-            grad.segment(f"layer{l}.norm_ffn")[:] = dgain
+            g["ffn_out"][:] = c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D)
+            du = _gelu_backward(dx @ w["ffn_out"].T, c.pop("u"))
+            g["ffn_in"][:] = c["h2"].reshape(-1, D).T @ du.reshape(-1, F)
+            dh2 = du @ w["ffn_in"].T
+            dx_mid, g["norm_ffn"][:] = _rmsnorm_backward(dh2, c["x_mid"], w["norm_ffn"])
             dx += dx_mid  # residual
 
             # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
-            grad.view(f"layer{l}.wo", (D, D))[:] = (
-                c["ctx"].reshape(-1, D).T @ dx.reshape(-1, D))
-            dctx = (dx @ params.view(f"layer{l}.wo", (D, D)).T) \
-                .reshape(B, N, H, dh).transpose(0, 2, 1, 3)
+            g["wo"][:] = c["ctx"].reshape(-1, D).T @ dx.reshape(-1, D)
+            dctx = (dx @ w["wo"].T).reshape(B, N, H, dh).transpose(0, 2, 1, 3)
             probs = c["probs"]
             dscores = dctx @ c["v4"].transpose(0, 1, 3, 2)  # dprobs, then dscores in place
             dv = (probs.transpose(0, 1, 3, 2) @ dctx).transpose(0, 2, 1, 3).reshape(B, N, D)
@@ -439,21 +434,19 @@ class ToyTransformer:
             dq = _rope(dq4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
             dk = _rope(dk4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
             h2d = c["h"].reshape(-1, D)
-            grad.view(f"layer{l}.wq", (D, D))[:] = h2d.T @ dq.reshape(-1, D)
-            grad.view(f"layer{l}.wk", (D, D))[:] = h2d.T @ dk.reshape(-1, D)
-            grad.view(f"layer{l}.wv", (D, D))[:] = h2d.T @ dv.reshape(-1, D)
-            dh_pre = dq @ params.view(f"layer{l}.wq", (D, D)).T
-            dh_pre += dk @ params.view(f"layer{l}.wk", (D, D)).T
-            dh_pre += dv @ params.view(f"layer{l}.wv", (D, D)).T
-            dx_in, dgain = _rmsnorm_backward(dh_pre, c["x_in"], params.segment(f"layer{l}.norm_attn"))
-            grad.segment(f"layer{l}.norm_attn")[:] = dgain
+            g["wq"][:] = h2d.T @ dq.reshape(-1, D)
+            g["wk"][:] = h2d.T @ dk.reshape(-1, D)
+            g["wv"][:] = h2d.T @ dv.reshape(-1, D)
+            dh_pre = dq @ w["wq"].T
+            dh_pre += dk @ w["wk"].T
+            dh_pre += dv @ w["wv"].T
+            dx_in, g["norm_attn"][:] = _rmsnorm_backward(dh_pre, c["x_in"], w["norm_attn"])
             dx += dx_in
             # nothing of this layer may outlive it into the next one
             del c, probs, du, dh2, dx_mid, dctx, dscores, inner, dq4, dk4, dq, dk, dv, h2d, \
                 dh_pre, dx_in
 
-        demb = grad.view("embed", (V, D))
-        np.add.at(demb, tokens.ravel(), dx.reshape(-1, D))
+        np.add.at(g_ends["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss
 
 
@@ -516,7 +509,7 @@ def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         cfg = _config_from_blob(json.loads(_read_exact(f, blob_len).decode()))
-        expected = [(name, int(np.prod(shape)))
+        expected = [(name, math.prod(shape))
                     for name, shape in ToyTransformer(cfg).segment_shapes()]
         (n_segments,) = struct.unpack("<I", _read_exact(f, 4))
         if n_segments != len(expected):

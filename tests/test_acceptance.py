@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mezofit.bench import parse_csv, steps_to_fraction_of_plateau
+from mezofit.bench import steps_to_fraction_of_plateau
 from mezofit.cli import main
 from mezofit.memory import (
     MemoryMode,
     ModelConfig,
-    ParamCountMode,
     SweepAxis,
     activation_bytes,
     bp_memory,
@@ -32,6 +31,7 @@ from mezofit.verify import (
     check_quadratic_unbiasedness,
     check_restoration,
 )
+from test_bench import parse_csv
 
 LLAMA7B = ModelConfig(context_length=2048, num_layers=32, hidden_dim=4096,
                       num_heads=32, vocab_size=32000, batch_size=1,

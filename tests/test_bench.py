@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mezofit.bench import (
+    CSV_COLUMNS,
     EVAL_SEQUENCES,
     ExperimentPlan,
     RunRecord,
     emit_csv,
-    parse_csv,
     run_experiment,
     steps_to_fraction_of_plateau,
     summarize,
@@ -23,6 +23,19 @@ BP_CFG = ModelConfig(context_length=6, num_layers=1, hidden_dim=8, num_heads=2,
 MEZO_CFG = ModelConfig(context_length=6, num_layers=2, hidden_dim=16, num_heads=2,
                        vocab_size=16, batch_size=8, stored_layers=0.2)
 TASK = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=16, seq_len=6, seed=3)
+
+
+def parse_csv(text: str) -> list[RunRecord]:
+    """The records of an `emit_csv` text, in its order."""
+    lines = text.strip().split("\n")
+    if lines[0] != ",".join(CSV_COLUMNS):
+        raise ValueError("unexpected CSV header")
+    records = []
+    for line in lines[1:]:
+        method, lr, step, wall, loss, acc, rmax = line.split(",")
+        records.append(RunRecord(method, float(lr), int(step), float(wall),
+                                 float(loss), float(acc), float(rmax)))
+    return records
 
 
 def make_plan(**overrides) -> ExperimentPlan:

@@ -387,7 +387,7 @@ def test_cmd_solve_infeasible_exit_3(llama_config, capsys):
 
 
 @pytest.mark.parametrize("axis", ["d", "l"])
-@pytest.mark.parametrize("mode", ["bp", "mezo"])
+@pytest.mark.parametrize("mode", ["bp", "bp-ckpt", "mezo"])
 def test_cmd_solve_near_the_largest_float_budget(llama_config, capsys, axis, mode):
     code = main(["solve", "--config", llama_config, "--budget", "1.7e308",
                  "--axis", axis, "--mode", mode])

@@ -8,10 +8,8 @@ import pytest
 from mezofit.memory import (
     ConfigError,
     ModelConfig,
-    ParamCountMode,
     activation_bytes,
     mezo_memory,
-    param_elements,
 )
 from mezofit.model import (
     _GELU_A,
@@ -115,10 +113,16 @@ def test_attention_softmax_rows_sum_to_one(model, params):
     assert np.all(np.abs(p.sum(-1) - 1.0) < 1e-12)
 
 
-def test_param_count_matches_generic_formula(model, params):
-    expected = (param_elements(CFG, ParamCountMode.GENERIC)
-                + (2 * CFG.num_layers + 1) * CFG.hidden_dim)
-    assert len(params) == expected == model.param_count()
+@pytest.mark.parametrize("cfg, F", [(CFG, 64),
+                                    (CFG.replace(num_layers=3, expansion_factor=2.5), 40)],
+                         ids=["ffn-4D", "ffn-2.5D"])
+def test_param_count_matches_a_longhand_count(cfg, F):
+    model = ToyTransformer(cfg)
+    L, D, V = cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
+    # per layer: two norm gains, q/k/v/o and the FFN's two matrices; then the
+    # embedding, the final norm gain and the head
+    expected = L * (2 * D + 4 * D * D + 2 * D * F) + V * D + D + V * D
+    assert model.param_count() == len(model.init_params(0)) == expected
 
 
 def test_toy_config_validation():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -127,7 +128,12 @@ def activation_bytes(cfg: ModelConfig, layers: float | None = None) -> float:
     B, N, D, H, b = (cfg.batch_size, cfg.context_length, cfg.hidden_dim, cfg.num_heads,
                      cfg.bytes_per_param)
     L = cfg.num_layers if layers is None else layers
-    return B * L * N * D * (2 + 16 * b + (2 * b + 1) * N * H / D)
+    elements = B * L * N * D
+    # an exact int for int `layers`; past float max it cannot be converted to
+    # meet the float factor, and the product it would give is inf anyway
+    if elements > sys.float_info.max:
+        return math.inf
+    return elements * (2 + 16 * b + (2 * b + 1) * N * H / D)
 
 
 def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:

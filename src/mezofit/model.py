@@ -443,8 +443,8 @@ class ToyTransformer:
             dx_in, g["norm_attn"][:] = _rmsnorm_backward(dh_pre, c["x_in"], w["norm_attn"])
             dx += dx_in
             # nothing of this layer may outlive it into the next one
-            del c, probs, du, dh2, dx_mid, dctx, dscores, inner, dq4, dk4, dq, dk, dv, h2d, \
-                dh_pre, dx_in
+            del c, w, g, probs, du, dh2, dx_mid, dctx, dscores, inner, dq4, dk4, dq, dk, dv, \
+                h2d, dh_pre, dx_in
 
         np.add.at(g_ends["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss

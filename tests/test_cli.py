@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -393,6 +394,21 @@ def test_cmd_solve_near_the_largest_float_budget(llama_config, capsys, axis, mod
                  "--axis", axis, "--mode", mode])
     err = capsys.readouterr().err
     assert code == 0 and not err or code == 3 and err.count("\n") == 1, (code, err)
+
+
+@pytest.mark.parametrize("mode", ["bp-ckpt", "mezo"])
+def test_cmd_solve_layers_whose_activation_elements_pass_the_largest_float(tmp_path, capsys,
+                                                                          mode):
+    # at batch size 128 the solver's bracket reaches a layer count whose
+    # B*L*N*D is an int past the largest float
+    p = tmp_path / "llama.ini"
+    p.write_text(LLAMA_INI + "batch_size = 128\n")
+    assert main(["solve", "--config", str(p), "--budget", "1.7e308", "--axis", "l",
+                 "--mode", mode, "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    cfg = ModelConfig(**PRESETS["llama2-7b"]).replace(batch_size=128)
+    total = lambda l: memory_for_mode(cfg.replace(num_layers=l), mode).total_bytes
+    assert total(value) <= 1.7e308 < total(value + 1) < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -328,14 +328,26 @@ def test_checkpointed_solver_fits_at_least_the_plain_layers_near_the_largest_flo
     assert got >= max_dimension(budget, LLAMA7B, SweepAxis.L, MemoryMode.BP)
 
 
-@pytest.mark.parametrize("mode", [MemoryMode.MEZO, MemoryMode.BP_CHECKPOINTED])
-def test_solver_fits_the_layers_whose_activations_overflow_before_scaling(mode):
+@pytest.mark.parametrize("mode, batch_size", [(MemoryMode.MEZO, 1), (MemoryMode.MEZO, 64),
+                                              (MemoryMode.BP_CHECKPOINTED, 1),
+                                              (MemoryMode.BP_CHECKPOINTED, 128)])
+def test_solver_fits_the_layers_whose_activations_overflow_before_scaling(mode, batch_size):
     # B*L*N*D*(...) overflows near L = 1.9e299 on LLaMA-7B, before MeZO's
     # stored_layers/L or checkpointing's sqrt(L)/L shrinks it; the weights
-    # alone allow about 4.2e299 (mezo) and 2.1e299 (bp-ckpt) layers
-    got = max_dimension(1.7e308, LLAMA7B, SweepAxis.L, mode)
-    total = lambda l: memory_for_mode(LLAMA7B.replace(num_layers=l), mode).total_bytes
+    # alone allow about 4.2e299 (mezo) and 2.1e299 (bp-ckpt) layers. With the
+    # larger batches the bracket's next layer count takes the exact int
+    # B*L*N*D itself past the largest float.
+    cfg = LLAMA7B.replace(batch_size=batch_size)
+    got = max_dimension(1.7e308, cfg, SweepAxis.L, mode)
+    total = lambda l: memory_for_mode(cfg.replace(num_layers=l), mode).total_bytes
     assert total(got) <= 1.7e308 < total(got + 1) < math.inf
+
+
+def test_activation_bytes_past_the_largest_float_is_inf():
+    # B*N*D = 2^23 on LLaMA-7B: 2^1001 layers make the int element count
+    # 2^1024, and 2^1000 layers a count that converts but overflows the product
+    assert activation_bytes(LLAMA7B, 2 ** 1001) == math.inf
+    assert activation_bytes(LLAMA7B, 2 ** 1000) == math.inf
 
 
 def test_solver_infeasible_budget():

@@ -6,6 +6,10 @@ memory-efficient zeroth-order optimization (MeZO), plus scaling sweeps over
 context length / depth / width and a bisection solver for the largest model
 dimension that fits a byte budget.
 
+One expression gives every mode's total; each mode's activation term is
+`activation_bytes` over the layers it keeps: L under BP, sqrt(L) under
+checkpointed BP and stored_layers under MeZO.
+
 All functions here are pure; no shared mutable state.
 """
 from __future__ import annotations
@@ -48,8 +52,9 @@ class ModelConfig:
 
     ``stored_layers`` is the implementation-specific number of layers' worth
     of activations a MeZO runtime keeps buffered (0 <= stored_layers <=
-    num_layers, fractions allowed). It only scales ``mezo_memory``'s
-    activation term; the desk model's MeZO forward buffers no layer.
+    num_layers, fractions allowed). It is the layer count of
+    ``mezo_memory``'s activation term; the desk model's MeZO forward buffers
+    no layer. No integer field may exceed the largest float.
 
     ``kv_heads`` and ``num_mlps`` enter no analytic total, and the desk model
     accepts only ``kv_heads == num_heads`` and ``num_mlps == 2``.
@@ -77,6 +82,8 @@ class ModelConfig:
             v = getattr(self, field)
             if kind is int and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
                 raise ConfigError(f"{field} must be a positive integer, got {v!r}")
+            if kind is int and v > sys.float_info.max:
+                raise ConfigError(f"{field} must not exceed the largest float")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim must be divisible by num_heads "
@@ -128,64 +135,44 @@ def activation_bytes(cfg: ModelConfig, layers: float | None = None) -> float:
     B, N, D, H, b = (cfg.batch_size, cfg.context_length, cfg.hidden_dim, cfg.num_heads,
                      cfg.bytes_per_param)
     L = cfg.num_layers if layers is None else layers
-    elements = B * L * N * D
-    # an exact int for int `layers`; past float max it cannot be converted to
-    # meet the float factor, and the product it would give is inf anyway
+    elements = B * N * D
+    # an exact int; past float max it cannot meet a float `layers`, and any
+    # layers > 0 make the product inf anyway
+    if elements > sys.float_info.max:
+        return math.inf if L else 0.0
+    elements *= L  # still an exact int for int `layers`
     if elements > sys.float_info.max:
         return math.inf
     return elements * (2 + 16 * b + (2 * b + 1) * N * H / D)
 
 
-def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:
-    """Total training memory under backpropagation with a stateless SGD optimizer.
-
-    Checkpointing rescales the activation term by sqrt(L)/L (real-valued
-    square root; the remaining activations are recomputed on the fly).
-    """
+def memory_for_mode(cfg: ModelConfig, mode: MemoryMode) -> MemoryBreakdown:
+    """Total training memory in one mode with a stateless SGD optimizer:
+    12*b*L*D^2 weight bytes, as many gradient bytes under BP and none under
+    MeZO, 4*b*V*D embedding/head bytes under BP (their gradients included)
+    or 2*b*V*D under MeZO, and `activation_bytes` over the layers the mode
+    keeps: L, sqrt(L) when checkpointed (real-valued; the rest are
+    recomputed on the fly) or stored_layers."""
+    mode = MemoryMode(mode)
     b, L, D, V = cfg.bytes_per_param, cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
+    bp = mode is not MemoryMode.MEZO
     weights = 12 * b * L * D * D
-    gradients = 12 * b * L * D * D
-    embed_head = 4 * b * V * D  # embedding + LM head + their gradients
-    acts = activation_bytes(cfg)
-    if checkpointed:
-        # acts * sqrt(L) overflows before the division for the largest L, and
-        # acts itself for larger L still; each fallback runs only past an
-        # overflow, so no finite total moves
-        scaled = acts * math.sqrt(L)
-        if math.isfinite(scaled):
-            acts = scaled / L
-        elif math.isfinite(acts):
-            acts /= math.sqrt(L)
-        else:
-            acts = activation_bytes(cfg, math.sqrt(L))
-    mode = MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP
+    gradients = weights if bp else 0.0
+    embed_head = (4 if bp else 2) * b * V * D
+    acts = activation_bytes(cfg, {MemoryMode.BP: L, MemoryMode.BP_CHECKPOINTED: math.sqrt(L),
+                                  MemoryMode.MEZO: cfg.stored_layers}[mode])
     return MemoryBreakdown(weights, gradients, embed_head, acts,
                            weights + gradients + embed_head + acts, mode)
 
 
+def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:
+    """`memory_for_mode` under BP, checkpointed or not."""
+    return memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP)
+
+
 def mezo_memory(cfg: ModelConfig) -> MemoryBreakdown:
-    """Total training memory under MeZO: no gradients, no head gradients,
-    and only stored_layers/num_layers of the activation term buffered."""
-    b, L, D, V = cfg.bytes_per_param, cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
-    weights = 12 * b * L * D * D
-    embed_head = 2 * b * V * D
-    acts = activation_bytes(cfg)
-    # for the largest L the full product overflows before the stored_layers/L
-    # scaling; only then are stored_layers layers taken directly, so no finite
-    # total moves
-    acts = ((cfg.stored_layers / L) * acts if math.isfinite(acts)
-            else activation_bytes(cfg, cfg.stored_layers))
-    return MemoryBreakdown(weights, 0.0, embed_head, acts,
-                           weights + embed_head + acts, MemoryMode.MEZO)
-
-
-def memory_for_mode(cfg: ModelConfig, mode: MemoryMode) -> MemoryBreakdown:
-    mode = MemoryMode(mode)
-    if mode is MemoryMode.BP:
-        return bp_memory(cfg, checkpointed=False)
-    if mode is MemoryMode.BP_CHECKPOINTED:
-        return bp_memory(cfg, checkpointed=True)
-    return mezo_memory(cfg)
+    """`memory_for_mode` under MeZO."""
+    return memory_for_mode(cfg, MemoryMode.MEZO)
 
 
 def memory_ratio(cfg: ModelConfig, checkpointed: bool = False) -> float:

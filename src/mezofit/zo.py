@@ -181,13 +181,17 @@ def generate_noise(seed: PerturbationSeed, length: int) -> np.ndarray:
         release_philox(gen)
 
 
-def iter_noise_chunks(seed: PerturbationSeed, length: int,
-                      chunk: int = DEFAULT_CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (offset, block) pieces of the stream without holding it whole."""
+def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_CHUNK,
+                      out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (offset, block) pieces of the stream without holding it whole.
+
+    With `out` (at least min(chunk, length) floats) each block is drawn into
+    a view of it, which the next step overwrites."""
     gen = keyed_philox(seed.seed, seed.stream_index)
     try:
         for start in range(0, length, chunk):
-            yield start, gen.standard_normal(min(chunk, length - start))
+            m = min(chunk, length - start)
+            yield start, gen.standard_normal(m, out=None if out is None else out[:m])
     finally:
         release_philox(gen)
 
@@ -249,19 +253,11 @@ class _Stream:
         self.sign, self.undo = 0.0, {}
 
     def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (offset, z) over the stream from its start: the kept noise,
-        or chunks generated into `buf`, which each step overwrites."""
+        """(offset, z) over the stream from its start: the kept noise, or
+        chunks generated into `buf`, which each step overwrites."""
         if self.kept is not None:
-            yield 0, self.kept
-            return
-        gen = keyed_philox(self.seed.seed, self.seed.stream_index)
-        try:
-            for start in range(0, self.size, self.chunk):
-                z = buf[:min(self.chunk, self.size - start)]
-                gen.standard_normal(out=z)
-                yield start, z
-        finally:
-            release_philox(gen)
+            return iter(((0, self.kept),))
+        return iter_noise_chunks(self.seed, self.size, self.chunk, buf)
 
     def shift(self, values: np.ndarray, epsilon: float, sign: float) -> None:
         """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
@@ -392,10 +388,9 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
     grad, loss = loss_and_grad_fn(theta)
     if not np.isfinite(loss):
         raise NonfiniteLossError(f"loss is {loss}")
-    gvals = grad.values if isinstance(grad, ParameterVector) else np.asarray(grad)
-    if gvals.shape != theta.values.shape:
+    if grad.values.shape != theta.values.shape:
         raise ValueError("gradient and parameter shapes differ")
-    if not np.all(np.isfinite(gvals)):
+    if not np.all(np.isfinite(grad.values)):
         raise NonfiniteGradError("gradient contains NaN/Inf")
-    theta.values -= eta * gvals
+    theta.values -= eta * grad.values
     return theta

@@ -411,6 +411,20 @@ def test_cmd_solve_layers_whose_activation_elements_pass_the_largest_float(tmp_p
     assert total(value) <= 1.7e308 < total(value + 1) < math.inf
 
 
+@pytest.mark.parametrize("command", [["plan"], ["solve", "--budget", "80GB", "--axis", "d"]],
+                         ids=["plan", "solve"])
+@pytest.mark.parametrize("mode", ["bp", "bp-ckpt", "mezo"])
+@pytest.mark.parametrize("field, value", [("num_layers", 10 ** 320), ("batch_size", 10 ** 400)],
+                         ids=["num_layers", "batch_size"])
+def test_an_integer_past_the_largest_float_exits_2_with_one_line(tmp_path, capsys, command,
+                                                                   mode, field, value):
+    p = tmp_path / "llama.ini"
+    p.write_text(f"{LLAMA_INI}{field} = {value}\n")
+    assert main([*command, "--config", str(p), "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # train command
 # ---------------------------------------------------------------------------

@@ -350,6 +350,54 @@ def test_activation_bytes_past_the_largest_float_is_inf():
     assert activation_bytes(LLAMA7B, 2 ** 1000) == math.inf
 
 
+def test_each_mode_keeps_activation_bytes_over_its_layers():
+    # one formula: the activation term is activation_bytes over L, sqrt(L)
+    # or stored_layers layers, bit for bit, for layer counts of any size
+    import random
+    rng = random.Random(14)
+    for _ in range(2000):
+        H = rng.choice([1, 2, 4, 8, 16])
+        L = rng.randint(1, 10 ** rng.randint(1, 300))
+        cfg = ModelConfig(context_length=rng.randint(1, 8192), num_layers=L,
+                          hidden_dim=H * rng.randint(1, 256), num_heads=H,
+                          vocab_size=rng.randint(1, 64000), batch_size=rng.randint(1, 128),
+                          bytes_per_param=rng.choice([0.5, 1.0, 2.0, 4.0]),
+                          stored_layers=rng.uniform(0, min(L, 64)))
+        for mode, kept in ((MemoryMode.BP, L), (MemoryMode.BP_CHECKPOINTED, math.sqrt(L)),
+                           (MemoryMode.MEZO, cfg.stored_layers)):
+            assert memory_for_mode(cfg, mode).activations_bytes == activation_bytes(cfg, kept)
+
+
+def test_mezo_activation_term_does_not_depend_on_num_layers():
+    cfg = LLAMA7B.replace(context_length=1000, stored_layers=0.7)
+    acts = {mezo_memory(cfg.replace(num_layers=L)).activations_bytes
+            for L in (1, 3, 1000, 10 ** 300)}
+    assert len(acts) == 1
+
+
+@pytest.mark.parametrize("mode", [m.value for m in MemoryMode])
+def test_a_batch_past_the_largest_float_totals_inf(mode):
+    # B*N*D is an int past the largest float; in bp-ckpt and mezo it meets a
+    # float layer count
+    cfg = LLAMA7B.replace(batch_size=10 ** 305)
+    assert memory_for_mode(cfg, mode).total_bytes == math.inf
+
+
+def test_mezo_storing_no_layer_keeps_no_activations_at_any_batch():
+    m = mezo_memory(LLAMA7B.replace(stored_layers=0.0, batch_size=10 ** 305))
+    assert m.activations_bytes == 0.0
+    assert m.total_bytes == m.weights_bytes + m.embedding_head_bytes
+
+
+def test_config_rejects_an_integer_past_the_largest_float():
+    good = dict(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
+                vocab_size=10)
+    for field in ("context_length", "num_layers", "hidden_dim", "num_heads", "vocab_size",
+                  "kv_heads", "num_mlps", "batch_size"):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{**good, field: 10 ** 309})
+
+
 def test_solver_infeasible_budget():
     with pytest.raises(InfeasibleError):
         max_dimension(1.0, LLAMA7B, SweepAxis.D, MemoryMode.MEZO)

@@ -77,6 +77,12 @@ def test_noise_chunked_equals_whole():
     assert np.array_equal(whole, parts)
     sizes = [z.size for _, z in iter_noise_chunks(s, 10_000, chunk=333)]
     assert max(sizes) == 333
+    out = np.empty(333)
+    drawn = []
+    for _, z in iter_noise_chunks(s, 10_000, chunk=333, out=out):
+        assert z.base is out
+        drawn.append(z.copy())
+    assert np.concatenate(drawn).tobytes() == whole.tobytes()
 
 
 def test_noise_streams_are_distinct_and_uncorrelated():

@@ -17,7 +17,7 @@ import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig, bp_memory, mezo_memory
 from mezofit.model import ToyTransformer, loss_from_logits
-from mezofit.tasks import ToyTask
+from mezofit.tasks import EVAL_INDEX_BASE, ToyTask
 from mezofit.zo import (
     NonfiniteGradError,
     NonfiniteLossError,
@@ -50,6 +50,11 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.steps < 0 or self.eval_every < 1:
             raise ConfigError("steps must be >= 0 and eval_every >= 1")
+        batch = max(self.bp_model.batch_size, self.mezo_model.batch_size)
+        if self.steps * batch > EVAL_INDEX_BASE:  # train indices must stay below eval's
+            raise ConfigError(
+                f"steps * batch_size = {self.steps} * {batch} train samples is more "
+                f"than the {EVAL_INDEX_BASE} train indices below the eval split")
         for name in ("lr_grid_bp", "lr_grid_mezo"):
             grid = getattr(self, name)
             if not grid or not all(0 <= lr < np.inf for lr in grid):  # NaN fails too

@@ -6,9 +6,12 @@ reproducible. Target grids use -1 for positions excluded from the loss.
 
 A sample draws from a Philox keyed by (task seed, index) through
 `zo.keyed_philox`, which rewinds a spare generator instead of building one.
-The next-token chain's successor table depends only on (seed, vocab_size),
-so it is built once per pair and memoised; its arrays are read-only, so no
-caller can change what later samples see.
+`ToyTask.batch` is the one code path, and `sample` is a one-row batch: each
+row makes only its own keyed draws, and the rest (the successor chain, the
+separator, copy, marker and answer columns, the targets) runs once across
+the whole batch. The next-token chain's successor table depends only on
+(seed, vocab_size), so it is built once per pair and memoised; its arrays
+are read-only, so no caller can change what later samples see.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from mezofit.memory import ConfigError
 from mezofit.zo import keyed_philox, release_philox, splitmix64
 
-_EVAL_INDEX_BASE = 1 << 40  # train uses [0, 2^40), eval starts here
+EVAL_INDEX_BASE = 1 << 40  # train uses [0, 2^40), eval starts here
 _TABLE_SALT = 0x6D61726B   # keys the next-token successor table
 _SAMPLE_SALT = 0x73616D70  # keys each sample's draws
 
@@ -81,43 +84,53 @@ class ToyTask:
                                   "(answers 0/1, marker, question tokens)")
 
     def sample(self, index: int, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-        """One (tokens, targets) pair, each of length seq_len."""
-        if split not in ("train", "eval"):
-            raise ValueError(f"split must be train or eval, got {split!r}")
-        idx = index + (_EVAL_INDEX_BASE if split == "eval" else 0)
-        gen = keyed_philox(splitmix64(self.seed ^ _SAMPLE_SALT), idx)
-        tokens = np.empty(self.seq_len, dtype=np.int64)
-        targets = np.full(self.seq_len, -1, dtype=np.int64)
-
-        if self.kind is TaskKind.SEQUENCE_COPY:
-            p = (self.seq_len - 1) // 2
-            pattern = gen.integers(1, self.vocab_size, size=p)
-            tokens[:p] = pattern
-            tokens[p] = SEP_TOKEN
-            tokens[p + 1:] = pattern
-            targets[p:-1] = pattern  # from the separator on, predict the copy
-        elif self.kind is TaskKind.NEXT_TOKEN_SYNTHETIC:
-            succ = _markov_table(self.seed, self.vocab_size)
-            tokens[0] = gen.integers(0, self.vocab_size)
-            choices = _SUCCESSOR_CDF.searchsorted(gen.random(self.seq_len - 1), side="right")
-            for i in range(1, self.seq_len):
-                tokens[i] = succ[tokens[i - 1], choices[i - 1]]
-            targets[:-1] = tokens[1:]
-        else:  # BINARY_QA_SYNTHETIC
-            q_len = self.seq_len - 2
-            q = gen.integers(3, self.vocab_size, size=q_len)
-            tokens[:q_len] = q
-            tokens[q_len] = QMARK_TOKEN
-            answer = int((q[0] + q[-1]) % 2)
-            tokens[q_len + 1] = answer
-            targets[q_len] = answer  # the marker position predicts the answer
-        release_philox(gen)
-        return tokens, targets
+        """One (tokens, targets) pair, each of length seq_len: row 0 of a
+        one-row batch."""
+        tokens, targets = self.batch((index,), split)
+        return tokens[0], targets[0]
 
     def batch(self, indices, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-        pairs = [self.sample(i, split) for i in indices]
-        tokens = np.stack([t for t, _ in pairs])
-        targets = np.stack([y for _, y in pairs])
+        """(tokens, targets) of the samples at `indices` (a sized sequence of
+        at least one integer), each array of shape (len(indices), seq_len)."""
+        if split not in ("train", "eval"):
+            raise ValueError(f"split must be train or eval, got {split!r}")
+        n, L, V = len(indices), self.seq_len, self.vocab_size
+        if n == 0:
+            raise ValueError("a batch needs at least one index")
+        key = splitmix64(self.seed ^ _SAMPLE_SALT)
+        base = EVAL_INDEX_BASE if split == "eval" else 0
+        kind = self.kind
+        tokens = np.empty((n, L), dtype=np.int64)
+        targets = np.full((n, L), -1, dtype=np.int64)
+        u = np.empty((n, L - 1))  # next-token successor draws
+        p, q_len = (L - 1) // 2, L - 2  # copy pattern, qa question lengths
+
+        for r, index in enumerate(indices):  # each row's keyed draws, in order
+            gen = keyed_philox(key, index + base)
+            if kind is TaskKind.NEXT_TOKEN_SYNTHETIC:
+                tokens[r, 0] = gen.integers(0, V)
+                gen.random(out=u[r])
+            elif kind is TaskKind.SEQUENCE_COPY:
+                tokens[r, :p] = gen.integers(1, V, size=p)
+            else:
+                tokens[r, :q_len] = gen.integers(3, V, size=q_len)
+            release_philox(gen)
+
+        if kind is TaskKind.NEXT_TOKEN_SYNTHETIC:
+            succ = _markov_table(self.seed, V)
+            choices = _SUCCESSOR_CDF.searchsorted(u, side="right")
+            for i in range(1, L):  # one step of the chain for every row at once
+                tokens[:, i] = succ[tokens[:, i - 1], choices[:, i - 1]]
+            targets[:, :-1] = tokens[:, 1:]
+        elif kind is TaskKind.SEQUENCE_COPY:
+            tokens[:, p] = SEP_TOKEN
+            tokens[:, p + 1:] = tokens[:, :p]
+            targets[:, p:-1] = tokens[:, :p]  # from the separator on, predict the copy
+        else:  # BINARY_QA_SYNTHETIC
+            tokens[:, q_len] = QMARK_TOKEN
+            answer = (tokens[:, 0] + tokens[:, q_len - 1]) % 2
+            tokens[:, q_len + 1] = answer
+            targets[:, q_len] = answer  # the marker position predicts the answer
         return tokens, targets
 
     def eval_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -212,9 +213,11 @@ class ZOConfig:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if not (isinstance(self.num_perturbations, int) and self.num_perturbations >= 1):
+        if not (isinstance(self.num_perturbations, int)
+                and 1 <= self.num_perturbations <= sys.maxsize):
             raise ConfigError(
-                f"num_perturbations must be a positive integer, got {self.num_perturbations!r}")
+                f"num_perturbations must be an integer in [1, {sys.maxsize}], "
+                f"got {self.num_perturbations!r}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -85,6 +86,25 @@ def test_plan_requires_larger_mezo_model():
         make_plan(mezo_model=BP_CFG.replace(stored_layers=0.0),
                   bp_model=MEZO_CFG.replace(stored_layers=0.0),
                   budget_bytes=1e12)
+
+
+@pytest.mark.parametrize("bp_batch, mezo_batch", [(16, 16), (16, 8), (8, 16)])
+def test_plan_refuses_train_samples_that_reach_the_eval_split(bp_batch, mezo_batch):
+    # train indices are [0, 2^40); a run draws steps * batch_size of them.
+    # The models are the matched pair of perfbench/train_matched.ini.
+    mezo = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
+                       vocab_size=8, batch_size=mezo_batch, stored_layers=0.25)
+    bp = mezo.replace(context_length=4, hidden_dim=8, batch_size=bp_batch, stored_layers=1.0)
+    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=8, seq_len=8, seed=0)
+    plan = lambda steps: make_plan(steps=steps, bp_model=bp, mezo_model=mezo, task=task,
+                                   budget_bytes=26624.0)
+    if bp_batch == mezo_batch:
+        assert plan(2 ** 40 // 16).steps == 2 ** 40 // 16
+    steps = 2 ** 40 // 16 + 1
+    with pytest.raises(ConfigError, match=re.escape(
+            f"steps * batch_size = {steps} * 16 train samples is more than the "
+            f"{2 ** 40} train indices")):
+        plan(steps)
 
 
 # ---------------------------------------------------------------------------

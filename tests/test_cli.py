@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -137,6 +138,14 @@ def test_parse_plan_missing_key():
     broken = TINY_PLAN.replace("steps = 4\n", "")
     with pytest.raises(ConfigError, match="steps"):
         parse_plan(broken, is_text=True)
+
+
+def test_parse_plan_bounds_num_perturbations_by_sys_maxsize():
+    plan = TINY_PLAN.replace("num_perturbations = 2", "num_perturbations = {}")
+    assert parse_plan(plan.format(sys.maxsize), is_text=True).zo.num_perturbations == sys.maxsize
+    for n in (sys.maxsize + 1, 10 ** 320):
+        with pytest.raises(ConfigError, match="num_perturbations must be an integer in"):
+            parse_plan(plan.format(n), is_text=True)
 
 
 def test_parse_budget_suffixes(llama_config, capsys):
@@ -476,7 +485,10 @@ def test_cmd_train_steps_zero(tmp_path, capsys):
     ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = inf"),
     ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = 1e308"),
     ("mezo_hidden_dim = 16", "mezo_hidden_dim = 16\nmezo_expansion_factor = 1e6"),
-], ids=["nan-budget", "negative-lr", "nan-lr", "inf-lr", "inf-ffn", "1e308-ffn", "1e6-ffn"])
+    ("steps = 4", f"steps = {10 ** 320}"),
+    ("num_perturbations = 2", f"num_perturbations = {10 ** 320}"),
+], ids=["nan-budget", "negative-lr", "nan-lr", "inf-lr", "inf-ffn", "1e308-ffn", "1e6-ffn",
+        "1e320-steps", "1e320-perturbations"])
 def test_cmd_train_rejects_a_bad_plan_before_training(tmp_path, capsys, old, new):
     plan_path = tmp_path / "plan.ini"
     plan_path.write_text(TINY_PLAN.replace(old, new))

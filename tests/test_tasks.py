@@ -119,6 +119,44 @@ def test_batches_match_golden_hashes(spec):
         assert got == want, split
 
 
+# sha256 of batch(indices) as above, recorded when every sample was built on
+# its own and the batch stacked them: the train-matched step's shape, the
+# step-mid task, and duplicate, unordered indices
+GOLDEN_INDEXED_BATCHES = {
+    (TaskKind.NEXT_TOKEN_SYNTHETIC, 8, 8, 0, range(6384, 6400)): (
+        "d10c752ee8198f9a373d44673fdffbd1b0168e4266148085465c54ff31760fe4",
+        "cf7b42a18d1bdb5eaf5981e72d574182a55854bc6d57f3cd4cda351a743f6782"),
+    (TaskKind.NEXT_TOKEN_SYNTHETIC, 256, 64, 11, range(8)): (
+        "9f166f3453bf005c4e898bc6f3ce7c63310a8755184ba0e7926c5bf7863122a3",
+        "5634d8fe148b5da8b473ab5e5d98c615feef839ba3f5ab9aa7fd85fda7a14ae6"),
+    (TaskKind.SEQUENCE_COPY, 16, 9, 42, (7, 3, 7, 0)): (
+        "e5e09981247fa1e51d0c46229f3f97cf06d64a50ff645947c5e59af0cfa9c26c",
+        "3648f9af90ba284bdc5db545609a261b759f5a403b6fc33725c29ed34aa9b2c7"),
+    (TaskKind.BINARY_QA_SYNTHETIC, 32, 10, 7, (7, 3, 7, 0)): (
+        "b83d287d1e27c64cd110675388e53542482cb80c961634af8714bd5a26aae0ef",
+        "194e2ed1f060854b04c5bc6d7cf407fbe25ab264111993cbafdac7ac1a9f8b15"),
+}
+
+
+@pytest.mark.parametrize("spec", GOLDEN_INDEXED_BATCHES,
+                         ids=["train-matched", "step-mid", "copy-repeats", "qa-repeats"])
+def test_indexed_batches_match_golden_hashes(spec):
+    *task_spec, indices = spec
+    task = ToyTask(*task_spec)
+    for split, want in zip(("train", "eval"), GOLDEN_INDEXED_BATCHES[spec]):
+        tokens, targets = task.batch(indices, split)
+        got = hashlib.sha256(tokens.astype("<i8").tobytes()
+                             + targets.astype("<i8").tobytes()).hexdigest()
+        assert got == want, split
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_an_empty_batch_raises_value_error(kind):
+    task = ToyTask(kind, vocab_size=8, seq_len=7, seed=2)
+    with pytest.raises(ValueError, match="at least one index"):
+        task.batch([])
+
+
 def test_binary_qa_structure_and_balance():
     task = ToyTask(TaskKind.BINARY_QA_SYNTHETIC, vocab_size=32, seq_len=10, seed=7)
     answers = []

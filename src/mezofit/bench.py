@@ -65,7 +65,6 @@ class ExperimentPlan:
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "
                 f"{mezo_total:.4g} B against a budget of {self.budget_bytes:.4g} B")
-        # the analytic totals count 12*L*D^2 layer weights whatever the FFN width
         counts = {}
         for name, cfg in (("BP", self.bp_model), ("MeZO", self.mezo_model)):
             counts[name] = ToyTransformer(cfg).param_count()

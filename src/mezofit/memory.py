@@ -54,13 +54,8 @@ class ModelConfig:
     of activations a MeZO runtime keeps buffered (0 <= stored_layers <=
     num_layers, fractions allowed). It is the layer count of
     ``mezo_memory``'s activation term; the desk model's MeZO forward buffers
-    no layer. No integer field may exceed the largest float.
-
-    ``kv_heads`` and ``num_mlps`` enter no analytic total, and the desk model
+    no layer. No integer field may exceed the largest float. The desk model
     accepts only ``kv_heads == num_heads`` and ``num_mlps == 2``.
-    ``expansion_factor`` sets only the desk model's FFN width
-    (hidden_dim * expansion_factor); the totals assume 12*L*D^2 layer
-    weights whatever it is.
     """
 
     context_length: int
@@ -88,10 +83,11 @@ class ModelConfig:
             raise ConfigError(
                 f"hidden_dim must be divisible by num_heads "
                 f"({self.hidden_dim} % {self.num_heads} != 0)")
-        if not self.bytes_per_param > 0:
-            raise ConfigError(f"bytes_per_param must be > 0, got {self.bytes_per_param!r}")
-        if not self.expansion_factor > 0:
-            raise ConfigError(f"expansion_factor must be > 0, got {self.expansion_factor!r}")
+        if self.num_heads % self.kv_heads != 0:
+            raise ConfigError(f"kv_heads must divide num_heads {self.num_heads}, got {self.kv_heads}")
+        for field in ("bytes_per_param", "expansion_factor"):
+            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+                raise ConfigError(f"{field} must be finite and > 0, got {getattr(self, field)!r}")
         if not 0 <= self.stored_layers <= self.num_layers:
             raise ConfigError(
                 f"stored_layers must lie in [0, num_layers], got "
@@ -122,16 +118,23 @@ class MemoryBreakdown:
         return d
 
 
-def param_elements(cfg: ModelConfig) -> int:
-    """Trainable-element count 12*L*D^2 + 2*V*D, the one the byte formulas
-    below use (norm gains excluded, they are negligible)."""
+def _kv_and_ffn(cfg: ModelConfig) -> float:
+    """2*k/H + m*e: a layer's keys, values and FFN matrices, in D^2 weights or B*N*D activations."""
+    return 2 * cfg.kv_heads / cfg.num_heads + cfg.num_mlps * cfg.expansion_factor
+
+
+def param_elements(cfg: ModelConfig) -> float:
+    """Trainable elements w*L*D^2 + 2*V*D, w = 2 + 2*k/H + m*e (12 by default): query,
+    output, the k-of-H-heads key and value, and the m FFN matrices of width e*D per
+    layer, then the embedding and head; norm gains are negligible and left out."""
     L, D, V = cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
-    return 12 * L * D * D + 2 * V * D
+    return (2 + _kv_and_ffn(cfg)) * L * D * D + 2.0 * V * D
 
 
 def activation_bytes(cfg: ModelConfig, layers: float | None = None) -> float:
     """Bytes of cached activations for a full-backprop forward pass through
-    `layers` layers (all num_layers of them by default)."""
+    `layers` layers (all num_layers by default): B*N*D*layers elements times
+    2 + b*(6 + 2*k/H + m*e) + (2*b + 1)*N*H/D, a bracket of 16*b by default."""
     B, N, D, H, b = (cfg.batch_size, cfg.context_length, cfg.hidden_dim, cfg.num_heads,
                      cfg.bytes_per_param)
     L = cfg.num_layers if layers is None else layers
@@ -143,20 +146,20 @@ def activation_bytes(cfg: ModelConfig, layers: float | None = None) -> float:
     elements *= L  # still an exact int for int `layers`
     if elements > sys.float_info.max:
         return math.inf
-    return elements * (2 + 16 * b + (2 * b + 1) * N * H / D)
+    return elements * (2 + (6 + _kv_and_ffn(cfg)) * b + (2 * b + 1) * N * H / D)
 
 
 def memory_for_mode(cfg: ModelConfig, mode: MemoryMode) -> MemoryBreakdown:
     """Total training memory in one mode with a stateless SGD optimizer:
-    12*b*L*D^2 weight bytes, as many gradient bytes under BP and none under
-    MeZO, 4*b*V*D embedding/head bytes under BP (their gradients included)
-    or 2*b*V*D under MeZO, and `activation_bytes` over the layers the mode
-    keeps: L, sqrt(L) when checkpointed (real-valued; the rest are
-    recomputed on the fly) or stored_layers."""
+    w*b*L*D^2 weight bytes (w as in `param_elements`), as many gradient bytes
+    under BP and none under MeZO, 4*b*V*D embedding/head bytes under BP
+    (their gradients included) or 2*b*V*D under MeZO, and `activation_bytes`
+    over the layers the mode keeps: L, sqrt(L) when checkpointed (real-valued;
+    the rest are recomputed on the fly) or stored_layers."""
     mode = MemoryMode(mode)
     b, L, D, V = cfg.bytes_per_param, cfg.num_layers, cfg.hidden_dim, cfg.vocab_size
     bp = mode is not MemoryMode.MEZO
-    weights = 12 * b * L * D * D
+    weights = (2 + _kv_and_ffn(cfg)) * b * L * D * D
     gradients = weights if bp else 0.0
     embed_head = (4 if bp else 2) * b * V * D
     acts = activation_bytes(cfg, {MemoryMode.BP: L, MemoryMode.BP_CHECKPOINTED: math.sqrt(L),
@@ -270,9 +273,9 @@ def max_dimension(budget_bytes: float, cfg: ModelConfig, free_axis: SweepAxis,
             f"admissible {field} = {vmin}")
 
     # exponential growth to bracket, then bisection on the unit index. The
-    # weights alone, 12 * bytes_per_param * L * D^2 bytes, overrun the budget
-    # once the axis value passes budget / bytes_per_param, so a unit index
-    # above `top` needs no evaluation to bracket.
+    # weights alone, w * bytes_per_param * L * D^2 bytes with w > 2, overrun
+    # the budget once the axis value passes budget / bytes_per_param, so a
+    # unit index above `top` needs no evaluation to bracket.
     top = budget_bytes / cfg.bytes_per_param / step
     lo, hi = umin, umin * 2
     while hi <= top and total(hi) <= budget_bytes:

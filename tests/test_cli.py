@@ -128,10 +128,12 @@ def test_bundled_desk_plan_loads():
 
 
 def test_parse_plan_refuses_weights_over_the_budget():
-    # the analytic totals ignore the FFN width; a 1e6 expansion gives the
-    # MeZO model about 1e9 parameters under a 20,032 B budget
-    with pytest.raises(ConfigError, match="MeZO model's 1024002640 weights"):
-        parse_plan(TINY_PLAN + "mezo_expansion_factor = 1e6\n", is_text=True)
+    # storing no activations, the MeZO total is its 6656 counted weights at
+    # 2 B, 13,312 B; with the 80 norm gains the totals leave out, its 6736
+    # weights need 13,472 B and overrun the 13,400 B budget
+    plan = TINY_PLAN.replace("mezo_stored_layers = 0.2", "mezo_stored_layers = 0")
+    with pytest.raises(ConfigError, match="MeZO model's 6736 weights alone exceed"):
+        parse_plan(plan + "bp_batch_size = 4\nbudget_bytes = 13400\n", is_text=True)
 
 
 def test_parse_plan_missing_key():
@@ -432,6 +434,19 @@ def test_an_integer_past_the_largest_float_exits_2_with_one_line(tmp_path, capsy
     assert main([*command, "--config", str(p), "--mode", mode]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [["plan", "--mode", "bp"],
+                                     ["sweep", "--axis", "n", "--from", "1", "--to", "8",
+                                      "--points", "2"]], ids=["plan", "sweep"])
+@pytest.mark.parametrize("field", ["bytes_per_param", "expansion_factor"])
+def test_an_infinite_float_exits_2_with_one_line(tmp_path, capsys, command, field):
+    p = tmp_path / "llama.ini"
+    p.write_text(f"{LLAMA_INI}{field} = inf\n")
+    assert main([*command, "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} ") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

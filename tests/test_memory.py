@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +50,18 @@ def spreadsheet_mezo_total(B, L, N, D, H, b, V, Lp):
 def test_param_elements_7b():
     # 12*32*4096^2 + 2*32000*4096, evaluated by hand
     assert param_elements(LLAMA7B) == 6_704_594_944
+
+
+def test_param_elements_llama2_7b_longhand():
+    # a gated FFN: three 4096 x 11008 matrices per layer, e = 11008/4096
+    llama2 = LLAMA7B.replace(num_mlps=3, expansion_factor=2.6875)
+    # 32*(2*4096^2 + 2*4096^2 + 3*4096*11008) + 2*32000*4096
+    assert param_elements(llama2) == 6_738_149_376
+    # plus 32 layers' two norm gains and the final one, 65*4096 = 266,240, is
+    # Llama 2 7B's published count
+    assert param_elements(llama2) + 65 * 4096 == 6_738_415_616
+    # grouped-query keys and values, 8 of 32 heads: 32*(2 + 2/4)*4096^2 fewer
+    assert param_elements(llama2.replace(kv_heads=8)) == 5_932_843_008
 
 
 def test_param_elements_all_ones():
@@ -137,6 +151,56 @@ def test_totals_match_spreadsheet_on_random_configs():
             spreadsheet_bp_total(*args, ckpt=True), rel=1e-12)
         assert mezo_memory(cfg).total_bytes == pytest.approx(
             spreadsheet_mezo_total(*args, Lp=cfg.stored_layers), rel=1e-12)
+
+
+def frozen_12_16_breakdown(cfg, mode):
+    """The totals as they were before kv_heads, num_mlps and expansion_factor
+    entered them: 12*b*L*D^2 weights and a 16*b activation bracket. Kept as
+    written then, operation order and overflow guards included."""
+    B, N, D, H, b = (cfg.batch_size, cfg.context_length, cfg.hidden_dim, cfg.num_heads,
+                     cfg.bytes_per_param)
+    L, V = cfg.num_layers, cfg.vocab_size
+    layers = {MemoryMode.BP: L, MemoryMode.BP_CHECKPOINTED: math.sqrt(L),
+              MemoryMode.MEZO: cfg.stored_layers}[mode]
+    elements = B * N * D
+    if elements > sys.float_info.max:
+        acts = math.inf if layers else 0.0
+    elif elements * layers > sys.float_info.max:
+        acts = math.inf
+    else:
+        acts = elements * layers * (2 + 16 * b + (2 * b + 1) * N * H / D)
+    bp = mode is not MemoryMode.MEZO
+    weights = 12 * b * L * D * D
+    gradients = weights if bp else 0.0
+    embed_head = (4 if bp else 2) * b * V * D
+    return weights, gradients, embed_head, acts, weights + gradients + embed_head + acts
+
+
+def test_default_knob_totals_match_the_frozen_12_16_formula_bit_for_bit():
+    # 20,000 valid random configs per mode at the default kv_heads, num_mlps
+    # and expansion_factor, with sizes from 1 up to near the largest float
+    rng = random.Random(16)
+    mismatches, checked = [], 0
+    while checked < 20_000:
+        scale = rng.choice((4, 16, 150, 308))
+        size = lambda: int(10 ** rng.uniform(0, scale))
+        L, H = size(), rng.choice((1, 2, 3, 32, size()))
+        fields = dict(context_length=size(), num_layers=L, hidden_dim=H * size(), num_heads=H,
+                      vocab_size=size(), batch_size=size(),
+                      bytes_per_param=rng.choice((1.0, 2.0, 4.0, 10 ** rng.uniform(-3, scale))),
+                      stored_layers=rng.choice((0.0, 1.0, rng.uniform(0, 1) * L)))
+        try:
+            cfg = ModelConfig(**fields)
+        except ConfigError:  # a field past the largest float, or stored_layers > L
+            continue
+        checked += 1
+        for mode in MemoryMode:
+            m = memory_for_mode(cfg, mode)
+            got = (m.weights_bytes, m.gradients_bytes, m.embedding_head_bytes,
+                   m.activations_bytes, m.total_bytes)
+            if repr(got) != repr(frozen_12_16_breakdown(cfg, mode)):  # NaN- and sign-exact
+                mismatches.append((fields, mode))
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +493,15 @@ def test_config_rejects_bad_values():
         ModelConfig(**good, stored_layers=3.0)
     with pytest.raises(ConfigError, match="bytes_per_param"):
         ModelConfig(**good, bytes_per_param=0.0)
+    for field in ("bytes_per_param", "expansion_factor"):
+        for value in (math.inf, math.nan, -1.0):
+            with pytest.raises(ConfigError, match=field):
+                ModelConfig(**good, **{field: value})
+    # kv_heads must divide num_heads = 4, so nothing above it either
+    for kv_heads in (3, 8, 64):
+        with pytest.raises(ConfigError, match="kv_heads must divide num_heads"):
+            ModelConfig(**good, kv_heads=kv_heads)
+    assert ModelConfig(**good, kv_heads=2).kv_heads == 2
     with pytest.raises(ConfigError, match="context_length"):
         ModelConfig(**{**good, "context_length": 2.5})
 

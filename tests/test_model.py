@@ -10,6 +10,7 @@ from mezofit.memory import (
     ModelConfig,
     activation_bytes,
     mezo_memory,
+    param_elements,
 )
 from mezofit.model import (
     _GELU_A,
@@ -123,6 +124,8 @@ def test_param_count_matches_a_longhand_count(cfg, F):
     # embedding, the final norm gain and the head
     expected = L * (2 * D + 4 * D * D + 2 * D * F) + V * D + D + V * D
     assert model.param_count() == len(model.init_params(0)) == expected
+    # the analytic count is the same layout less the 2L + 1 norm gains
+    assert param_elements(cfg) == expected - (2 * L + 1) * D
 
 
 def test_toy_config_validation():
@@ -361,8 +364,9 @@ def test_bp_cache_scaling_laws(doubled, ratios):
         CFG.num_layers * [ratios]
 
 
-@pytest.mark.parametrize("changes", [{}, dict(context_length=16), dict(hidden_dim=32)],
-                         ids=["base", "2N", "2D"])
+@pytest.mark.parametrize("changes", [{}, dict(context_length=16), dict(hidden_dim=32),
+                                     *(dict(expansion_factor=e) for e in (1.0, 2.0, 8.0))],
+                         ids=["base", "2N", "2D", "ffn-1D", "ffn-2D", "ffn-8D"])
 def test_bp_cache_within_activation_bytes(changes):
     cfg = CFG.replace(**changes)
     assert cache_bytes(bp_cache(cfg)) <= activation_bytes(cfg.replace(bytes_per_param=8.0))

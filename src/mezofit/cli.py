@@ -4,7 +4,7 @@
     mezofit sweep  --config FILE --axis {n,l,d} --from A --to B --points K [--ckpt] [--out FILE]
     mezofit solve  --config FILE --budget BYTES[GB|GiB] --axis {d,l} --mode MODE [--json]
     mezofit train  --plan FILE|desk --out DIR [--progress]
-    mezofit verify [--dim N] [--seed S] [--epsilon E]
+    mezofit verify [--dim N] [--seed S] [--epsilon E]    (N sizes the restoration vector)
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
 file that cannot be read or written, or a non-finite loss), 3 infeasible budget.
@@ -33,6 +33,7 @@ from mezofit.memory import (
     memory_for_mode,
     sweep,
 )
+from mezofit.verify import MAX_VERIFY_DIM, run_verification
 from mezofit.zo import NonfiniteGradError, NonfiniteLossError
 
 EXIT_OK = 0
@@ -164,8 +165,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from mezofit.verify import run_verification
-
     with np.errstate(over="ignore"):  # an overflowing loss raises NonfiniteLossError
         results = run_verification(dim=args.dim, seed=args.seed, epsilon=args.epsilon)
     failed = [r for r in results if not r.passed]
@@ -219,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="estimator and gradient checks")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=64, help="length of the restoration "
+                   f"check's vector, 1 to {MAX_VERIFY_DIM}; the other checks are fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.set_defaults(func=cmd_verify)

@@ -128,9 +128,12 @@ def parse_plan(path_or_text: str | Path, is_text: bool = False) -> ExperimentPla
     """Build an ExperimentPlan from a plan file.
 
     The [model] section is the shared base; [experiment] keys prefixed with
-    bp_/mezo_ override model fields per method.
+    bp_/mezo_ override model fields per method. [mezo] may not set
+    learning_rate, which each run takes from lr_grid_mezo.
     """
     parser = _read(path_or_text, is_text)
+    if parser.has_option("mezo", "learning_rate"):
+        raise ConfigError("[mezo] learning_rate is not read by a plan; lr_grid_mezo sets it")
     base = _model_config(parser)
     zo = _zo_config(parser)
     if not parser.has_section("experiment"):

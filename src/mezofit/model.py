@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig
-from mezofit.zo import ParameterVector, keyed_philox, release_philox, splitmix64
+from mezofit.zo import ParameterVector, PerturbationSeed, generate_noise, splitmix64
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -278,9 +278,8 @@ class ToyTransformer:
             if len(shape) == 1:
                 arrays.append((name, np.ones(shape)))
             else:
-                gen = keyed_philox(base, idx)
-                arrays.append((name, gen.standard_normal(shape) * scale))
-                release_philox(gen)
+                noise = generate_noise(PerturbationSeed(base, idx), math.prod(shape))
+                arrays.append((name, noise.reshape(shape) * scale))
         return ParameterVector.from_arrays(arrays)
 
     def param_count(self) -> int:

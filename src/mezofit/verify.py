@@ -27,7 +27,14 @@ from mezofit.zo import (
     step_seed,
 )
 
-MAX_VERIFY_DIM = 4096
+MAX_VERIFY_DIM = 4096  # bound on the restoration vector's size
+
+# The battery's fixed spec. Callers choose only epsilon, the seed, the
+# restoration vector's length and the quadratic check's direction count.
+RESTORATION_SEEDS = 1000
+QUADRATIC_DIM, QUADRATIC_TOL = 6, 0.02
+FD_COORDS, FD_STEP, FD_TOL = 200, 1e-5, 1e-5  # coordinates of FD_CONFIG's model
+COSINE_DIM, COSINE_TRIALS, COSINE_DIRECTIONS, COSINE_THRESHOLD = 64, 200, 5, 0.95
 
 # the finite-difference reference instance
 FD_CONFIG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16,
@@ -45,8 +52,7 @@ def _flat(values: np.ndarray) -> ParameterVector:
     return ParameterVector(values, (Segment("w", 0, values.size),))
 
 
-def check_restoration(dim: int = 64, seeds: int = 1000, epsilon: float = 1e-3,
-                      seed: int = 0) -> CheckResult:
+def check_restoration(dim: int = 64, epsilon: float = 1e-3, seed: int = 0) -> CheckResult:
     """Theta must be bit-identical after every directional-derivative call."""
     rng = np.random.default_rng(seed)
     theta = _flat(rng.standard_normal(dim))
@@ -56,45 +62,42 @@ def check_restoration(dim: int = 64, seeds: int = 1000, epsilon: float = 1e-3,
         return float(0.5 * t.values @ t.values)
 
     failures = 0
-    for s in range(seeds):
+    for s in range(RESTORATION_SEEDS):
         spsa_directional_derivative(loss, theta, PerturbationSeed(s, 0), epsilon)
         if theta.values.tobytes() != before:
             failures += 1
             theta = _flat(np.frombuffer(before).copy())
     return CheckResult(
         "restoration", failures == 0,
-        f"{seeds - failures}/{seeds} seeds restored theta bitwise")
+        f"{RESTORATION_SEEDS - failures}/{RESTORATION_SEEDS} seeds restored theta bitwise")
 
 
-def check_quadratic_unbiasedness(dim: int = 6, directions: int = 120_000,
-                                 epsilon: float = 1e-3, seed: int = 0,
-                                 tol: float = 0.02) -> CheckResult:
+def check_quadratic_unbiasedness(directions: int = 120_000, epsilon: float = 1e-3,
+                                 seed: int = 0) -> CheckResult:
     """E[g * z] equals Q theta for the quadratic 0.5 theta^T Q theta."""
-    dim = min(dim, 8)
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim))
+    m = rng.standard_normal((QUADRATIC_DIM, QUADRATIC_DIM))
     q = m + m.T
-    theta = _flat(rng.standard_normal(dim))
+    theta = _flat(rng.standard_normal(QUADRATIC_DIM))
 
     def loss(t):
         return float(0.5 * t.values @ q @ t.values)
 
-    acc = np.zeros(dim)
+    acc = np.zeros(QUADRATIC_DIM)
     base = step_seed(seed, 0)
     for i in range(directions):
         s = PerturbationSeed(base, i)
         g = spsa_directional_derivative(loss, theta, s, epsilon)
-        acc += g * generate_noise(s, dim)
+        acc += g * generate_noise(s, QUADRATIC_DIM)
     estimate = acc / directions
     target = q @ theta.values
     rel = float(np.linalg.norm(estimate - target) / np.linalg.norm(target))
     return CheckResult(
-        "quadratic_unbiasedness", rel < tol,
-        f"relative error {rel:.4f} over {directions} directions (tolerance {tol})")
+        "quadratic_unbiasedness", rel < QUADRATIC_TOL,
+        f"relative error {rel:.4f} over {directions} directions (tolerance {QUADRATIC_TOL})")
 
 
-def check_fd_gradient(ncoords: int = 200, step: float = 1e-5, seed: int = 0,
-                      tol: float = 1e-5) -> CheckResult:
+def check_fd_gradient(seed: int = 0) -> CheckResult:
     """Hand-written backward vs. central finite differences on the toy model."""
     model = ToyTransformer(FD_CONFIG)
     params = model.init_params(seed)
@@ -104,40 +107,38 @@ def check_fd_gradient(ncoords: int = 200, step: float = 1e-5, seed: int = 0,
     grad, _ = model.backward(params, tokens, targets)
 
     rng = np.random.default_rng(seed + 1)
-    coords = rng.choice(len(params), size=min(ncoords, len(params)), replace=False)
+    coords = rng.choice(len(params), size=FD_COORDS, replace=False)
     worst = 0.0
     for i in coords:
         orig = params.values[i]
-        params.values[i] = orig + step
+        params.values[i] = orig + FD_STEP
         lp = loss_from_logits(model.forward(params, tokens)[0], targets)
-        params.values[i] = orig - step
+        params.values[i] = orig - FD_STEP
         lm = loss_from_logits(model.forward(params, tokens)[0], targets)
         params.values[i] = orig
-        fd = (lp - lm) / (2 * step)
+        fd = (lp - lm) / (2 * FD_STEP)
         rel = abs(fd - grad.values[i]) / max(abs(fd), abs(grad.values[i]), 1e-10)
         worst = max(worst, rel)
     return CheckResult(
-        "fd_gradient", worst < tol,
+        "fd_gradient", worst < FD_TOL,
         f"worst relative error {worst:.3e} over {len(coords)} coordinates "
-        f"(tolerance {tol})")
+        f"(tolerance {FD_TOL})")
 
 
-def check_cosine_positivity(dim: int = 64, trials: int = 200, n: int = 5,
-                            epsilon: float = 1e-3, seed: int = 0,
-                            threshold: float = 0.95) -> CheckResult:
-    """The n-averaged update direction must align with -grad almost always."""
-    dim = min(dim, 64)
+def check_cosine_positivity(epsilon: float = 1e-3, seed: int = 0) -> CheckResult:
+    """The COSINE_DIRECTIONS-averaged update must align with -grad almost always."""
     rng = np.random.default_rng(seed)
 
     def loss(t):
         return float(np.sum(np.log(np.cosh(t.values))))
 
     positives = 0
-    for trial in range(trials):
-        theta = _flat(rng.standard_normal(dim) * 2.0)
+    for trial in range(COSINE_TRIALS):
+        theta = _flat(rng.standard_normal(COSINE_DIM) * 2.0)
         true_grad = np.tanh(theta.values)
         before = theta.values.copy()
-        cfg = ZOConfig(epsilon=epsilon, learning_rate=1.0, num_perturbations=n,
+        cfg = ZOConfig(epsilon=epsilon, learning_rate=1.0,
+                       num_perturbations=COSINE_DIRECTIONS,
                        master_seed=seed * 1_000_003 + trial)
         mezo_step(loss, theta, cfg, 0)
         update = theta.values - before  # equals -(1/n) sum g_i z_i
@@ -145,24 +146,25 @@ def check_cosine_positivity(dim: int = 64, trials: int = 200, n: int = 5,
                     / (np.linalg.norm(update) * np.linalg.norm(true_grad)))
         if cos > 0:
             positives += 1
-    rate = positives / trials
+    rate = positives / COSINE_TRIALS
     return CheckResult(
-        "cosine_positivity", rate > threshold,
-        f"positive-alignment rate {rate:.3f} over {trials} trials "
-        f"(threshold {threshold})")
+        "cosine_positivity", rate > COSINE_THRESHOLD,
+        f"positive-alignment rate {rate:.3f} over {COSINE_TRIALS} trials "
+        f"(threshold {COSINE_THRESHOLD})")
 
 
 def run_verification(dim: int = 64, seed: int = 0,
                      epsilon: float = 1e-3) -> list[CheckResult]:
-    """The full check battery used by the CLI. dim caps the flat test vector."""
+    """The full check battery used by the CLI. `dim` sizes the restoration
+    check's vector only; the other checks run at their fixed spec."""
     if not 1 <= dim <= MAX_VERIFY_DIM:
         raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     ZOConfig(epsilon=epsilon)  # reject invalid epsilon up front
     return [
-        check_restoration(dim=dim, seeds=1000, epsilon=epsilon, seed=seed),
-        check_quadratic_unbiasedness(dim=min(dim, 6), epsilon=epsilon, seed=seed),
+        check_restoration(dim=dim, epsilon=epsilon, seed=seed),
+        check_quadratic_unbiasedness(epsilon=epsilon, seed=seed),
         check_fd_gradient(seed=seed),
-        check_cosine_positivity(dim=dim, epsilon=epsilon, seed=seed),
+        check_cosine_positivity(epsilon=epsilon, seed=seed),
     ]

@@ -7,11 +7,12 @@ replayed chunk by chunk whenever they are needed again. A Philox can be put at
 the start of any key's stream by setting its `bit_generator.state`, so
 generators are not rebuilt: `keyed_philox` rewinds a spare one from a small
 list (building one only when the list is empty) and `release_philox` hands it
-back. A generator belongs to one owner from `keyed_philox` until that owner
-releases it, so two live streams never share one. The estimator borrows a
-generator for one pass over a stream and hands it back when the pass ends, so
-it holds none while the loss function runs; the loss may take and release
-generators of its own (task batches, for instance).
+back. One rule governs every loan: a draw takes a generator for its first
+block and hands it back right after its last, so two live streams never share
+one and the estimator holds none while the loss function runs. Only
+`generate_noise` and `iter_noise_chunks` borrow here; a walk stopped before
+its last block is simply collected, generator and all. The loss may take and
+release generators of its own (task batches, for instance).
 
 One `_Stream` walks a direction's noise for all four passes (+shift,
 -shift, restore, update). A vector that fits in one chunk keeps its noise for
@@ -172,14 +173,13 @@ def release_philox(gen: np.random.Generator) -> None:
 
 
 def generate_noise(seed: PerturbationSeed, length: int) -> np.ndarray:
-    """Materialize a standard-normal stream (tests and small vectors only)."""
+    """The first `length` values of a standard-normal stream, in one draw."""
     if length < 0:
         raise ValueError("length must be >= 0")
     gen = keyed_philox(seed.seed, seed.stream_index)
-    try:
-        return gen.standard_normal(length)
-    finally:
-        release_philox(gen)
+    noise = gen.standard_normal(length)
+    release_philox(gen)
+    return noise
 
 
 def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_CHUNK,
@@ -187,14 +187,17 @@ def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_
     """Yield (offset, block) pieces of the stream without holding it whole.
 
     With `out` (at least min(chunk, length) floats) each block is drawn into
-    a view of it, which the next step overwrites."""
+    a view of it, which the next step overwrites. The generator goes back
+    before the last block is yielded; an empty stream takes none."""
+    if length <= 0:
+        return
     gen = keyed_philox(seed.seed, seed.stream_index)
-    try:
-        for start in range(0, length, chunk):
-            m = min(chunk, length - start)
-            yield start, gen.standard_normal(m, out=None if out is None else out[:m])
-    finally:
-        release_philox(gen)
+    for start in range(0, length, chunk):
+        m = min(chunk, length - start)
+        block = gen.standard_normal(m, out=None if out is None else out[:m])
+        if start + m == length:
+            release_philox(gen)
+        yield start, block
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +247,16 @@ _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx,
 class _Stream:
     """One direction's noise, walked from its start by every pass.
 
-    It holds no generator: each walk of `chunks` borrows one and hands it back
-    when the walk ends. A vector of one chunk keeps its noise, drawn by
-    `generate_noise`, until the shift that restores the base. `shift` keeps
-    its sign and undo record for the next shift to read.
+    It holds no generator between passes. A vector of one chunk keeps its
+    noise, drawn by `generate_noise`, until the shift that restores the base;
+    a longer one is walked by `iter_noise_chunks`. `shift` keeps its sign and
+    undo record for the next shift to read.
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
         self.seed, self.size, self.chunk = seed, size, chunk
         self.kept = generate_noise(seed, size) if size <= chunk else None
         self.sign, self.undo = 0.0, {}
-
-    def chunks(self, buf: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(offset, z) over the stream from its start: the kept noise, or
-        chunks generated into `buf`, which each step overwrites."""
-        if self.kept is not None:
-            return iter(((0, self.kept),))
-        return iter_noise_chunks(self.seed, self.size, self.chunk, buf)
 
     def shift(self, values: np.ndarray, epsilon: float, sign: float) -> None:
         """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
@@ -274,7 +270,9 @@ class _Stream:
         """
         record: _Record = {}
         zbuf, d = np.empty((2, min(self.chunk, values.size)))
-        for start, z in self.chunks(zbuf):
+        walk = (((0, self.kept),) if self.kept is not None
+                else iter_noise_chunks(self.seed, self.size, self.chunk, zbuf))
+        for start, z in walk:
             m = z.size
             base, dm, up = values[start:start + m], d[:m], zbuf[:m]
             if self.sign:
@@ -351,10 +349,9 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))
     size = theta.values.size
 
-    gs, losses, streams = [], [], []
+    gs, losses = [], []
     for s in seeds:
-        streams.append(_Stream(s, size, chunk))
-        g, lp, lm = _spsa_full(loss_fn, theta, streams[-1], cfg.epsilon)
+        g, lp, lm = _spsa_full(loss_fn, theta, _Stream(s, size, chunk), cfg.epsilon)
         gs.append(g)
         losses.append((lp, lm))
     if not np.all(np.isfinite(gs)):
@@ -362,7 +359,7 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     if cfg.learning_rate > 0:
         scale = cfg.learning_rate / n
         zbuf, abuf = np.empty((2, min(chunk, size)))
-        walks = [st.chunks(zbuf) for st in streams]  # in lockstep, one chunk apiece
+        walks = [iter_noise_chunks(s, size, chunk, zbuf) for s in seeds]  # in lockstep
         finite = True
         for start, z in walks[0]:
             m = z.size
@@ -373,8 +370,6 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
             part = theta.values[start:start + m]
             part -= acc
             finite = finite and bool(np.isfinite(part).all())
-        for walk in walks[1:]:
-            next(walk, None)  # past its last chunk: the walk hands its generator back
         if not finite:
             raise NonfiniteLossError("parameter vector contains NaN/Inf")
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mezofit import verify
 from mezofit.bench import steps_to_fraction_of_plateau
 from mezofit.cli import main
 from mezofit.memory import (
@@ -166,8 +167,12 @@ def test_criterion_3_mezo_fits_larger_models():
 # criterion 4: estimator correctness
 # ---------------------------------------------------------------------------
 
+# The battery's spec lives in mezofit.verify; each test below pins the values
+# it reads there, so editing a constant fails the criterion.
+
 def test_criterion_4_restoration_bitwise():
-    r = check_restoration(dim=64, seeds=1000, epsilon=1e-3, seed=0)
+    assert verify.RESTORATION_SEEDS == 1000
+    r = check_restoration(dim=64, epsilon=1e-3, seed=0)
     report("criterion 4a (bitwise restoration)", r.passed, r.detail)
     assert r.passed, r.detail
 
@@ -175,14 +180,16 @@ def test_criterion_4_restoration_bitwise():
 def test_criterion_4_quadratic_unbiasedness():
     # >= 10^4 directions as specified; 1.2e5 keeps the Monte-Carlo error
     # well inside the 2% tolerance at dim 6
-    r = check_quadratic_unbiasedness(dim=6, directions=120_000, seed=0, tol=0.02)
+    assert (verify.QUADRATIC_DIM, verify.QUADRATIC_TOL) == (6, 0.02)
+    r = check_quadratic_unbiasedness(directions=120_000, seed=0)
     report("criterion 4b (quadratic unbiasedness)", r.passed, r.detail)
     assert r.passed, r.detail
 
 
 def test_criterion_4_finite_difference_gradients():
     # toy instance D=16, L=2, H=4, V=32, N=8; 200 random coordinates
-    r = check_fd_gradient(ncoords=200, step=1e-5, seed=0, tol=1e-5)
+    assert (verify.FD_COORDS, verify.FD_STEP, verify.FD_TOL) == (200, 1e-5, 1e-5)
+    r = check_fd_gradient(seed=0)
     report("criterion 4c (finite-difference agreement)", r.passed, r.detail)
     assert r.passed, r.detail
 

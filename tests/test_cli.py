@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mezofit import verify
 from mezofit.bench import ExperimentPlan
 from mezofit.cli import _resolve_plan, main, parse_budget
 from mezofit.configfile import PRESETS, parse_model_config, parse_plan, parse_zo_config
@@ -514,6 +515,15 @@ def test_cmd_train_rejects_a_bad_plan_before_training(tmp_path, capsys, old, new
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cmd_train_refuses_a_plan_that_sets_the_mezo_learning_rate(tmp_path, capsys):
+    # each MeZO run takes its rate from lr_grid_mezo, so a [mezo] value would be dropped
+    plan_path = tmp_path / "plan.ini"
+    plan_path.write_text(TINY_PLAN.replace("master_seed = 5", "master_seed = 5\nlearning_rate = 5"))
+    assert main(["train", "--plan", str(plan_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "lr_grid_mezo" in err, err
+
+
 def test_unwritable_out_exits_2_with_one_line(llama_config, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -529,6 +539,17 @@ def test_unwritable_out_exits_2_with_one_line(llama_config, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------
+
+def test_verify_dim_sizes_only_the_restoration_vector(monkeypatch):
+    calls = {}
+    for name in ("check_restoration", "check_quadratic_unbiasedness", "check_fd_gradient",
+                 "check_cosine_positivity"):
+        monkeypatch.setattr(verify, name,
+                            lambda name=name, **kw: calls.setdefault(name, kw))
+    verify.run_verification(dim=3)
+    assert [name for name, kw in calls.items() if "dim" in kw] == ["check_restoration"]
+    assert calls["check_restoration"]["dim"] == 3 and len(calls) == 4
+
 
 def test_cmd_verify_rejects_zero_epsilon(capsys):
     assert main(["verify", "--epsilon", "0"]) == 2

@@ -28,7 +28,6 @@ from mezofit.model import (
     loss_from_logits,
     save_weights,
 )
-from mezofit.verify import check_fd_gradient
 
 CFG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
                   vocab_size=32, batch_size=2)
@@ -183,11 +182,6 @@ def test_loss_shape_mismatch():
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
-
-def test_backward_matches_finite_differences():
-    result = check_fd_gradient(ncoords=200, seed=0, tol=1e-5)
-    assert result.passed, result.detail
-
 
 def test_backward_unused_embedding_row_has_zero_gradient(model, params):
     tokens = np.full((2, 8), 3)

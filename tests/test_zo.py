@@ -406,6 +406,38 @@ def _checked_out(monkeypatch) -> list[int]:
     return out
 
 
+@pytest.mark.parametrize("length, chunk", [(50, 97), (1000, 97)],
+                         ids=["one-chunk", "many-chunks"])
+def test_a_noise_walk_hands_its_generator_back_with_its_last_block(monkeypatch, length,
+                                                                   chunk):
+    out = _checked_out(monkeypatch)
+    walk = iter_noise_chunks(PerturbationSeed(5, 1), length, chunk)
+    blocks = []
+    while sum(b.size for b in blocks) < length:
+        blocks.append(next(walk)[1])
+        # held between blocks, back as soon as the last one is drawn
+        assert out[0] == (sum(b.size for b in blocks) < length)
+    with pytest.raises(StopIteration):
+        next(walk)
+    assert out[0] == 0
+    assert np.array_equal(np.concatenate(blocks), generate_noise(PerturbationSeed(5, 1), length))
+
+
+def test_an_empty_walk_takes_no_generator(monkeypatch):
+    taken, take = [], zo.keyed_philox
+    monkeypatch.setattr(zo, "keyed_philox", lambda k0, k1: taken.append(k0) or take(k0, k1))
+    assert list(iter_noise_chunks(PerturbationSeed(1, 0), 0)) == []
+    assert taken == []
+
+
+def test_init_params_and_generate_noise_leave_no_generator_checked_out(monkeypatch):
+    out = _checked_out(monkeypatch)
+    ToyTransformer(ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
+                               vocab_size=8, batch_size=1)).init_params(3)
+    generate_noise(PerturbationSeed(4, 0), 10)
+    assert out[0] == 0
+
+
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
 def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, chunk):
     out = _checked_out(monkeypatch)

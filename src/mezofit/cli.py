@@ -33,7 +33,7 @@ from mezofit.memory import (
     memory_for_mode,
     sweep,
 )
-from mezofit.verify import MAX_VERIFY_DIM, run_verification
+from mezofit.verify import MAX_VERIFY_DIM, RESTORE_DIM, run_verification
 from mezofit.zo import NonfiniteGradError, NonfiniteLossError
 
 EXIT_OK = 0
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="estimator and gradient checks")
-    p.add_argument("--dim", type=int, default=64, help="length of the restoration "
+    p.add_argument("--dim", type=int, default=RESTORE_DIM, help="length of the restoration "
                    f"check's vector, 1 to {MAX_VERIFY_DIM}; the other checks are fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-3)

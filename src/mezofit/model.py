@@ -18,6 +18,8 @@ logits. In BP mode, which only `backward` asks for, it also returns the
 cache the backward pass reads: every layer's inputs, normed inputs, rotated
 queries and keys, values, attention probabilities, context, FFN
 pre-activation and GELU output, plus the final norm's input and output.
+Importing this module on glibc keeps freed heap pages in the process (see
+`_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
 The backward pass frees each layer's cache as it goes and writes its
 transients in place (`_gelu_backward` overwrites both of its arguments), in
@@ -26,10 +28,12 @@ those of an out-of-place pass.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
 import struct
+import sys
 from enum import Enum
 
 import numpy as np
@@ -44,6 +48,17 @@ _ROPE_BASE = 10000.0
 # Elements of scratch that _gelu and the loss's log-sum-exp work through at
 # a time: 128 KiB of float64, small beside a layer's activations.
 _TILE = 1 << 14
+
+# Left dynamic, glibc's thresholds rise only to the largest block freed (at
+# step-mid, the 6.8 MB gradient), so each BP step would give its ~45 MB cache
+# back to the kernel and fault it in again. Fixing both keeps blocks up to
+# 32 MiB (glibc's 64-bit cap; larger arrays, such as a gradient with P above
+# about 4.2 M, are still mmapped) in the heap and their freed pages in the
+# process. Fixing only the trim threshold would pin the mmap one at 128 KiB.
+_LIBC = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if hasattr(_LIBC, "mallopt"):
+    _LIBC.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _LIBC.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 class LedgerMode(str, Enum):

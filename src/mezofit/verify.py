@@ -27,7 +27,7 @@ from mezofit.zo import (
     step_seed,
 )
 
-MAX_VERIFY_DIM = 4096  # bound on the restoration vector's size
+MAX_VERIFY_DIM, RESTORE_DIM = 4096, 64  # the restoration vector's bound and default size
 
 # The battery's fixed spec. Callers choose only epsilon, the seed, the
 # restoration vector's length and the quadratic check's direction count.
@@ -52,7 +52,8 @@ def _flat(values: np.ndarray) -> ParameterVector:
     return ParameterVector(values, (Segment("w", 0, values.size),))
 
 
-def check_restoration(dim: int = 64, epsilon: float = 1e-3, seed: int = 0) -> CheckResult:
+def check_restoration(dim: int = RESTORE_DIM, epsilon: float = 1e-3,
+                      seed: int = 0) -> CheckResult:
     """Theta must be bit-identical after every directional-derivative call."""
     rng = np.random.default_rng(seed)
     theta = _flat(rng.standard_normal(dim))
@@ -153,7 +154,7 @@ def check_cosine_positivity(epsilon: float = 1e-3, seed: int = 0) -> CheckResult
         f"(threshold {COSINE_THRESHOLD})")
 
 
-def run_verification(dim: int = 64, seed: int = 0,
+def run_verification(dim: int = RESTORE_DIM, seed: int = 0,
                      epsilon: float = 1e-3) -> list[CheckResult]:
     """The full check battery used by the CLI. `dim` sizes the restoration
     check's vector only; the other checks run at their fixed spec."""

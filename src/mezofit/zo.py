@@ -146,6 +146,9 @@ def step_seed(master_seed: int, step_index: int) -> int:
 # once, and list.pop gives each one to a single caller.
 _SPARE: list[np.random.Generator] = []
 _ZEROS = (0, 0, 0, 0)
+_KEYED = {"counter": _ZEROS, "key": (0, 0)}  # every rewind's state; only the key changes
+_REWIND = {"bit_generator": "Philox", "state": _KEYED, "buffer": _ZEROS,
+           "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def keyed_philox(k0: int, k1: int) -> np.random.Generator:
@@ -160,10 +163,8 @@ def keyed_philox(k0: int, k1: int) -> np.random.Generator:
         gen = _SPARE.pop()
     except IndexError:
         gen = np.random.Generator(np.random.Philox())
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (k0 & _MASK64, k1 & _MASK64)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _KEYED["key"] = (k0 & _MASK64, k1 & _MASK64)
+    gen.bit_generator.state = _REWIND
     return gen
 
 
@@ -381,8 +382,8 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
                                            tuple[ParameterVector, float]],
                 theta: ParameterVector,
                 eta: float) -> ParameterVector:
-    """Vanilla SGD: theta <- theta - eta * grad. `loss_and_grad_fn` returns
-    (gradient, loss) as produced by the toy model's backward pass."""
+    """Vanilla SGD: theta <- theta - eta * grad, consuming the gradient buffer.
+    `loss_and_grad_fn` returns (gradient, loss) as the toy model's backward does."""
     grad, loss = loss_and_grad_fn(theta)
     if not np.isfinite(loss):
         raise NonfiniteLossError(f"loss is {loss}")
@@ -390,5 +391,6 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
         raise ValueError("gradient and parameter shapes differ")
     if not np.all(np.isfinite(grad.values)):
         raise NonfiniteGradError("gradient contains NaN/Inf")
-    theta.values -= eta * grad.values
+    grad.values *= eta
+    theta.values -= grad.values
     return theta

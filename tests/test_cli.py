@@ -7,7 +7,7 @@ import pytest
 
 from mezofit import verify
 from mezofit.bench import ExperimentPlan
-from mezofit.cli import _resolve_plan, main, parse_budget
+from mezofit.cli import _resolve_plan, build_parser, main, parse_budget
 from mezofit.configfile import PRESETS, parse_model_config, parse_plan, parse_zo_config
 from mezofit.memory import (
     ConfigError,
@@ -549,6 +549,10 @@ def test_verify_dim_sizes_only_the_restoration_vector(monkeypatch):
     verify.run_verification(dim=3)
     assert [name for name, kw in calls.items() if "dim" in kw] == ["check_restoration"]
     assert calls["check_restoration"]["dim"] == 3 and len(calls) == 4
+
+
+def test_verify_dim_default_is_the_battery_default():
+    assert build_parser().parse_args(["verify"]).dim == verify.RESTORE_DIM
 
 
 def test_cmd_verify_rejects_zero_epsilon(capsys):

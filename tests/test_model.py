@@ -16,6 +16,7 @@ from mezofit.model import (
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
+    _LIBC,
     _TILE,
     LedgerMode,
     ToyTransformer,
@@ -28,6 +29,7 @@ from mezofit.model import (
     loss_from_logits,
     save_weights,
 )
+from mezofit.zo import bp_sgd_step
 
 CFG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
                   vocab_size=32, batch_size=2)
@@ -303,6 +305,26 @@ def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
     N, F, k = cfg.context_length, model.ffn_dim, 3
     acts = activation_bytes(cfg.replace(bytes_per_param=8.0))
     assert peak <= acts + 8 * len(params) + k * 8 * B * N * F + 3 * 8 * B * N * V
+
+
+@pytest.mark.skipif(not hasattr(_LIBC, "mallopt"), reason="needs glibc's mallopt")
+def test_warm_bp_step_reuses_the_pages_of_its_cache():
+    # A count, not a time. Under glibc's default dynamic thresholds each step
+    # at this config gives its ~45 MB cache back to the kernel and takes over
+    # 10,000 minor faults to get it back.
+    import resource  # Unix only, like mallopt
+    cfg = ModelConfig(context_length=64, num_layers=4, hidden_dim=128, num_heads=4,
+                      vocab_size=256, batch_size=8)
+    model = ToyTransformer(cfg)
+    theta = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+    step = lambda: bp_sgd_step(lambda t: model.backward(t, tokens, targets), theta, 1e-4)
+    for _ in range(2):
+        step()
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 # ---------------------------------------------------------------------------

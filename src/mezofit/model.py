@@ -6,18 +6,21 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-A forward pass in MeZO mode (the default) keeps nothing past the operation
-that reads it: each buffer is dropped once read, the GELU output takes the
-buffer of its input, and GELU and the loss's log-sum-exp work through one
-`_TILE` of scratch, so the loss never builds the full log-probabilities. Its
-peak is then the largest block's live set: in attention, the block input,
-the rotated queries and keys, the values and the B*H*N*N scores; in the FFN,
-the block input, its normed input or its output, and the B*N*F
-pre-activation; at the head, the final norm's input and output and the
-logits. In BP mode, which only `backward` asks for, it also returns the
-cache the backward pass reads: every layer's inputs, normed inputs, rotated
-queries and keys, values, attention probabilities, context, FFN
-pre-activation and GELU output, plus the final norm's input and output.
+A forward pass in MeZO mode (the default) runs the network over one block of
+b whole sequences at a time, as many as keep its widest buffer within `_BLOCK`
+elements (at least one), each writing its rows of one (B, N, V) logits array.
+It keeps nothing past the operation that reads it: each buffer is dropped once
+read, the GELU output takes the buffer of its input, and GELU and the loss's
+log-sum-exp work through one `_TILE` of scratch, so the loss never builds the
+full log-probabilities. Its peak is then the logits plus one block's largest
+live set: in attention, the block input, the rotated queries and keys, the
+values and the b*H*N*N scores; in the FFN, the block input, its normed input
+or its output, and the b*N*F pre-activation; at the head, the final norm's
+input and output. In BP mode, which only `backward` asks for, the batch is
+one block, and the forward also returns the cache the backward pass reads:
+every layer's inputs, normed inputs, rotated queries and keys, values,
+attention probabilities, context, FFN pre-activation and GELU output, plus
+the final norm's input and output.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
@@ -48,6 +51,9 @@ _ROPE_BASE = 10000.0
 # Elements of scratch that _gelu and the loss's log-sum-exp work through at
 # a time: 128 KiB of float64, small beside a layer's activations.
 _TILE = 1 << 14
+# A MeZO-mode forward block holds as many whole sequences (at least one) as
+# keep its widest buffer, N*F, H*N*N or N*V per sequence, in 256 KiB of float64.
+_BLOCK = 1 << 15
 
 # Left dynamic, glibc's thresholds rise only to the largest block freed (at
 # step-mid, the 6.8 MB gradient), so each BP step would give its ~45 MB cache
@@ -318,23 +324,39 @@ class ToyTransformer:
             raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        cos, sin = self._cos[:N], self._sin[:N]
-        bp = LedgerMode(mode) is LedgerMode.BP
+        B, bp = len(tokens), LedgerMode(mode) is LedgerMode.BP
+        rows = B if bp else max(1, _BLOCK // (N * max(self.ffn_dim, cfg.num_heads * N,
+                                                      cfg.vocab_size)))
+        if rows >= B:
+            return self._sequences(params, tokens, bp)
+        # (B, N, D) @ W is one BLAS call per sequence, so blocks keep its bits
+        views = [self._layer(params), *(self._layer(params, l) for l in range(cfg.num_layers))]
+        logits = np.empty((B, N, cfg.vocab_size))
+        for i in range(0, B, rows):
+            self._sequences(params, tokens[i:i + rows], False, views, logits[i:i + rows])
+        return logits, None
 
-        # Each block's temporaries die when it returns; only BP mode keeps
-        # the cache backward reads.
+    def _sequences(self, params, tokens, bp, views=None, out=None):
+        """`forward` over one block of whole sequences, writing the logits into
+        `out` if given. It reads the ends' and then each layer's views of
+        `params` from `views`, or builds each as it reads it: building them all
+        first would raise the BP step's traced peak."""
+        N = tokens.shape[1]
+        cos, sin = self._cos[:N], self._sin[:N]
+        # The temporaries of _attention and _ffn die when they return; only BP
+        # mode keeps the cache backward reads.
         layers = []
-        ends = self._layer(params)
+        ends = self._layer(params) if views is None else views[0]
         x = ends["embed"][tokens]
-        for l in range(cfg.num_layers):
-            w = self._layer(params, l)
+        for l in range(self.cfg.num_layers):
+            w = self._layer(params, l) if views is None else views[l + 1]
             x, attn = self._attention(w, x, cos, sin, bp)
             x, ffn = self._ffn(w, x, bp)
             if bp:
                 layers.append({**attn, **ffn})
 
         hf = _rmsnorm(x, ends["norm_final"])
-        logits = hf @ ends["head"].T
+        logits = np.matmul(hf, ends["head"].T, out=out)
         return logits, dict(layers=layers, x_f=x, hf=hf) if bp else None
 
     def _attention(self, w, x_in, cos, sin, bp):

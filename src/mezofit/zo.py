@@ -22,10 +22,11 @@ place through two chunk-sized scratch buffers, allocated once per pass.
 
 The estimator's own bytes at a loss evaluation are one sparse record of the
 few coordinates whose float perturbation cannot be undone by arithmetic alone,
-plus the whole noise vector only when it fits in one chunk. With a pass's
-scratch they peak at the kept noise plus two scratch buffers for a one-chunk
-vector, and at two chunk buffers plus the record for a longer one. The record
-makes the parameter vector come back bit-for-bit after an estimate.
+10 bytes each at the default chunk (a uint16 chunk-local index and the saved
+float64), plus the whole noise vector only when it fits in one chunk. With a
+pass's scratch they peak at the kept noise plus two scratch buffers for a
+one-chunk vector, and at two chunk buffers plus the record for a longer one.
+The record makes the parameter vector come back bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
@@ -165,6 +166,7 @@ def keyed_philox(k0: int, k1: int) -> np.random.Generator:
         gen = np.random.Generator(np.random.Philox())
     _KEYED["key"] = (k0 & _MASK64, k1 & _MASK64)
     gen.bit_generator.state = _REWIND
+    _KEYED["key"] = (0, 0)  # so no key outlives its rewind
     return gen
 
 
@@ -239,8 +241,10 @@ class StepReport:
 # Plain float adds lose low bits, so x + d - d != x for a large fraction of
 # coordinates. Each pass below therefore checks invertibility coordinate-wise
 # and records the original bits of the (rare) coordinates that fail; the
-# record is replayed by the next pass. Expected record size is a tiny
-# fraction of the vector for unit-scale parameters and epsilon ~ 1e-3.
+# next pass takes each chunk's entry out as it replays it, so the old record
+# shrinks as the new one grows. It holds a tiny fraction of the vector for
+# unit-scale parameters and epsilon ~ 1e-3, indexed in the smallest unsigned
+# type that holds chunk - 1.
 
 _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
 
@@ -278,7 +282,7 @@ class _Stream:
             base, dm, up = values[start:start + m], d[:m], zbuf[:m]
             if self.sign:
                 base -= np.multiply(z, self.sign * epsilon, out=dm)
-                fix = self.undo.get(start)
+                fix = self.undo.pop(start, None)
                 if fix is not None:
                     base[fix[0]] = fix[1]
             if sign:
@@ -286,7 +290,7 @@ class _Stream:
                 np.add(base, dm, out=up)
                 bad = np.nonzero(np.subtract(up, dm, out=dm) != base)[0]
                 if bad.size:
-                    record[start] = (bad, base[bad])
+                    record[start] = (bad.astype(np.min_scalar_type(self.chunk - 1)), base[bad])
                 base[:] = up
         self.sign, self.undo = sign, record
         if not sign:

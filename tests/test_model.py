@@ -13,6 +13,7 @@ from mezofit.memory import (
     param_elements,
 )
 from mezofit.model import (
+    _BLOCK,
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
@@ -493,21 +494,33 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     assert peak <= acts + 3 * B * N * V * 8
 
 
-@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
-def test_mezo_loss_peak_within_the_largest_block_and_one_tile(D, L, V, B):
-    # Shape-derived live sets, in float64 elements, of the MeZO forward's
-    # blocks when each buffer dies once the next operation has read it:
-    # attention holds x_in, q, k, v and a rotated copy beside one half-width
-    # rotary product, then x_in, q4, k4, v4 and the B*H*N*N scores; the FFN
-    # x_mid, the normed input or the output, and the B*N*F pre-activation;
-    # the head x, its norm and the logits. GELU and the loss's log-sum-exp
-    # add one tile of scratch.
-    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
-                      vocab_size=V, batch_size=B, stored_layers=1.0)
-    model = ToyTransformer(cfg)
-    params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+def block_rows(model, N: int) -> int:
+    """Sequences per MeZO-mode forward block at N positions."""
+    cfg = model.cfg
+    return max(1, _BLOCK // (N * max(model.ffn_dim, cfg.num_heads * N, cfg.vocab_size)))
 
+
+def mezo_loss_peak_bound(model, B: int, N: int) -> int:
+    """Shape-derived bytes of a MeZO-mode forward plus loss over B sequences
+    of N positions, when each buffer dies once the next operation has read
+    it. For one block of b sequences, in float64 elements: attention holds
+    x_in, q, k, v and a rotated copy beside one half-width rotary product,
+    then x_in, q4, k4, v4 and the b*H*N*N scores; the FFN x_mid, the normed
+    input or the output, and the b*N*F pre-activation; the head x and its
+    norm. The B*N*V logits are the head's own product when the batch is one
+    block, and otherwise live across every block. GELU and the loss's
+    log-sum-exp add one tile of scratch."""
+    cfg = model.cfg
+    D, H, F, V = cfg.hidden_dim, cfg.num_heads, model.ffn_dim, cfg.vocab_size
+    b = min(B, block_rows(model, N))
+    act, logits = b * N * D, B * N * V
+    attention = max(5.5 * act, 4 * act + b * H * N * N)
+    ffn, head = 2 * act + b * N * F, 2 * act + logits
+    across = 0 if b == B else logits
+    return 8 * (max(attention + across, ffn + across, head) + _TILE)
+
+
+def mezo_loss_peak(model, params, tokens, targets) -> int:
     def loss():
         return loss_from_logits(model.forward(params, tokens)[0], targets)
 
@@ -515,14 +528,40 @@ def test_mezo_loss_peak_within_the_largest_block_and_one_tile(D, L, V, B):
     tracemalloc.start()
     try:
         loss()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    N, H, F = cfg.context_length, cfg.num_heads, model.ffn_dim
-    act = B * N * D
-    attention = max(5.5 * act, 4 * act + B * H * N * N)
-    ffn, head = 2 * act + B * N * F, 2 * act + B * N * V
-    assert peak <= 8 * (max(attention, ffn, head) + _TILE)
+
+
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
+def test_mezo_loss_peak_within_the_largest_block_and_one_tile(D, L, V, B):
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+    peak = mezo_loss_peak(model, params, tokens, targets)
+    assert peak <= mezo_loss_peak_bound(model, B, cfg.context_length)
+
+
+def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
+    # odd V, cropped N: 37 * 301 elements of logits per sequence give two
+    # sequences per block, so five sequences run as blocks of 2, 2 and 1
+    cfg = CFG.replace(context_length=40, hidden_dim=48, vocab_size=301, batch_size=5)
+    model, n = ToyTransformer(cfg), 37
+    assert block_rows(model, n) == 2
+    params = model.init_params(4)
+    tokens = tokens_for(cfg, seed=8)[:, :n]
+    targets = tokens_for(cfg, seed=9)[:, :n]
+    targets[0, ::3] = -1
+    logits, cache = model.forward(params, tokens)
+    assert cache is None
+    one_block = model.forward(params, tokens, LedgerMode.BP)[0]
+    assert logits.tobytes() == one_block.tobytes()
+    loss = loss_from_logits(logits, targets)
+    assert loss == loss_from_logits(one_block, targets) == model.backward(params, tokens, targets)[1]
+    peak = mezo_loss_peak(model, params, tokens, targets)
+    assert peak <= mezo_loss_peak_bound(model, cfg.batch_size, n)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,7 @@ def test_keyed_philox_draws_equal_a_fresh_philox(monkeypatch, k0, k1):
     want = _draws(np.random.Generator(np.random.Philox(key=key)))
     monkeypatch.setattr(zo, "_SPARE", [])
     built = keyed_philox(k0, k1)  # no spare: a new generator
+    assert zo._KEYED["key"] == (0, 0)  # no key outlives its rewind
     assert all(np.array_equal(a, b) for a, b in zip(_draws(built), want))
     release_philox(built)
     reused = keyed_philox(k0, k1)  # the spare, rewound from mid-stream
@@ -503,6 +504,27 @@ def test_shift_exception_records_are_sparse():
     stream.shift(values, 1e-3, +1.0)
     recorded = sum(idx.size for idx, _ in stream.undo.values())
     assert recorded < 0.01 * values.size
+
+
+@pytest.mark.parametrize("chunk, index", [(DEFAULT_CHUNK, np.uint16), (1 << 17, np.uint32)],
+                         ids=["default-chunk", "past-uint16"])
+def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(chunk, index):
+    # chunk-local indices in the smallest unsigned type that holds chunk - 1:
+    # 10 bytes per recorded coordinate at the default chunk, not 16
+    from mezofit.zo import _Stream
+
+    theta = flat(np.random.default_rng(8).standard_normal(200_000))
+    before = theta.values.tobytes()
+    stream = _Stream(PerturbationSeed(4, 0), len(theta), chunk)
+    stream.shift(theta.values, 1e-3, +1.0)
+    assert {idx.dtype for idx, _ in stream.undo.values()} == {np.dtype(index)}
+    top = max(int(idx.max()) for idx, _ in stream.undo.values())
+    assert top < chunk and (chunk <= 1 << 16 or top > 0xFFFF)  # uint32 past uint16's range
+    stream.shift(theta.values, 1e-3, 0.0)
+    assert theta.values.tobytes() == before
+    for s in range(5):
+        spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), 1e-3, chunk=chunk)
+        assert theta.values.tobytes() == before
 
 
 def test_zo_config_validation():

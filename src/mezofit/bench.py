@@ -207,8 +207,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
             if method == "bp":
                 bp_sgd_step(lambda t: model.backward(t, tokens, targets), theta, lr)
             else:
-                mezo_step(lambda t: loss_from_logits(model.forward(t, tokens)[0], targets),
-                          theta, zo_cfg, step)
+                mezo_step(model.loss_fn(tokens, targets), theta, zo_cfg, step)
         except (NonfiniteLossError, NonfiniteGradError) as exc:
             run.failed = True
             run.fail_reason = f"step {step}: {exc}"

@@ -24,10 +24,19 @@ the final norm's input and output.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
+`ToyTransformer.loss_fn(tokens, targets)` binds one batch for the loss
+evaluations of a MeZO step. It checks the batch and forms the target mask,
+count and gather index once; its function reads a parameter array's views
+once per array and runs the same MeZO-mode blocks, reducing each block's
+logits to its rows' loss terms as the block ends. So no (B, N, V) logits
+exist: its peak is one block's live set, one block's logits and one tile.
+Its loss is bit for bit that of `loss_from_logits(forward(...))`, which
+callers that read the logits keep using.
+
 The backward pass frees each layer's cache as it goes and writes its
-transients in place (`_gelu_backward` overwrites both of its arguments), in
-the float order of the plain expressions, so its gradients are bit for bit
-those of an out-of-place pass.
+transients in place (`_gelu_backward` overwrites both of its arguments and
+works through three tiles of scratch), in the float order of the plain
+expressions, so its gradients are bit for bit those of an out-of-place pass.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ import math
 import struct
 import sys
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -139,27 +149,33 @@ def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _gelu_backward(da: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """da * gelu'(u) written into `da`, overwriting `u` too, through three
-    scratch buffers in the float order of 0.5*(1 + t) + 0.5*u*(1 - t*t)*c*
-    (1 + 3a*u*u) with t = tanh(c*(u + a*u*u*u))."""
-    u2 = u * u
-    t = _GELU_A * u2
-    t *= u
-    t += u
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    u2 *= 3.0 * _GELU_A
-    u2 += 1.0
-    q = t * t
-    np.subtract(1.0, q, out=q)
-    u *= 0.5
-    u *= q
-    u *= _GELU_C
-    u *= u2
-    t += 1.0
-    t *= 0.5
-    t += u
-    da *= t
+    """da * gelu'(u) written into `da`, overwriting `u` too, one `_TILE` of
+    elements at a time through three scratch tiles, in the float order of
+    0.5*(1 + t) + 0.5*u*(1 - t*t)*c*(1 + 3a*u*u) with t = tanh(c*(u + a*u*u*u))."""
+    src, dst = u.reshape(-1), da.reshape(-1)
+    u2, t, q = np.empty((3, min(_TILE, src.size)))
+    for i in range(0, src.size, _TILE):
+        x, d = src[i:i + _TILE], dst[i:i + _TILE]
+        if x.size < len(u2):  # a short last tile
+            u2, t, q = u2[:x.size], t[:x.size], q[:x.size]
+        np.multiply(x, x, out=u2)
+        np.multiply(u2, _GELU_A, out=t)
+        t *= x
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        u2 *= 3.0 * _GELU_A
+        u2 += 1.0
+        np.multiply(t, t, out=q)
+        np.subtract(1.0, q, out=q)
+        x *= 0.5
+        x *= q
+        x *= _GELU_C
+        x *= u2
+        t += 1.0
+        t *= 0.5
+        t += x
+        d *= t
     return da
 
 
@@ -195,21 +211,45 @@ def loss_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def _masked_nll(logits, targets):
     """(mean masked NLL, row maxima, row log-sum-exps, mask, unmasked count).
-
-    Each row's log-sum-exp log(sum(exp(logit - max))) is taken through a
-    tile of whole rows, and only the picked entries are formed, as
-    (logit - max) - lse: the float order of the full log-probabilities,
-    which are never built. The maxima and log-sum-exps are (B, N, 1)."""
+    The maxima and log-sum-exps are (B, N, 1)."""
     if logits.shape[:2] != targets.shape:
         raise ValueError(
             f"logits batch/positions {logits.shape[:2]} do not match targets {targets.shape}")
+    V = logits.shape[-1]
+    mask, count, gather = _target_index(targets, V, targets.size)
+    picked = np.empty((targets.size, 1))
+    top, lse = _row_terms(logits.reshape(-1, V), gather, picked)
+    shape = (*mask.shape, 1)
+    return _mean_nll(picked, mask, count), top.reshape(shape), lse.reshape(shape), mask, count
+
+
+def _target_index(targets, V: int, run: int):
+    """(mask, count, gather) of (B, N) targets over rows of V logits: the mask
+    of targets >= 0, its count, and per row the flat index of its target (of
+    column 0 where masked) within its run of `run` consecutive rows, as a
+    (B*N, 1) column. No unmasked target, or one of V or more, raises
+    ValueError."""
     mask = targets >= 0
     count = int(mask.sum())
     if count == 0:
         raise ValueError("no unmasked target positions")
-    V = logits.shape[-1]
-    rows = logits.reshape(-1, V)
-    top = rows.max(axis=-1, keepdims=True)
+    if targets.max() >= V:
+        raise ValueError(f"target id out of range for {V} logits")
+    gather = np.arange(mask.size) % run * V + np.where(mask, targets, 0).reshape(-1)
+    return mask, count, gather.reshape(-1, 1)
+
+
+def _row_terms(rows, gather, out):
+    """(maxima, log-sum-exps) of (R, V) logit rows, each (R, 1), and into the
+    (R, 1) `out` the log-probability (logit - max) - lse of the entry each
+    row's `gather` index picks from the flat rows.
+
+    Each row's log-sum-exp log(sum(exp(logit - max))) is taken through a tile
+    of whole rows, and only the picked entries are formed: the float order of
+    the full log-probabilities, which are never built. A row's terms do not
+    depend on the rows beside it."""
+    V = rows.shape[-1]
+    top = np.maximum.reduce(rows, axis=-1, keepdims=True)
     lse = np.empty_like(top)
     step = max(1, _TILE // V)
     scratch = np.empty((min(step, len(rows)), V))
@@ -218,14 +258,17 @@ def _masked_nll(logits, targets):
         t = scratch[:len(block)]
         np.subtract(block, top[i:i + step], out=t)
         np.exp(t, out=t)
-        np.sum(t, axis=-1, keepdims=True, out=lse[i:i + step])
+        np.add.reduce(t, axis=-1, keepdims=True, out=lse[i:i + step])
     np.log(lse, out=lse)
-    picked = np.take_along_axis(rows, np.where(mask, targets, 0).reshape(-1, 1), axis=-1)
-    picked -= top
-    picked -= lse
-    loss = float(-np.sum(picked.reshape(mask.shape), where=mask) / count)
-    shape = (*mask.shape, 1)
-    return loss, top.reshape(shape), lse.reshape(shape), mask, count
+    rows.take(gather, out=out)
+    out -= top
+    out -= lse
+    return top, lse
+
+
+def _mean_nll(picked, mask, count) -> float:
+    """Minus the mean of the (B*N, 1) picked log-probabilities under `mask`."""
+    return float(-np.sum(picked.reshape(mask.shape), where=mask) / count)
 
 
 def _loss_backward(logits, targets):
@@ -315,26 +358,71 @@ class ToyTransformer:
         under "layers" one dict of arrays per layer, and the final norm's input
         "x_f" and output "hf". In MeZO mode it is None. The logits are bit for
         bit the same in either mode."""
+        tokens = self._checked(tokens)
+        (B, N), bp = tokens.shape, LedgerMode(mode) is LedgerMode.BP
+        rows = B if bp else self._block_rows(N)
+        if rows >= B:
+            return self._sequences(params, tokens, bp)
+        # (B, N, D) @ W is one BLAS call per sequence, so blocks keep its bits
+        views = self._views(params)
+        logits = np.empty((B, N, self.cfg.vocab_size))
+        for i in range(0, B, rows):
+            self._sequences(params, tokens[i:i + rows], False, views, logits[i:i + rows])
+        return logits, None
+
+    def loss_fn(self, tokens: np.ndarray,
+                targets: np.ndarray) -> Callable[[ParameterVector], float]:
+        """The masked mean cross-entropy of `targets` given `tokens`, as a
+        function of the parameters: bit for bit
+        loss_from_logits(forward(params, tokens)[0], targets).
+
+        The tokens, shapes and targets are checked here, once; the function
+        reads the views of a parameter array once and keeps them while it is
+        handed that same array (MeZO shifts it in place). It runs MeZO-mode
+        blocks and reduces each block's logits to its rows' loss terms as the
+        block ends, so no (B, N, V) array exists."""
+        tokens, targets = self._checked(tokens), np.asarray(targets)
+        if tokens.shape != targets.shape:
+            raise ValueError(f"tokens {tokens.shape} and targets {targets.shape} differ in shape")
+        (B, N), V = tokens.shape, self.cfg.vocab_size
+        rows = self._block_rows(N)
+        mask, count, gather = _target_index(targets, V, rows * N)
+        memo = [None, None]  # the parameter array last seen and its views
+
+        def loss(params: ParameterVector) -> float:
+            if memo[0] is not params.values:
+                memo[:] = params.values, self._views(params)
+            picked = np.empty((B * N, 1))
+            for i in range(0, B, rows):
+                logits, _ = self._sequences(params, tokens[i:i + rows], False, memo[1])
+                lo, hi = i * N, min(i + rows, B) * N
+                _row_terms(logits.reshape(-1, V), gather[lo:hi], picked[lo:hi])
+                del logits  # so no two blocks' logits are alive at once
+            return _mean_nll(picked, mask, count)
+        return loss
+
+    def _checked(self, tokens) -> np.ndarray:
+        """`tokens` as an array, or ValueError unless it is (batch, positions)
+        within the context window with every id in the vocabulary."""
         cfg = self.cfg
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, positions), got shape {tokens.shape}")
-        N = tokens.shape[1]
-        if N > cfg.context_length:
-            raise ValueError(f"sequence length {N} exceeds context_length {cfg.context_length}")
+        if tokens.shape[1] > cfg.context_length:
+            raise ValueError(
+                f"sequence length {tokens.shape[1]} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        B, bp = len(tokens), LedgerMode(mode) is LedgerMode.BP
-        rows = B if bp else max(1, _BLOCK // (N * max(self.ffn_dim, cfg.num_heads * N,
-                                                      cfg.vocab_size)))
-        if rows >= B:
-            return self._sequences(params, tokens, bp)
-        # (B, N, D) @ W is one BLAS call per sequence, so blocks keep its bits
-        views = [self._layer(params), *(self._layer(params, l) for l in range(cfg.num_layers))]
-        logits = np.empty((B, N, cfg.vocab_size))
-        for i in range(0, B, rows):
-            self._sequences(params, tokens[i:i + rows], False, views, logits[i:i + rows])
-        return logits, None
+        return tokens
+
+    def _block_rows(self, N: int) -> int:
+        """Sequences per MeZO-mode block at N positions."""
+        cfg = self.cfg
+        return max(1, _BLOCK // (N * max(self.ffn_dim, cfg.num_heads * N, cfg.vocab_size)))
+
+    def _views(self, params: ParameterVector) -> list[dict[str, np.ndarray]]:
+        """The ends' views of `params`, then each layer's, as `_sequences` reads them."""
+        return [self._layer(params), *(self._layer(params, l) for l in range(self.cfg.num_layers))]
 
     def _sequences(self, params, tokens, bp, views=None, out=None):
         """`forward` over one block of whole sequences, writing the logits into

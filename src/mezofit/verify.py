@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mezofit.memory import ModelConfig
-from mezofit.model import ToyTransformer, loss_from_logits
+from mezofit.model import ToyTransformer
 from mezofit.tasks import ToyTask, TaskKind
 from mezofit.zo import (
     ParameterVector,
@@ -106,6 +106,7 @@ def check_fd_gradient(seed: int = 0) -> CheckResult:
                    FD_CONFIG.context_length, seed=seed)
     tokens, targets = task.batch(range(FD_CONFIG.batch_size))
     grad, _ = model.backward(params, tokens, targets)
+    loss = model.loss_fn(tokens, targets)
 
     rng = np.random.default_rng(seed + 1)
     coords = rng.choice(len(params), size=FD_COORDS, replace=False)
@@ -113,9 +114,9 @@ def check_fd_gradient(seed: int = 0) -> CheckResult:
     for i in coords:
         orig = params.values[i]
         params.values[i] = orig + FD_STEP
-        lp = loss_from_logits(model.forward(params, tokens)[0], targets)
+        lp = loss(params)
         params.values[i] = orig - FD_STEP
-        lm = loss_from_logits(model.forward(params, tokens)[0], targets)
+        lm = loss(params)
         params.values[i] = orig
         fd = (lp - lm) / (2 * FD_STEP)
         rel = abs(fd - grad.values[i]) / max(abs(fd), abs(grad.values[i]), 1e-10)

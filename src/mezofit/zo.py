@@ -306,7 +306,8 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
 
     Evaluates the loss at theta + eps*z and theta - eps*z by shifting theta in
     place (z is streamed from `seed`, never stored whole), restores theta
-    bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps).
+    bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps). Theta is
+    restored too when a loss is non-finite or `loss_fn` raises.
     """
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
@@ -315,15 +316,18 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
 
 
 def _spsa_full(loss_fn, theta, stream, epsilon):
+    """(g, loss_plus, loss_minus); theta is restored however the losses end,
+    a non-finite value or an exception from `loss_fn`."""
     values = theta.values
     stream.shift(values, epsilon, +1.0)
-    loss_plus = float(loss_fn(theta))
-    if not np.isfinite(loss_plus):
+    try:
+        loss_plus = float(loss_fn(theta))
+        if not np.isfinite(loss_plus):
+            raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
+        stream.shift(values, epsilon, -1.0)
+        loss_minus = float(loss_fn(theta))
+    finally:
         stream.shift(values, epsilon, 0.0)
-        raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
-    stream.shift(values, epsilon, -1.0)
-    loss_minus = float(loss_fn(theta))
-    stream.shift(values, epsilon, 0.0)
     if not np.isfinite(loss_minus):
         raise NonfiniteLossError(f"loss at -epsilon perturbation is {loss_minus}")
     return (loss_plus - loss_minus) / (2.0 * epsilon), loss_plus, loss_minus
@@ -343,8 +347,8 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     from its seed.
 
     A non-finite loss raises NonfiniteLossError and a non-finite projected
-    gradient raises NonfiniteGradError; either way theta is at its pre-step
-    value, since the update has not begun. If the update itself overflows
+    gradient raises NonfiniteGradError; either way, and when `loss_fn`
+    raises, theta is at its pre-step value, since the update has not begun. If the update itself overflows
     (finite gradients whose scaled sum is not), theta keeps the non-finite
     values written and NonfiniteLossError is raised."""
     if step_index < 0:

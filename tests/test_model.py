@@ -219,7 +219,7 @@ def _rmsnorm_backward_reference(dy, x, gain):
     return dx, dgain
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 5), (3, 7, 33), (8, 64, 128)])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 5), (3, 7, 33), (8, 64, 128), (3, 41, 173)])
 def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     rng = np.random.default_rng(sum(shape))
     u, da = rng.standard_normal(shape) * 3, rng.standard_normal(shape)
@@ -230,6 +230,19 @@ def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     got, want = _rmsnorm_backward(dy, x, gain), _rmsnorm_backward_reference(dy, x, gain)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+
+
+def test_gelu_backward_works_through_three_tiles():
+    # 262,144 elements: three untiled scratch buffers would be 6 MB
+    rng = np.random.default_rng(0)
+    u, da = rng.standard_normal((2, 8, 64, 512))
+    tracemalloc.start()
+    try:
+        _gelu_backward(da, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * _TILE + 4096
 
 def _full_log_softmax_reference(logits, targets):
     """The loss and its logits gradient through the full log-probabilities."""
@@ -264,6 +277,10 @@ def test_lean_forward_and_loss_match_the_full_expressions_bitwise(changes, n):
     want_loss, want_dlogits = _full_log_softmax_reference(logits, targets)
     loss, dlogits = _loss_backward(logits, targets)
     assert loss_from_logits(logits, targets) == loss == want_loss
+    # the bound loss never builds the logits: one block, blocks of 2 and 1,
+    # and one sequence per block
+    assert model.loss_fn(tokens, targets)(params) == loss \
+        == model.backward(params, tokens, targets)[1]
     assert dlogits.tobytes() == want_dlogits.tobytes()
     u = np.random.default_rng(n).standard_normal(
         (cfg.batch_size, n, model.ffn_dim)) * 3
@@ -287,10 +304,11 @@ def test_backward_repeats_bitwise_and_leaves_its_inputs_alone(model, params):
 @pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
 def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
     # activation_bytes at 8 B per float64 element, plus the 8*P gradient, plus
-    # k = 3 B*N*F buffers: the scratch of _gelu_backward (u*u, the tanh and
-    # 1 - tanh^2), live beside the layer's cached u and the incoming gradient
-    # of a, whose buffer replaces the cached a freed just before. The last
-    # term is the logits, log-probabilities and dlogits (3*B*N*V elements).
+    # k = 3 B*N*F buffers, room for the scratch of _gelu_backward (u*u, the
+    # tanh and 1 - tanh^2, now three tiles), live beside the layer's cached u
+    # and the incoming gradient of a, whose buffer replaces the cached a freed
+    # just before. The last term is the logits, log-probabilities and dlogits
+    # (3*B*N*V elements).
     cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
                       vocab_size=V, batch_size=B, stored_layers=1.0)
     model = ToyTransformer(cfg)
@@ -562,6 +580,71 @@ def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
     assert loss == loss_from_logits(one_block, targets) == model.backward(params, tokens, targets)[1]
     peak = mezo_loss_peak(model, params, tokens, targets)
     assert peak <= mezo_loss_peak_bound(model, cfg.batch_size, n)
+
+
+
+def test_bound_loss_follows_its_parameters_in_place_and_across_arrays(model):
+    tokens, targets = tokens_for(CFG, seed=8), tokens_for(CFG, seed=9)
+    loss = model.loss_fn(tokens, targets)
+
+    def reference(p):
+        return loss_from_logits(model.forward(p, tokens)[0], targets)
+
+    params, other = model.init_params(4), model.init_params(5)
+    assert loss(params) == reference(params)
+    params.values *= 0.5  # shifted in place, as MeZO does
+    assert loss(params) == reference(params)
+    assert loss(other) == reference(other)  # another array: its views are read afresh
+    assert loss(params) == reference(params)
+
+
+@pytest.mark.parametrize("tokens,targets,match", [
+    (np.full((2, 8), 32), np.ones((2, 8), int), "token id out of range"),
+    (np.full((2, 8), -1), np.ones((2, 8), int), "token id out of range"),
+    (np.ones((2, 9), int), np.ones((2, 9), int), "exceeds context_length"),
+    (np.ones(8, int), np.ones(8, int), "batch, positions"),
+    (np.ones((2, 8), int), np.ones((2, 7), int), "differ in shape"),
+    (np.ones((2, 8), int), np.full((2, 8), -1), "no unmasked target"),
+    (np.ones((2, 8), int), np.full((2, 8), 32), "target id out of range"),
+], ids=["token-past-V", "negative-token", "past-context", "one-dim", "shapes",
+        "all-masked", "target-past-V"])
+def test_bound_loss_checks_its_batch_when_bound(model, tokens, targets, match):
+    with pytest.raises(ValueError, match=match):
+        model.loss_fn(tokens, targets)
+
+
+def bound_loss_peak_bound(model, B: int, N: int) -> int:
+    """Shape-derived bytes of one call of a `loss_fn` function over B
+    sequences of N positions, in float64 elements: one block's largest live
+    set (as in `mezo_loss_peak_bound`, past the head's logits), one block's
+    b*N*V logits, one tile of log-sum-exp scratch and the B*N loss terms."""
+    cfg = model.cfg
+    D, H, F, V = cfg.hidden_dim, cfg.num_heads, model.ffn_dim, cfg.vocab_size
+    b = min(B, block_rows(model, N))
+    act = b * N * D
+    live = max(5.5 * act, 4 * act + b * H * N * N, 2 * act + b * N * F)
+    return 8 * (live + b * N * V + _TILE + B * N)
+
+
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)],
+                         ids=["one-block", "step-mid"])
+def test_bound_loss_peak_within_one_block_its_logits_and_one_tile(D, L, V, B):
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model = ToyTransformer(cfg)
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
+    loss = model.loss_fn(tokens, targets)
+    loss(params)  # warm up
+    tracemalloc.start()
+    try:
+        loss(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_loss_peak_bound(model, B, cfg.context_length)
+    # below forward plus loss_from_logits, which holds all B*N*V logits
+    assert peak < mezo_loss_peak(model, params, tokens, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark under perfbench/ reaches into the package by name (functions,
 classes, enum members). These checks fail when a rename in src/ would break
 the benchmark, which no other test runs."""
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,35 @@ def test_restore_check_passes(perfbench_path):
     import workloads
 
     assert workloads.restore_check(0) is True
+
+
+def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):
+    # the MeZO steps of a short train-matched run take their loss from
+    # ToyTransformer.loss_fn, which the tracer sees only as the step's
+    # "zo.loss_fn" callbacks
+    import spans
+    import workloads
+    from mezofit import bench
+
+    plan = dataclasses.replace(workloads.TrainMatched(0).plan, steps=20)
+    tracer = spans.Tracer()
+    with tracer.installed(tracer.layer_targets()):
+        tracer.run("bench.run_experiment", bench.run_experiment, plan)
+    n, spans_ = plan.zo.num_perturbations, tracer.spans
+    steps = [i for i, s in enumerate(spans_) if s[0] == "zo.mezo_step"]
+    assert len(steps) == plan.steps * len(plan.lr_grid_mezo)
+    for i in steps:
+        losses = [s for s in spans_ if s[3] == i and s[0] == "zo.loss_fn"]
+        assert len(losses) == 2 * n
+        assert abs(spans._mezo_gaps(spans_[i], losses)[3]) < 1e-3
+    metrics, residual = spans.layer_metrics(spans_, "bench.run_experiment")
+    assert metrics["zo.loss_evals_per_step"] == 2 * n and residual < 1e-3
+
+    def in_step(i):
+        while i >= 0 and spans_[i][0] != "zo.mezo_step":
+            i = spans_[i][3]
+        return i >= 0
+
+    # forward and loss_from_logits now serve only evaluations and probes
+    assert not [s[0] for i, s in enumerate(spans_)
+                if s[0] in ("model.forward", "model.loss") and in_step(i)]

@@ -150,8 +150,9 @@ def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
             model.forward(t, batch[0], mode=LedgerMode.MEZO)[0], batch[1])
 
     drawing = lambda t: loss_of(task.batch(range(cfg.batch_size)))(t)
+    bound = model.loss_fn(*fetched)
     for chunk in (1 << 16, 97):  # one chunk; 35 chunks, later ones rewound by state
-        a, b = model.init_params(0), model.init_params(0)
+        a, b, c = model.init_params(0), model.init_params(0), model.init_params(0)
         for step in range(2):
             # reference: each g_i from a lone estimate, each z_i regenerated whole
             seeds = [PerturbationSeed(step_seed(3, step), i) for i in range(5)]
@@ -164,8 +165,11 @@ def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
 
             _, report_a = mezo_step(loss_of(fetched), a, zcfg, step, chunk=chunk)
             _, report_b = mezo_step(drawing, b, zcfg, step, chunk=chunk)
-            assert report_a == report_b and report_a.projected_gradients == tuple(gs)
-            assert a.values.tobytes() == b.values.tobytes() == ref.values.tobytes()
+            _, report_c = mezo_step(bound, c, zcfg, step, chunk=chunk)
+            assert report_a == report_b == report_c
+            assert report_a.projected_gradients == tuple(gs)
+            assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes() \
+                == ref.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,42 @@ def test_spsa_nonfinite_loss_restores_then_raises():
 
     with pytest.raises(NonfiniteLossError):
         spsa_directional_derivative(exploding_second, theta, PerturbationSeed(3, 0), 1e-3)
+    assert theta.values.tobytes() == before
+
+
+def raising_on(call: int):
+    """The quadratic loss, except that its `call`-th evaluation raises."""
+    calls = []
+
+    def loss(t):
+        calls.append(1)
+        if len(calls) == call:
+            raise ValueError(f"loss raised on call {call}")
+        return quadratic(t)
+    return loss
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("call", [1, 2], ids=["plus", "minus"])
+def test_spsa_restores_theta_when_the_loss_raises(call, chunk):
+    # scale 3 at epsilon 1e-3 leaves some coordinates in the undo record
+    theta = flat(np.random.default_rng(4).standard_normal(4000) * 3)
+    before = theta.values.tobytes()
+    with pytest.raises(ValueError, match=f"call {call}$"):
+        spsa_directional_derivative(raising_on(call), theta, PerturbationSeed(5, 0), 1e-3,
+                                    chunk=chunk)
+    assert theta.values.tobytes() == before
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("call", [5, 6], ids=["plus", "minus"])
+def test_mezo_step_restores_theta_when_the_loss_raises(call, chunk):
+    # the third direction's +epsilon or -epsilon evaluation raises
+    theta = flat(np.random.default_rng(4).standard_normal(4000) * 3)
+    before = theta.values.tobytes()
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=0.1, num_perturbations=4, master_seed=1)
+    with pytest.raises(ValueError, match=f"call {call}$"):
+        mezo_step(raising_on(call), theta, cfg, 0, chunk=chunk)
     assert theta.values.tobytes() == before
 
 

@@ -16,8 +16,9 @@ full log-probabilities. Its peak is then the logits plus one block's largest
 live set: in attention, the block input, the rotated queries and keys, the
 values and the b*H*N*N scores; in the FFN, the block input, its normed input
 or its output, and the b*N*F pre-activation; at the head, the final norm's
-input and output. In BP mode, which only `backward` asks for, the batch is
-one block, and the forward also returns the cache the backward pass reads:
+input and output. In BP mode the batch is one block, and the forward also
+returns the cache the backward pass reads (`backward` runs this mode itself;
+through `forward` it serves callers that inspect the cache):
 every layer's inputs, normed inputs, rotated queries and keys, values,
 attention probabilities, context, FFN pre-activation and GELU output, plus
 the final norm's input and output.
@@ -35,8 +36,9 @@ callers that read the logits keep using.
 
 The backward pass frees each layer's cache as it goes and writes its
 transients in place (`_gelu_backward` overwrites both of its arguments and
-works through three tiles of scratch), in the float order of the plain
-expressions, so its gradients are bit for bit those of an out-of-place pass.
+works through three tiles of scratch, `_rmsnorm_backward` overwrites dy), in
+the float order of the plain expressions, so its gradients are bit for bit
+those of an out-of-place pass.
 """
 from __future__ import annotations
 
@@ -106,17 +108,18 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
-    """Gradients of _rmsnorm, through two scratch buffers in the float order
-    of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
+    """Gradients of _rmsnorm, dx written into `dy`, through one scratch buffer
+    in the float order of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
     r = _rms_inv(x)
     t = dy * x
     t *= r
     dgain = np.sum(t, axis=(0, 1))
-    dx = dy * gain
+    dx = np.multiply(dy, gain, out=dy)
     np.multiply(dx, x, out=t)
     s = np.sum(t, axis=-1, keepdims=True)
     dx *= r
-    np.multiply(x, r ** 3, out=t)
+    r **= 3
+    np.multiply(x, r, out=t)
     t *= s
     t /= x.shape[-1]
     dx -= t
@@ -293,7 +296,7 @@ class ToyTransformer:
 
     Parameters live in a ParameterVector tiled by `segment_shapes`: the
     embedding, then each layer's `_per_layer` segments, then the final norm
-    and the head. Every view of a weight or gradient is read off that layout.
+    and the head. Every view of a weight or gradient comes from `_views`.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -326,12 +329,6 @@ class ToyTransformer:
         return [embed, *((f"layer{l}.{name}", shape) for l in range(self.cfg.num_layers)
                          for name, shape in self._per_layer), *final]
 
-    def _layer(self, params: ParameterVector, l: int | None = None) -> dict[str, np.ndarray]:
-        """Layer l's segments of `params` (weights or gradients), or with no l
-        the embedding, final norm and head, as shaped views keyed by short name."""
-        table, prefix = (self._ends, "") if l is None else (self._per_layer, f"layer{l}.")
-        return {name: params.view(prefix + name, shape) for name, shape in table}
-
     def init_params(self, seed: int) -> ParameterVector:
         """Scaled-normal matrices (scale 1/sqrt(D)); the 1-D segments, the
         norm gains, are ones."""
@@ -360,14 +357,13 @@ class ToyTransformer:
         bit the same in either mode."""
         tokens = self._checked(tokens)
         (B, N), bp = tokens.shape, LedgerMode(mode) is LedgerMode.BP
-        rows = B if bp else self._block_rows(N)
+        rows, views = B if bp else self._block_rows(N), self._views(params)
         if rows >= B:
-            return self._sequences(params, tokens, bp)
+            return self._sequences(views, tokens, bp)
         # (B, N, D) @ W is one BLAS call per sequence, so blocks keep its bits
-        views = self._views(params)
         logits = np.empty((B, N, self.cfg.vocab_size))
         for i in range(0, B, rows):
-            self._sequences(params, tokens[i:i + rows], False, views, logits[i:i + rows])
+            self._sequences(views, tokens[i:i + rows], False, logits[i:i + rows])
         return logits, None
 
     def loss_fn(self, tokens: np.ndarray,
@@ -394,7 +390,7 @@ class ToyTransformer:
                 memo[:] = params.values, self._views(params)
             picked = np.empty((B * N, 1))
             for i in range(0, B, rows):
-                logits, _ = self._sequences(params, tokens[i:i + rows], False, memo[1])
+                logits, _ = self._sequences(memo[1], tokens[i:i + rows], False)
                 lo, hi = i * N, min(i + rows, B) * N
                 _row_terms(logits.reshape(-1, V), gather[lo:hi], picked[lo:hi])
                 del logits  # so no two blocks' logits are alive at once
@@ -421,23 +417,24 @@ class ToyTransformer:
         return max(1, _BLOCK // (N * max(self.ffn_dim, cfg.num_heads * N, cfg.vocab_size)))
 
     def _views(self, params: ParameterVector) -> list[dict[str, np.ndarray]]:
-        """The ends' views of `params`, then each layer's, as `_sequences` reads them."""
-        return [self._layer(params), *(self._layer(params, l) for l in range(self.cfg.num_layers))]
+        """`params` (weights or gradients) as shaped views keyed by short name:
+        one dict for the embedding, final norm and head, then one per layer."""
+        tables = [(self._ends, ""), *((self._per_layer, f"layer{l}.")
+                                      for l in range(self.cfg.num_layers))]
+        return [{name: params.view(prefix + name, shape) for name, shape in table}
+                for table, prefix in tables]
 
-    def _sequences(self, params, tokens, bp, views=None, out=None):
-        """`forward` over one block of whole sequences, writing the logits into
-        `out` if given. It reads the ends' and then each layer's views of
-        `params` from `views`, or builds each as it reads it: building them all
-        first would raise the BP step's traced peak."""
+    def _sequences(self, views, tokens, bp, out=None):
+        """`forward` over one block of whole sequences on the weights of the
+        `_views` table `views`, writing the logits into `out` if given."""
         N = tokens.shape[1]
         cos, sin = self._cos[:N], self._sin[:N]
         # The temporaries of _attention and _ffn die when they return; only BP
         # mode keeps the cache backward reads.
         layers = []
-        ends = self._layer(params) if views is None else views[0]
+        ends = views[0]
         x = ends["embed"][tokens]
-        for l in range(self.cfg.num_layers):
-            w = self._layer(params, l) if views is None else views[l + 1]
+        for w in views[1:]:
             x, attn = self._attention(w, x, cos, sin, bp)
             x, ffn = self._ffn(w, x, bp)
             if bp:
@@ -514,17 +511,18 @@ class ToyTransformer:
         the float order of the plain expression, so gradients are unchanged."""
         cfg = self.cfg
         D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
-        logits, caches = self.forward(params, tokens, LedgerMode.BP)
+        tokens = self._checked(tokens)
+        views = self._views(params)
+        logits, caches = self._sequences(views, tokens, True)
         loss, dlogits = _loss_backward(logits, np.asarray(targets))
         del logits
 
         grad = ParameterVector(np.zeros(len(params)), params.segments)
-        tokens = np.asarray(tokens)
+        (ends, *weights), (g_ends, *grads) = views, self._views(grad)
         B, N = tokens.shape
         cos, nsin = self._cos[:N], -self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        ends, g_ends = self._layer(params), self._layer(grad)
         g_ends["head"][:] = dlogits.reshape(-1, V).T @ caches.pop("hf").reshape(-1, D)
         dhf = dlogits @ ends["head"]
         dx, g_ends["norm_final"][:] = _rmsnorm_backward(dhf, caches.pop("x_f"), ends["norm_final"])
@@ -532,8 +530,7 @@ class ToyTransformer:
 
         layers = caches["layers"]
         while layers:
-            c = layers.pop()
-            w, g = self._layer(params, len(layers)), self._layer(grad, len(layers))
+            c, w, g = layers.pop(), weights.pop(), grads.pop()
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
             g["ffn_out"][:] = c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D)
             du = _gelu_backward(dx @ w["ffn_out"].T, c.pop("u"))

@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured values.
 """
+import dataclasses
+import hashlib
 import json
 import random
 import tracemalloc
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from mezofit import verify
-from mezofit.bench import steps_to_fraction_of_plateau
+from mezofit.bench import emit_csv, steps_to_fraction_of_plateau
 from mezofit.cli import main
 from mezofit.memory import (
     MemoryMode,
@@ -302,3 +304,15 @@ def test_criterion_7_train_determinism(desk_runs):
            "records byte-identical outside the wall-clock column")
     assert identical
     assert texts[0] != texts[1]  # wall clock itself differs between runs
+
+
+# sha256 of the desk plan's records.csv with every wall_clock_s written as
+# 0.0, recorded with numpy 2.4.6 on x86-64: refactors must keep the trained
+# losses and accuracies to the bit
+DESK_CSV_SHA256 = "394e3a944041542a2b08cd15ce19205ab75eeb16c0ba6970e1b56968912ee20d"
+
+
+def test_desk_csv_matches_its_pinned_digest(desk_runs):
+    records = parse_csv((desk_runs[0] / "records.csv").read_text())
+    zeroed = emit_csv([dataclasses.replace(r, wall_clock_s=0.0) for r in records])
+    assert hashlib.sha256(zeroed.encode()).hexdigest() == DESK_CSV_SHA256

@@ -1,5 +1,5 @@
-"""Unused-import and dead-private-name lints over the package, using only
-the standard library."""
+"""Unused-import, dead-private-name and unused-parameter lints over the
+package, using only the standard library."""
 import ast
 from pathlib import Path
 
@@ -80,3 +80,39 @@ def test_lint_flags_dead_private_names():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """`function:parameter` of each parameter (`self` and `cls` aside) that
+    its function's body, nested functions included, never reads. Assigning
+    to a parameter does not count as a use."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        names = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                 if p is not None and p.arg not in ("self", "cls")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        name = getattr(node, "name", "<lambda>")
+        unused += [f"{name}:{p}" for p in names if p not in read]
+    return sorted(unused)
+
+
+def test_lint_flags_unused_parameters():
+    source = ('"""Mentions dead."""\n'
+              "def f(a, b, *args, c, d=1, **kw):\n    return a + c + len(kw)\n"
+              "def outer(x, y):\n    def inner(z, w):\n        return x + z\n"
+              "    y = 2\n    return inner\n"
+              "class K:\n    def m(self, dead):\n        pass\n"
+              "    @classmethod\n    def k(cls, used: int = 0):\n        return used\n"
+              "g = lambda p, q: p\n")
+    assert unused_parameters(source) == ["<lambda>:q", "f:args", "f:b", "f:d", "inner:w",
+                                         "m:dead", "outer:y"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_parameters(module):
+    assert unused_parameters((SRC / module).read_text()) == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -30,6 +31,7 @@ from mezofit.model import (
     loss_from_logits,
     save_weights,
 )
+from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import bp_sgd_step
 
 CFG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
@@ -227,9 +229,28 @@ def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     assert _gelu_backward(da.copy(), u.copy()).tobytes() == want
     dy, x, gain = (rng.standard_normal(shape), rng.standard_normal(shape),
                    rng.standard_normal(shape[-1]))
-    got, want = _rmsnorm_backward(dy, x, gain), _rmsnorm_backward_reference(dy, x, gain)
+    got, want = _rmsnorm_backward(dy.copy(), x, gain), _rmsnorm_backward_reference(dy, x, gain)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+
+def test_rmsnorm_backward_works_through_one_scratch_buffer():
+    # dx takes dy's buffer and r is cubed in place, so beside one B*N*D
+    # scratch buffer it allocates the B*N row terms r and s and the D-element
+    # dgain. numpy's broadcast ufuncs (x * r) also allocate one buffer of
+    # np.getbufsize() elements; the slack covers array headers, the ufunc's
+    # iterator and numpy's cache of small dimension buffers.
+    B, N, D = 8, 64, 128
+    rng = np.random.default_rng(0)
+    x, gain = rng.standard_normal((B, N, D)), rng.standard_normal(D)
+    _rmsnorm_backward(rng.standard_normal((B, N, D)), x, gain)  # warm numpy's caches
+    dy = rng.standard_normal((B, N, D))
+    tracemalloc.start()
+    try:
+        _rmsnorm_backward(dy, x, gain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (B * N * D + 2 * B * N + D + np.getbufsize()) + 2048
 
 
 def test_gelu_backward_works_through_three_tiles():
@@ -299,6 +320,20 @@ def test_backward_repeats_bitwise_and_leaves_its_inputs_alone(model, params):
     (g1, loss1), (g2, loss2) = (model.backward(params, tokens, targets) for _ in range(2))
     assert g1.values.tobytes() == g2.values.tobytes() and loss1 == loss2
     assert [a.tobytes() for a in (params.values, tokens, targets)] == before
+
+
+def test_step_mid_gradient_matches_its_pinned_digest():
+    # The seed-0 BP gradient of the benchmark's step-mid config
+    # (perfbench/step_mid.ini) on its next-token batch, recorded with numpy
+    # 2.4.6 on x86-64: a refactor of the forward or backward must keep it to
+    # the bit.
+    cfg = ModelConfig(context_length=64, num_layers=4, hidden_dim=128, num_heads=4,
+                      vocab_size=256, batch_size=8)
+    model = ToyTransformer(cfg)
+    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, cfg.vocab_size, cfg.context_length, 0)
+    grad, loss = model.backward(model.init_params(0), *task.batch(range(8)))
+    assert hashlib.sha256(grad.values.tobytes()).hexdigest().startswith("c952af9ad7809d6d")
+    assert loss == 6.309151939492573
 
 
 @pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])

@@ -63,10 +63,12 @@ def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):
     assert metrics["zo.loss_evals_per_step"] == 2 * n and residual < 1e-3
 
     def in_step(i):
-        while i >= 0 and spans_[i][0] != "zo.mezo_step":
+        while i >= 0 and spans_[i][0] not in spans.STEP_SPANS:
             i = spans_[i][3]
         return i >= 0
 
-    # forward and loss_from_logits now serve only evaluations and probes
+    # forward and loss_from_logits now serve only evaluations and probes: a
+    # MeZO step takes its loss from loss_fn, and backward runs its own forward
+    assert [s for s in spans_ if s[0] == "zo.bp_sgd_step"]
     assert not [s[0] for i, s in enumerate(spans_)
                 if s[0] in ("model.forward", "model.loss") and in_step(i)]

@@ -19,9 +19,11 @@ or its output, and the b*N*F pre-activation; at the head, the final norm's
 input and output. In BP mode the batch is one block, and the forward also
 returns the cache the backward pass reads (`backward` runs this mode itself;
 through `forward` it serves callers that inspect the cache):
-every layer's inputs, normed inputs, rotated queries and keys, values,
-attention probabilities, context, FFN pre-activation and GELU output, plus
-the final norm's input and output.
+every layer's two norm inputs, rotated queries and keys, values, attention
+probabilities, context and FFN pre-activation, plus the final norm's input.
+It holds nothing one elementwise op rebuilds: the backward pass forms each
+normed input again from its norm's input and the GELU output from the
+pre-activation, in the forward's float order.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
@@ -35,9 +37,9 @@ Its loss is bit for bit that of `loss_from_logits(forward(...))`, which
 callers that read the logits keep using.
 
 The backward pass frees each layer's cache as it goes and writes its
-transients in place (`_gelu_backward` overwrites both of its arguments and
-works through three tiles of scratch, `_rmsnorm_backward` overwrites dy), in
-the float order of the plain expressions, so its gradients are bit for bit
+transients in place (`_gelu_backward` writes the GELU output over its input
+and works through three tiles of scratch, `_rmsnorm_backward` overwrites dy),
+in the float order of the plain expressions, so its gradients are bit for bit
 those of an out-of-place pass.
 """
 from __future__ import annotations
@@ -68,7 +70,7 @@ _TILE = 1 << 14
 _BLOCK = 1 << 15
 
 # Left dynamic, glibc's thresholds rise only to the largest block freed (at
-# step-mid, the 6.8 MB gradient), so each BP step would give its ~45 MB cache
+# step-mid, the 6.8 MB gradient), so each BP step would give its ~25 MB cache
 # back to the kernel and fault it in again. Fixing both keeps blocks up to
 # 32 MiB (glibc's 64-bit cap; larger arrays, such as a gradient with P above
 # about 4.2 M, are still mmapped) in the heap and their freed pages in the
@@ -101,16 +103,17 @@ def _rms_inv(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, r, out=r)
 
 
-def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    y = x * _rms_inv(x)
+def _rmsnorm(x: np.ndarray, gain: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """x * r * gain, r = _rms_inv(x) unless given (the backward passes its own)."""
+    y = x * (_rms_inv(x) if r is None else r)
     y *= gain
     return y
 
 
-def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
-    """Gradients of _rmsnorm, dx written into `dy`, through one scratch buffer
-    in the float order of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
-    r = _rms_inv(x)
+def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray):
+    """Gradients of _rmsnorm, given r = _rms_inv(x), dx written into `dy` and
+    r cubed in place, through one scratch buffer in the float order of
+    dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
     t = dy * x
     t *= r
     dgain = np.sum(t, axis=(0, 1))
@@ -127,7 +130,7 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray):
 
 
 def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5*u*(1 + tanh(c*(u + a*u*u*u))) as in-place ufuncs, in that order,
+    """u*0.5*(1 + tanh((u*u*a*u + u)*c)) as in-place ufuncs, in that order,
     one `_TILE` of elements at a time through one scratch tile.
 
     `out` may be `u` itself; the result then overwrites it.
@@ -152,9 +155,10 @@ def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _gelu_backward(da: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """da * gelu'(u) written into `da`, overwriting `u` too, one `_TILE` of
-    elements at a time through three scratch tiles, in the float order of
-    0.5*(1 + t) + 0.5*u*(1 - t*t)*c*(1 + 3a*u*u) with t = tanh(c*(u + a*u*u*u))."""
+    """da * gelu'(u) written into `da` and gelu(u), bit for bit `_gelu`'s,
+    into `u`, one `_TILE` of elements at a time through three scratch tiles,
+    in the float order of da * (0.5*(1 + t) + 0.5*u*(1 - t*t)*c*(1 + 3a*(u*u)))
+    with t = tanh((u*u*a*u + u)*c)."""
     src, dst = u.reshape(-1), da.reshape(-1)
     u2, t, q = np.empty((3, min(_TILE, src.size)))
     for i in range(0, src.size, _TILE):
@@ -171,13 +175,14 @@ def _gelu_backward(da: np.ndarray, u: np.ndarray) -> np.ndarray:
         u2 += 1.0
         np.multiply(t, t, out=q)
         np.subtract(1.0, q, out=q)
-        x *= 0.5
-        x *= q
-        x *= _GELU_C
-        x *= u2
         t += 1.0
+        x *= 0.5
+        q *= x
+        q *= _GELU_C
+        q *= u2
+        x *= t  # gelu(u), as _gelu forms it
         t *= 0.5
-        t += x
+        t += q
         d *= t
     return da
 
@@ -352,9 +357,9 @@ class ToyTransformer:
     def forward(self, params: ParameterVector, tokens: np.ndarray,
                 mode: LedgerMode = LedgerMode.MEZO) -> tuple[np.ndarray, dict | None]:
         """(logits, cache). In BP mode the cache is what `backward` reads:
-        under "layers" one dict of arrays per layer, and the final norm's input
-        "x_f" and output "hf". In MeZO mode it is None. The logits are bit for
-        bit the same in either mode."""
+        under "layers" one dict per layer of "x_in", "q4", "k4", "v4",
+        "probs", "ctx", "x_mid" and "u", and the final norm's input "x_f". In
+        MeZO mode it is None. The logits are bit for bit the same in either mode."""
         tokens = self._checked(tokens)
         (B, N), bp = tokens.shape, LedgerMode(mode) is LedgerMode.BP
         rows, views = B if bp else self._block_rows(N), self._views(params)
@@ -440,9 +445,8 @@ class ToyTransformer:
             if bp:
                 layers.append({**attn, **ffn})
 
-        hf = _rmsnorm(x, ends["norm_final"])
-        logits = np.matmul(hf, ends["head"].T, out=out)
-        return logits, dict(layers=layers, x_f=x, hf=hf) if bp else None
+        logits = np.matmul(_rmsnorm(x, ends["norm_final"]), ends["head"].T, out=out)
+        return logits, dict(layers=layers, x_f=x) if bp else None
 
     def _attention(self, w, x_in, cos, sin, bp):
         """x_in + attn(rmsnorm(x_in)) @ wo over one layer's weights `w`, and
@@ -455,7 +459,7 @@ class ToyTransformer:
         q = h @ w["wq"]
         k = h @ w["wk"]
         v = h @ w["wv"]
-        cache = dict(x_in=x_in, h=h) if bp else {}
+        cache = dict(x_in=x_in) if bp else {}
         del h
         # head-major layout (B, H, N, dh) keeps attention on plain matmuls;
         # each rebinding drops the projection it replaces
@@ -485,15 +489,11 @@ class ToyTransformer:
 
     def _ffn(self, w, x_mid, bp):
         """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out over one layer's weights
-        `w`, and (BP mode) what backward reads. Without BP, the normed input
-        goes once u exists and the GELU output takes u's buffer."""
-        h2 = _rmsnorm(x_mid, w["norm_ffn"])
-        u = h2 @ w["ffn_in"]
-        cache = dict(x_mid=x_mid, h2=h2) if bp else {}
-        del h2
+        `w`, and (BP mode) what backward reads: x_mid and u. The normed input
+        goes once u exists; without BP the GELU output takes u's buffer."""
+        u = _rmsnorm(x_mid, w["norm_ffn"]) @ w["ffn_in"]
+        cache = dict(x_mid=x_mid, u=u) if bp else {}
         a = _gelu(u, out=None if bp else u)
-        if bp:
-            cache.update(u=u, a=a)
         out = a @ w["ffn_out"]
         out += x_mid
         return out, cache
@@ -504,11 +504,13 @@ class ToyTransformer:
                  targets: np.ndarray) -> tuple[ParameterVector, float]:
         """Exact reverse-mode gradient of the masked mean cross-entropy.
 
-        Frees each layer's cache as it goes: popped as the layer's backward
-        starts, `a` and `u` freed once consumed, the rest at its end. The
-        logits and their gradient go once the final norm's gradient exists.
-        `_gelu_backward` overwrites its arguments. Each in-place step keeps
-        the float order of the plain expression, so gradients are unchanged."""
+        Rebuilds what the cache does not hold where it is read: each normed
+        input from its norm's input, with the r that norm's backward then
+        reads, and the GELU output, which `_gelu_backward` leaves in u's
+        buffer. Frees each layer's cache as it goes, each array and transient
+        after its last read. The logits and their gradient go once the final
+        norm's gradient exists. Each in-place step keeps the float order of
+        the plain expression, so gradients are unchanged."""
         cfg = self.cfg
         D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
         tokens = self._checked(tokens)
@@ -523,49 +525,63 @@ class ToyTransformer:
         cos, nsin = self._cos[:N], -self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        g_ends["head"][:] = dlogits.reshape(-1, V).T @ caches.pop("hf").reshape(-1, D)
+        # each normed input is rebuilt from its norm's input with the r that
+        # norm's backward then reads
+        x_f = caches.pop("x_f")
+        r = _rms_inv(x_f)
+        g_ends["head"][:] = dlogits.reshape(-1, V).T @ _rmsnorm(
+            x_f, ends["norm_final"], r).reshape(-1, D)
         dhf = dlogits @ ends["head"]
-        dx, g_ends["norm_final"][:] = _rmsnorm_backward(dhf, caches.pop("x_f"), ends["norm_final"])
-        del dlogits, dhf
+        dx, g_ends["norm_final"][:] = _rmsnorm_backward(dhf, x_f, ends["norm_final"], r)
+        del dlogits, dhf, x_f, r
 
         layers = caches["layers"]
         while layers:
             c, w, g = layers.pop(), weights.pop(), grads.pop()
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
-            g["ffn_out"][:] = c.pop("a").reshape(-1, F).T @ dx.reshape(-1, D)
-            du = _gelu_backward(dx @ w["ffn_out"].T, c.pop("u"))
-            g["ffn_in"][:] = c["h2"].reshape(-1, D).T @ du.reshape(-1, F)
+            x_mid, u = c.pop("x_mid"), c.pop("u")
+            du = _gelu_backward(dx @ w["ffn_out"].T, u)
+            g["ffn_out"][:] = u.reshape(-1, F).T @ dx.reshape(-1, D)  # u now holds gelu(u)
+            del u
+            r = _rms_inv(x_mid)
+            g["ffn_in"][:] = _rmsnorm(x_mid, w["norm_ffn"], r).reshape(-1, D).T @ du.reshape(-1, F)
             dh2 = du @ w["ffn_in"].T
-            dx_mid, g["norm_ffn"][:] = _rmsnorm_backward(dh2, c["x_mid"], w["norm_ffn"])
+            del du
+            dx_mid, g["norm_ffn"][:] = _rmsnorm_backward(dh2, x_mid, w["norm_ffn"], r)
             dx += dx_mid  # residual
 
             # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
-            g["wo"][:] = c["ctx"].reshape(-1, D).T @ dx.reshape(-1, D)
+            g["wo"][:] = c.pop("ctx").reshape(-1, D).T @ dx.reshape(-1, D)
             dctx = (dx @ w["wo"].T).reshape(B, N, H, dh).transpose(0, 2, 1, 3)
-            probs = c["probs"]
-            dscores = dctx @ c["v4"].transpose(0, 1, 3, 2)  # dprobs, then dscores in place
+            probs = c.pop("probs")
+            dscores = dctx @ c.pop("v4").transpose(0, 1, 3, 2)  # dprobs, then dscores in place
             dv = (probs.transpose(0, 1, 3, 2) @ dctx).transpose(0, 2, 1, 3).reshape(B, N, D)
+            del dctx
             inner = np.sum(dscores * probs, axis=-1, keepdims=True)
             dscores -= inner
             dscores *= probs
-            dq4 = dscores @ c["k4"]
+            del probs, inner
+            dq4 = dscores @ c.pop("k4")
             dq4 *= inv_sqrt_dh
-            dk4 = dscores.transpose(0, 1, 3, 2) @ c["q4"]
+            dk4 = dscores.transpose(0, 1, 3, 2) @ c.pop("q4")
             dk4 *= inv_sqrt_dh
+            del dscores
             dq = _rope(dq4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
             dk = _rope(dk4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
-            h2d = c["h"].reshape(-1, D)
+            del dq4, dk4
+            x_in = c.pop("x_in")
+            r = _rms_inv(x_in)
+            h2d = _rmsnorm(x_in, w["norm_attn"], r).reshape(-1, D)
             g["wq"][:] = h2d.T @ dq.reshape(-1, D)
             g["wk"][:] = h2d.T @ dk.reshape(-1, D)
             g["wv"][:] = h2d.T @ dv.reshape(-1, D)
             dh_pre = dq @ w["wq"].T
             dh_pre += dk @ w["wk"].T
             dh_pre += dv @ w["wv"].T
-            dx_in, g["norm_attn"][:] = _rmsnorm_backward(dh_pre, c["x_in"], w["norm_attn"])
+            dx_in, g["norm_attn"][:] = _rmsnorm_backward(dh_pre, x_in, w["norm_attn"], r)
             dx += dx_in
             # nothing of this layer may outlive it into the next one
-            del c, w, g, probs, du, dh2, dx_mid, dctx, dscores, inner, dq4, dk4, dq, dk, dv, \
-                h2d, dh_pre, dx_in
+            del c, w, g, x_mid, x_in, r, dh2, dx_mid, dq, dk, dv, h2d, dh_pre, dx_in
 
         np.add.at(g_ends["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss

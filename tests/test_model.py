@@ -229,24 +229,27 @@ def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     assert _gelu_backward(da.copy(), u.copy()).tobytes() == want
     dy, x, gain = (rng.standard_normal(shape), rng.standard_normal(shape),
                    rng.standard_normal(shape[-1]))
-    got, want = _rmsnorm_backward(dy.copy(), x, gain), _rmsnorm_backward_reference(dy, x, gain)
+    got = _rmsnorm_backward(dy.copy(), x, gain, _rms_inv(x))
+    want = _rmsnorm_backward_reference(dy, x, gain)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_rmsnorm_backward_works_through_one_scratch_buffer():
     # dx takes dy's buffer and r is cubed in place, so beside one B*N*D
-    # scratch buffer it allocates the B*N row terms r and s and the D-element
-    # dgain. numpy's broadcast ufuncs (x * r) also allocate one buffer of
+    # scratch buffer it allocates the B*N row term s and the D-element dgain;
+    # the B*N row term r is formed by _rms_inv just before, as backward does.
+    # numpy's broadcast ufuncs (x * r) also allocate one buffer of
     # np.getbufsize() elements; the slack covers array headers, the ufunc's
     # iterator and numpy's cache of small dimension buffers.
     B, N, D = 8, 64, 128
     rng = np.random.default_rng(0)
     x, gain = rng.standard_normal((B, N, D)), rng.standard_normal(D)
-    _rmsnorm_backward(rng.standard_normal((B, N, D)), x, gain)  # warm numpy's caches
+    # warm numpy's caches
+    _rmsnorm_backward(rng.standard_normal((B, N, D)), x, gain, _rms_inv(x))
     dy = rng.standard_normal((B, N, D))
     tracemalloc.start()
     try:
-        _rmsnorm_backward(dy, x, gain)
+        _rmsnorm_backward(dy, x, gain, _rms_inv(x))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,6 +267,19 @@ def test_gelu_backward_works_through_three_tiles():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * _TILE + 4096
+
+
+@pytest.mark.parametrize("size", [1, _TILE - 1, _TILE, 2 * _TILE + 3])
+def test_gelu_backward_leaves_gelu_of_u_in_u(size):
+    # The backward rebuilds the GELU output the BP cache does not hold from
+    # the tanh it already forms; 2*_TILE + 3 ends on a short tile.
+    rng = np.random.default_rng(size)
+    u, da = rng.standard_normal(size) * 3, rng.standard_normal(size)
+    want_a, want_da = _gelu(u).tobytes(), _gelu_backward_reference(da, u).tobytes()
+    got_da = _gelu_backward(da, u)
+    assert got_da is da and da.tobytes() == want_da
+    assert u.tobytes() == want_a
+
 
 def _full_log_softmax_reference(logits, targets):
     """The loss and its logits gradient through the full log-probabilities."""
@@ -338,12 +354,15 @@ def test_step_mid_gradient_matches_its_pinned_digest():
 
 @pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
 def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
-    # activation_bytes at 8 B per float64 element, plus the 8*P gradient, plus
-    # k = 3 B*N*F buffers, room for the scratch of _gelu_backward (u*u, the
-    # tanh and 1 - tanh^2, now three tiles), live beside the layer's cached u
-    # and the incoming gradient of a, whose buffer replaces the cached a freed
-    # just before. The last term is the logits, log-probabilities and dlogits
-    # (3*B*N*V elements).
+    # The peak comes in the top layer's FFN backward. Live then: the lean
+    # cache of every layer (x_in, q4, k4, v4, ctx, x_mid: 6*B*N*D; probs:
+    # B*H*N*N; u: B*N*F), dx (B*N*D, where x_f was), the 8*P gradient, and one
+    # layer's transients: the incoming gradient of the GELU output (B*N*F)
+    # beside either _gelu_backward's three tiles or the (F, D) product that
+    # becomes the ffn_out gradient, and the N*dh/2 table -sin. The slack is
+    # 24 KiB for the weight and gradient view tables, the layer dicts and the
+    # array headers (about 21 KiB at both sizes), plus 96 B for numpy's cache
+    # of small dimension buffers.
     cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
                       vocab_size=V, batch_size=B, stored_layers=1.0)
     model = ToyTransformer(cfg)
@@ -356,16 +375,17 @@ def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    N, F, k = cfg.context_length, model.ffn_dim, 3
-    acts = activation_bytes(cfg.replace(bytes_per_param=8.0))
-    assert peak <= acts + 8 * len(params) + k * 8 * B * N * F + 3 * 8 * B * N * V
+    N, H, F = cfg.context_length, cfg.num_heads, model.ffn_dim
+    cache = 8 * (L * (6 * B * N * D + B * H * N * N + B * N * F) + B * N * D)
+    transients = 8 * (B * N * F + max(3 * min(_TILE, B * N * F), F * D) + N * cfg.head_dim // 2)
+    assert peak <= cache + 8 * len(params) + transients + 24 * 1024 + 96
 
 
 @pytest.mark.skipif(not hasattr(_LIBC, "mallopt"), reason="needs glibc's mallopt")
 def test_warm_bp_step_reuses_the_pages_of_its_cache():
     # A count, not a time. Under glibc's default dynamic thresholds each step
-    # at this config gives its ~45 MB cache back to the kernel and takes over
-    # 10,000 minor faults to get it back.
+    # at this config gives its ~25 MB cache back to the kernel and takes about
+    # 9,800 minor faults to get it back.
     import resource  # Unix only, like mallopt
     cfg = ModelConfig(context_length=64, num_layers=4, hidden_dim=128, num_heads=4,
                       vocab_size=256, batch_size=8)
@@ -387,17 +407,16 @@ def test_warm_bp_step_reuses_the_pages_of_its_cache():
 
 def layer_sizes(cache) -> list[dict[str, int]]:
     """Per layer, the elements the BP cache holds for attention scores,
-    attention (normed input, rotated queries and keys, values, context), FFN
-    (normed input, pre-activation, GELU output) and the two norm inputs."""
-    groups = dict(scores=("probs",), attn=("h", "q4", "k4", "v4", "ctx"),
-                  ffn=("h2", "u", "a"), norm=("x_in", "x_mid"))
+    attention (rotated queries and keys, values, context), FFN
+    (pre-activation) and the two norm inputs."""
+    groups = dict(scores=("probs",), attn=("q4", "k4", "v4", "ctx"),
+                  ffn=("u",), norm=("x_in", "x_mid"))
     return [{g: sum(c[k].size for k in keys) for g, keys in groups.items()}
             for c in cache["layers"]]
 
 
 def cache_bytes(cache) -> int:
-    return (sum(a.nbytes for c in cache["layers"] for a in c.values())
-            + cache["x_f"].nbytes + cache["hf"].nbytes)
+    return sum(a.nbytes for c in cache["layers"] for a in c.values()) + cache["x_f"].nbytes
 
 
 def bp_cache(cfg):
@@ -413,11 +432,13 @@ def test_bp_cache_holds_what_backward_reads(model, params, n):
     assert nothing is None  # MeZO, the default, keeps nothing
     assert logits.tobytes() == mezo_logits.tobytes()
     B, D, H, F = CFG.batch_size, CFG.hidden_dim, CFG.num_heads, model.ffn_dim
-    assert sorted(cache) == ["hf", "layers", "x_f"]
+    # nothing one elementwise op rebuilds: no normed input, no GELU output
+    assert sorted(cache) == ["layers", "x_f"]
+    assert all(sorted(c) == ["ctx", "k4", "probs", "q4", "u", "v4", "x_in", "x_mid"]
+               for c in cache["layers"])
     assert layer_sizes(cache) == CFG.num_layers * [dict(
-        scores=B * H * n * n, attn=5 * B * n * D, ffn=B * n * D + 2 * B * n * F,
-        norm=2 * B * n * D)]
-    assert cache["x_f"].shape == cache["hf"].shape == (B, n, D)
+        scores=B * H * n * n, attn=4 * B * n * D, ffn=B * n * F, norm=2 * B * n * D)]
+    assert cache["x_f"].shape == (B, n, D)
     # layer 0 reads the embedding rows themselves
     embed = params.view("embed", (CFG.vocab_size, D))
     assert cache["layers"][0]["x_in"].tobytes() == embed[tokens].tobytes()
@@ -450,7 +471,12 @@ def test_mezo_forward_peak_within_one_layer_of_the_bp_cache(stored, n):
     model = ToyTransformer(cfg)
     params, tokens = model.init_params(1), tokens_for(cfg)[:, :n]
     cache = model.forward(params, tokens, LedgerMode.BP)[1]
-    one_layer = max(sum(a.nbytes for a in c.values()) for c in cache["layers"])
+    # one layer's forward arrays by shape: x_in, its normed input, q, k, v,
+    # ctx, x_mid and its normed input (8*B*n*D), the scores (B*H*n*n), and
+    # the FFN's pre-activation and GELU output (2*B*n*F). The BP cache keeps
+    # only some of them.
+    B, D, H, F = cfg.batch_size, cfg.hidden_dim, cfg.num_heads, model.ffn_dim
+    one_layer = 8 * (8 * B * n * D + B * H * n * n + 2 * B * n * F)
     model.forward(params, tokens)  # warm up
     peaks = []
     for _ in range(3):
@@ -461,7 +487,7 @@ def test_mezo_forward_peak_within_one_layer_of_the_bp_cache(stored, n):
         finally:
             tracemalloc.stop()
     assert len(set(peaks)) == 1  # the same count on every repeat
-    assert peaks[0] <= one_layer <= cache_bytes(cache) / cfg.num_layers
+    assert peaks[0] <= one_layer and cache_bytes(cache) / cfg.num_layers <= one_layer
 
 
 def test_mezo_forward_peak_does_not_grow_with_stored_layers():

@@ -27,6 +27,8 @@ from mezofit.zo import (
     splitmix64,
 )
 
+loss_from_logits = loss_from_logits  # unused here; perfbench's tracer wraps it
+
 EVAL_SEQUENCES = 128  # held-out split size, fixed for determinism
 BUDGET_MATCH_TOLERANCE = 0.15  # the two totals must agree within 15%
 
@@ -178,7 +180,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
     task = plan.task
     batch_size = cfg.batch_size
     eval_tokens, eval_targets = task.eval_batch(EVAL_SEQUENCES)
-    probe = _crop_to_window(cfg, *task.batch(range(batch_size)))
+    probe_loss = model.loss_fn(*_crop_to_window(cfg, *task.batch(range(batch_size))))
 
     eval_at = set(_eval_points(plan.steps, plan.eval_every))
     run = RunResult(method, lr, [])
@@ -189,8 +191,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
         nonlocal rmax
         acc = _windowed_accuracy(cfg, model, theta, eval_tokens, eval_targets)
         rmax = max(rmax, acc)
-        probe_logits, _ = model.forward(theta, probe[0])
-        train_loss = loss_from_logits(probe_logits, probe[1])
+        train_loss = probe_loss(theta)
         run.records.append(RunRecord(method, lr, step,
                                      time.perf_counter() - t0, train_loss,
                                      acc, rmax))

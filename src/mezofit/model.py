@@ -36,11 +36,11 @@ exist: its peak is one block's live set, one block's logits and one tile.
 Its loss is bit for bit that of `loss_from_logits(forward(...))`, which
 callers that read the logits keep using.
 
-The backward pass frees each layer's cache as it goes and writes its
-transients in place (`_gelu_backward` writes the GELU output over its input
-and works through three tiles of scratch, `_rmsnorm_backward` overwrites dy),
-in the float order of the plain expressions, so its gradients are bit for bit
-those of an out-of-place pass.
+The backward pass frees each layer's cache as it goes, allocates the flat
+gradient only once the top layer's cache is gone and writes its transients in
+place (`_gelu_backward` the GELU output over u through three scratch tiles,
+`_rmsnorm_backward` dx over dy), in the float order of the plain expressions,
+so its gradients are bit for bit those of an out-of-place pass.
 """
 from __future__ import annotations
 
@@ -292,6 +292,13 @@ def _loss_backward(logits, targets):
     return loss, dlogits
 
 
+class _Grads(dict):
+    """Views of a flat gradient by name: setting a name copies into its view."""
+
+    def __setitem__(self, name, a):
+        self[name][:] = a
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -508,9 +515,10 @@ class ToyTransformer:
         input from its norm's input, with the r that norm's backward then
         reads, and the GELU output, which `_gelu_backward` leaves in u's
         buffer. Frees each layer's cache as it goes, each array and transient
-        after its last read. The logits and their gradient go once the final
-        norm's gradient exists. Each in-place step keeps the float order of
-        the plain expression, so gradients are unchanged."""
+        after its last read; the logits and their gradient go once the final
+        norm's gradient exists. The flat gradient is made once the top layer's
+        cache is gone. Each in-place step keeps the float order of the plain
+        expression, so gradients are unchanged."""
         cfg = self.cfg
         D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
         tokens = self._checked(tokens)
@@ -519,39 +527,36 @@ class ToyTransformer:
         loss, dlogits = _loss_backward(logits, np.asarray(targets))
         del logits
 
-        grad = ParameterVector(np.zeros(len(params)), params.segments)
-        (ends, *weights), (g_ends, *grads) = views, self._views(grad)
+        (ends, *weights), layers = views, caches["layers"]
         B, N = tokens.shape
         cos, nsin = self._cos[:N], -self._sin[:N]
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-        # each normed input is rebuilt from its norm's input with the r that
-        # norm's backward then reads
         x_f = caches.pop("x_f")
         r = _rms_inv(x_f)
-        g_ends["head"][:] = dlogits.reshape(-1, V).T @ _rmsnorm(
-            x_f, ends["norm_final"], r).reshape(-1, D)
+        # held as made until the flat gradient exists; embed=0.0 zeroes its segment
+        g = dict(embed=0.0, head=dlogits.reshape(-1, V).T @ _rmsnorm(
+            x_f, ends["norm_final"], r).reshape(-1, D))
         dhf = dlogits @ ends["head"]
-        dx, g_ends["norm_final"][:] = _rmsnorm_backward(dhf, x_f, ends["norm_final"], r)
+        dx, g["norm_final"] = _rmsnorm_backward(dhf, x_f, ends["norm_final"], r)
         del dlogits, dhf, x_f, r
 
-        layers = caches["layers"]
         while layers:
-            c, w, g = layers.pop(), weights.pop(), grads.pop()
+            c, w = layers.pop(), weights.pop()
             # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
             x_mid, u = c.pop("x_mid"), c.pop("u")
             du = _gelu_backward(dx @ w["ffn_out"].T, u)
-            g["ffn_out"][:] = u.reshape(-1, F).T @ dx.reshape(-1, D)  # u now holds gelu(u)
+            g["ffn_out"] = u.reshape(-1, F).T @ dx.reshape(-1, D)  # u now holds gelu(u)
             del u
             r = _rms_inv(x_mid)
-            g["ffn_in"][:] = _rmsnorm(x_mid, w["norm_ffn"], r).reshape(-1, D).T @ du.reshape(-1, F)
+            g["ffn_in"] = _rmsnorm(x_mid, w["norm_ffn"], r).reshape(-1, D).T @ du.reshape(-1, F)
             dh2 = du @ w["ffn_in"].T
             del du
-            dx_mid, g["norm_ffn"][:] = _rmsnorm_backward(dh2, x_mid, w["norm_ffn"], r)
+            dx_mid, g["norm_ffn"] = _rmsnorm_backward(dh2, x_mid, w["norm_ffn"], r)
             dx += dx_mid  # residual
 
             # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
-            g["wo"][:] = c.pop("ctx").reshape(-1, D).T @ dx.reshape(-1, D)
+            g["wo"] = c.pop("ctx").reshape(-1, D).T @ dx.reshape(-1, D)
             dctx = (dx @ w["wo"].T).reshape(B, N, H, dh).transpose(0, 2, 1, 3)
             probs = c.pop("probs")
             dscores = dctx @ c.pop("v4").transpose(0, 1, 3, 2)  # dprobs, then dscores in place
@@ -572,18 +577,25 @@ class ToyTransformer:
             x_in = c.pop("x_in")
             r = _rms_inv(x_in)
             h2d = _rmsnorm(x_in, w["norm_attn"], r).reshape(-1, D)
-            g["wq"][:] = h2d.T @ dq.reshape(-1, D)
-            g["wk"][:] = h2d.T @ dk.reshape(-1, D)
-            g["wv"][:] = h2d.T @ dv.reshape(-1, D)
+            g["wq"] = h2d.T @ dq.reshape(-1, D)
+            g["wk"] = h2d.T @ dk.reshape(-1, D)
+            g["wv"] = h2d.T @ dv.reshape(-1, D)
             dh_pre = dq @ w["wq"].T
             dh_pre += dk @ w["wk"].T
             dh_pre += dv @ w["wv"].T
-            dx_in, g["norm_attn"][:] = _rmsnorm_backward(dh_pre, x_in, w["norm_attn"], r)
+            dx_in, g["norm_attn"] = _rmsnorm_backward(dh_pre, x_in, w["norm_attn"], r)
             dx += dx_in
             # nothing of this layer may outlive it into the next one
-            del c, w, g, x_mid, x_in, r, dh2, dx_mid, dq, dk, dv, h2d, dh_pre, dx_in
+            del c, w, x_mid, x_in, r, dh2, dx_mid, dq, dk, dv, h2d, dh_pre, dx_in
+            if "head" in g:  # the top layer's cache is gone
+                grad = ParameterVector(np.empty(len(params)), params.segments)
+                grads = self._views(grad)
+                into = {**grads[0], **grads.pop()}  # the ends' and top layer's views
+                for name in list(g):  # each held array is dropped once copied in
+                    into[name][:] = g.pop(name)
+            g = _Grads(grads.pop())  # after layer 0, the embedding's, final norm's and head's
 
-        np.add.at(g_ends["embed"], tokens.ravel(), dx.reshape(-1, D))
+        np.add.at(g["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss
 
 

@@ -40,6 +40,19 @@ def test_restore_check_passes(perfbench_path):
     assert workloads.restore_check(0) is True
 
 
+def test_train_matched_bp_peak_within_its_bound_by_shape(perfbench_path):
+    # the BP peak the benchmark reads, held to the bound test_model.py sets
+    # on backward by shape
+    import workloads
+    from mezofit.model import ToyTransformer
+    from test_model import bp_peak_bound
+
+    wl = workloads.TrainMatched(0)
+    cfg = wl.plan.bp_model
+    bound = bp_peak_bound(ToyTransformer(cfg), cfg.batch_size, cfg.context_length)
+    assert wl.memory_pass()["bp_peak_bytes"] <= bound
+
+
 def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):
     # the MeZO steps of a short train-matched run take their loss from
     # ToyTransformer.loss_fn, which the tracer sees only as the step's
@@ -67,8 +80,9 @@ def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):
             i = spans_[i][3]
         return i >= 0
 
-    # forward and loss_from_logits now serve only evaluations and probes: a
-    # MeZO step takes its loss from loss_fn, and backward runs its own forward
+    # forward now serves only evaluations: a MeZO step and the train-loss
+    # probe take their loss from loss_fn, and backward runs its own forward
     assert [s for s in spans_ if s[0] == "zo.bp_sgd_step"]
+    assert not [s for s in spans_ if s[0] == "model.loss"]
     assert not [s[0] for i, s in enumerate(spans_)
                 if s[0] in ("model.forward", "model.loss") and in_step(i)]

@@ -10,17 +10,18 @@ A forward pass in MeZO mode (the default) runs the network over one block of
 b whole sequences at a time, as many as keep its widest buffer within `_BLOCK`
 elements (at least one), each writing its rows of one (B, N, V) logits array.
 It keeps nothing past the operation that reads it: each buffer is dropped once
-read, the GELU output takes the buffer of its input, and GELU and the loss's
-log-sum-exp work through one `_TILE` of scratch, so the loss never builds the
-full log-probabilities. Its peak is then the logits plus one block's largest
-live set: in attention, the block input, the rotated queries and keys, the
-values and the b*H*N*N scores; in the FFN, the block input, its normed input
-or its output, and the b*N*F pre-activation; at the head, the final norm's
-input and output. In BP mode the batch is one block, and the forward also
-returns the cache the backward pass reads (`backward` runs this mode itself;
-through `forward` it serves callers that inspect the cache):
-every layer's two norm inputs, rotated queries and keys, values, attention
-probabilities, context and FFN pre-activation, plus the final norm's input.
+read, GELU writes over its input through the FFN's normed input, dead by then,
+whose buffer then takes the FFN output, and the loss's log-sum-exp works
+through one `_TILE` of scratch, so the loss never builds the full
+log-probabilities. Its peak is then the logits plus one block's largest live
+set: in attention, the block input, the rotated queries and keys, the values
+and the b*H*N*N scores; in the FFN, the block input, its normed input and the
+b*N*F pre-activation; at the head, the final norm's input and output. In BP
+mode the batch is one block, and the forward also returns the cache the
+backward pass reads (`backward` runs this mode itself; through `forward` it
+serves callers that inspect the cache): every layer's two norm inputs, rotated
+queries and keys, values, attention probabilities, context and FFN
+pre-activation, plus the final norm's input.
 It holds nothing one elementwise op rebuilds: the backward pass forms each
 normed input again from its norm's input and the GELU output from the
 pre-activation, in the forward's float order.
@@ -32,7 +33,7 @@ evaluations of a MeZO step. It checks the batch and forms the target mask,
 count and gather index once; its function reads a parameter array's views
 once per array and runs the same MeZO-mode blocks, reducing each block's
 logits to its rows' loss terms as the block ends. So no (B, N, V) logits
-exist: its peak is one block's live set, one block's logits and one tile.
+exist: its peak is one block's live set, or its logits and the loss's tile.
 Its loss is bit for bit that of `loss_from_logits(forward(...))`, which
 callers that read the logits keep using.
 
@@ -129,18 +130,22 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.nda
     return dx, dgain
 
 
-def _gelu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gelu(u: np.ndarray, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
     """u*0.5*(1 + tanh((u*u*a*u + u)*c)) as in-place ufuncs, in that order,
-    one `_TILE` of elements at a time through one scratch tile.
+    one tile of elements at a time through one scratch tile.
 
-    `out` may be `u` itself; the result then overwrites it.
+    `out` may be `u` itself; the result then overwrites it. `scratch`, a
+    contiguous float64 buffer whose contents are dead, is overwritten and is
+    the tile; without it a fresh one of min(`_TILE`, u.size) elements is.
     """
     if out is None:
         out = np.empty_like(u)
     src, dst = u.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(_TILE, src.size))
-    for i in range(0, src.size, _TILE):
-        x, y = src[i:i + _TILE], dst[i:i + _TILE]
+    scratch = np.empty(min(_TILE, src.size)) if scratch is None else scratch.reshape(-1)
+    n = scratch.size
+    for i in range(0, src.size, n):
+        x, y = src[i:i + n], dst[i:i + n]
         t = scratch[:x.size]
         np.multiply(x, x, out=t)
         t *= _GELU_A
@@ -496,12 +501,16 @@ class ToyTransformer:
 
     def _ffn(self, w, x_mid, bp):
         """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out over one layer's weights
-        `w`, and (BP mode) what backward reads: x_mid and u. The normed input
-        goes once u exists; without BP the GELU output takes u's buffer."""
-        u = _rmsnorm(x_mid, w["norm_ffn"]) @ w["ffn_in"]
-        cache = dict(x_mid=x_mid, u=u) if bp else {}
-        a = _gelu(u, out=None if bp else u)
-        out = a @ w["ffn_out"]
+        `w`, and (BP mode) what backward reads: x_mid and u. BP mode drops the
+        normed input h once u exists (tiling through it saves no BP peak); MeZO
+        mode writes GELU over u through h, dead by then, then the output into h."""
+        h = _rmsnorm(x_mid, w["norm_ffn"])
+        u = h @ w["ffn_in"]
+        if bp:
+            del h
+            out, cache = _gelu(u) @ w["ffn_out"], dict(x_mid=x_mid, u=u)
+        else:
+            out, cache = np.matmul(_gelu(u, u, h), w["ffn_out"], out=h), {}
         out += x_mid
         return out, cache
 

@@ -53,6 +53,25 @@ def test_train_matched_bp_peak_within_its_bound_by_shape(perfbench_path):
     assert wl.memory_pass()["bp_peak_bytes"] <= bound
 
 
+def test_train_matched_mezo_peak_within_its_bound_by_shape(perfbench_path):
+    # the MeZO peak the benchmark reads: the bound test_model.py sets on one
+    # forward plus loss by shape (at this plan's MeZO model, the FFN's x_mid,
+    # normed input and pre-activation, 8*(2*b*N*D + b*N*F), plus its slack),
+    # plus the noise that a vector of one chunk keeps through the step, 8*P
+    import workloads
+    from mezofit.model import ToyTransformer
+    from mezofit.zo import DEFAULT_CHUNK
+    from test_model import mezo_loss_peak_bound
+
+    wl = workloads.TrainMatched(0)
+    cfg = wl.plan.mezo_model
+    model = ToyTransformer(cfg)
+    P = model.param_count()
+    assert P <= DEFAULT_CHUNK
+    bound = mezo_loss_peak_bound(model, cfg.batch_size, cfg.context_length) + 8 * P
+    assert wl.memory_pass()["mezo_peak_bytes"] <= bound
+
+
 def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):
     # the MeZO steps of a short train-matched run take their loss from
     # ToyTransformer.loss_fn, which the tracer sees only as the step's

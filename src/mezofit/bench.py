@@ -158,20 +158,6 @@ def _crop_to_window(cfg: ModelConfig, tokens: np.ndarray,
     return tokens[:, -window:], targets[:, -window:]
 
 
-def _windowed_accuracy(cfg: ModelConfig, model: ToyTransformer,
-                       theta, tokens: np.ndarray, targets: np.ndarray) -> float:
-    """Accuracy over every defined target position of the full samples.
-
-    Positions outside the model's context window count as incorrect: a model
-    that cannot ingest a position cannot answer it."""
-    vis_tokens, vis_targets = _crop_to_window(cfg, tokens, targets)
-    logits, _ = model.forward(theta, vis_tokens)
-    mask = vis_targets >= 0
-    correct = int(np.sum(logits.argmax(axis=-1)[mask] == vis_targets[mask]))
-    total = int(np.sum(targets >= 0))
-    return correct / total
-
-
 def _run_single(plan: ExperimentPlan, method: str, lr: float,
                 cfg: ModelConfig, progress: bool) -> RunResult:
     model = ToyTransformer(cfg)
@@ -180,6 +166,9 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
     task = plan.task
     batch_size = cfg.batch_size
     eval_tokens, eval_targets = task.eval_batch(EVAL_SEQUENCES)
+    # a defined target outside the context window counts as wrong: the model cannot see it
+    eval_window = _crop_to_window(cfg, eval_tokens, eval_targets)
+    eval_total = int(np.count_nonzero(eval_targets >= 0))
     probe_loss = model.loss_fn(*_crop_to_window(cfg, *task.batch(range(batch_size))))
 
     eval_at = set(_eval_points(plan.steps, plan.eval_every))
@@ -189,7 +178,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
 
     def evaluate(step: int) -> None:
         nonlocal rmax
-        acc = _windowed_accuracy(cfg, model, theta, eval_tokens, eval_targets)
+        acc = model.correct(theta, *eval_window) / eval_total
         rmax = max(rmax, acc)
         train_loss = probe_loss(theta)
         run.records.append(RunRecord(method, lr, step,

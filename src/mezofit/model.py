@@ -6,17 +6,15 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-A forward pass in MeZO mode (the default) runs the network over one block of
-b whole sequences at a time, as many as keep its widest buffer within `_BLOCK`
-elements (at least one), each writing its rows of one (B, N, V) logits array.
-It keeps nothing past the operation that reads it: each buffer is dropped once
-read, GELU writes over its input through the FFN's normed input, dead by then,
-whose buffer then takes the FFN output, and the loss's log-sum-exp works
-through one `_TILE` of scratch, so the loss never builds the full
-log-probabilities. Its peak is then the logits plus one block's largest live
-set: in attention, the block input, the rotated queries and keys, the values
-and the b*H*N*N scores; in the FFN, the block input, its normed input and the
-b*N*F pre-activation; at the head, the final norm's input and output. In BP
+MeZO mode (the default) runs the network over blocks of b whole sequences, as
+many as keep its widest buffer within `_BLOCK` elements (at least one), in
+`ToyTransformer._blocks`, the one loop over blocks. A block keeps nothing
+past the operation that reads it: each buffer is dropped once read, and GELU
+writes over its input through the FFN's normed input, dead by then, whose
+buffer then takes the FFN output. Its largest live set is: in attention, the
+block input, the rotated queries and keys, the values and the b*H*N*N scores;
+in the FFN, the block input, its normed input and the b*N*F pre-activation;
+at the head, the final norm's input and output. In BP
 mode the batch is one block, and the forward also returns the cache the
 backward pass reads (`backward` runs this mode itself; through `forward` it
 serves callers that inspect the cache): every layer's two norm inputs, rotated
@@ -28,14 +26,14 @@ pre-activation, in the forward's float order.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
-`ToyTransformer.loss_fn(tokens, targets)` binds one batch for the loss
-evaluations of a MeZO step. It checks the batch and forms the target mask,
-count and gather index once; its function reads a parameter array's views
-once per array and runs the same MeZO-mode blocks, reducing each block's
-logits to its rows' loss terms as the block ends. So no (B, N, V) logits
-exist: its peak is one block's live set, or its logits and the loss's tile.
-Its loss is bit for bit that of `loss_from_logits(forward(...))`, which
-callers that read the logits keep using.
+`loss_fn(tokens, targets)` binds one batch: it checks it and forms the target
+mask, count and gather index once, and its function reduces each block's
+logits to its rows' loss terms as the block ends, the log-sum-exp through one
+`_TILE` of scratch. `correct(params, tokens, targets)` counts the targets each
+block's argmax hits. Neither builds the (B, N, V) logits, so each peaks at one
+block's live set, or its logits and the loss's tile. Only the benchmark and
+the tests call `forward`, which writes every block into one (B, N, V) array,
+and `loss_from_logits`; the bound loss is bit for bit their loss.
 
 The backward pass frees each layer's cache as it goes, allocates the flat
 gradient only once the top layer's cache is gone and writes its transients in
@@ -371,16 +369,17 @@ class ToyTransformer:
         """(logits, cache). In BP mode the cache is what `backward` reads:
         under "layers" one dict per layer of "x_in", "q4", "k4", "v4",
         "probs", "ctx", "x_mid" and "u", and the final norm's input "x_f". In
-        MeZO mode it is None. The logits are bit for bit the same in either mode."""
+        MeZO mode it is None. The logits are bit for bit the same in either
+        mode. Only the benchmark and the tests call it: a run's MeZO losses,
+        train-loss probes and evaluations go through `loss_fn` and `correct`."""
         tokens = self._checked(tokens)
         (B, N), bp = tokens.shape, LedgerMode(mode) is LedgerMode.BP
-        rows, views = B if bp else self._block_rows(N), self._views(params)
-        if rows >= B:
+        views = self._views(params)
+        if bp or self._block_rows(N) >= B:
             return self._sequences(views, tokens, bp)
-        # (B, N, D) @ W is one BLAS call per sequence, so blocks keep its bits
         logits = np.empty((B, N, self.cfg.vocab_size))
-        for i in range(0, B, rows):
-            self._sequences(views, tokens[i:i + rows], False, logits[i:i + rows])
+        for _ in self._blocks(views, tokens, logits):
+            pass
         return logits, None
 
     def loss_fn(self, tokens: np.ndarray,
@@ -391,32 +390,40 @@ class ToyTransformer:
 
         The tokens, shapes and targets are checked here, once; the function
         reads the views of a parameter array once and keeps them while it is
-        handed that same array (MeZO shifts it in place). It runs MeZO-mode
-        blocks and reduces each block's logits to its rows' loss terms as the
-        block ends, so no (B, N, V) array exists."""
-        tokens, targets = self._checked(tokens), np.asarray(targets)
-        if tokens.shape != targets.shape:
-            raise ValueError(f"tokens {tokens.shape} and targets {targets.shape} differ in shape")
+        handed that same array (MeZO shifts it in place). It reduces the
+        logits of each of `_blocks` to its rows' loss terms as the block ends,
+        so no (B, N, V) array exists."""
+        tokens, targets = self._checked(tokens, targets), np.asarray(targets)
         (B, N), V = tokens.shape, self.cfg.vocab_size
-        rows = self._block_rows(N)
-        mask, count, gather = _target_index(targets, V, rows * N)
+        mask, count, gather = _target_index(targets, V, self._block_rows(N) * N)
         memo = [None, None]  # the parameter array last seen and its views
 
         def loss(params: ParameterVector) -> float:
             if memo[0] is not params.values:
                 memo[:] = params.values, self._views(params)
             picked = np.empty((B * N, 1))
-            for i in range(0, B, rows):
-                logits, _ = self._sequences(memo[1], tokens[i:i + rows], False)
-                lo, hi = i * N, min(i + rows, B) * N
+            for i, logits in self._blocks(memo[1], tokens):
+                lo, hi = i * N, (i + len(logits)) * N
                 _row_terms(logits.reshape(-1, V), gather[lo:hi], picked[lo:hi])
                 del logits  # so no two blocks' logits are alive at once
             return _mean_nll(picked, mask, count)
         return loss
 
-    def _checked(self, tokens) -> np.ndarray:
+    def correct(self, params: ParameterVector, tokens: np.ndarray, targets: np.ndarray) -> int:
+        """Positions whose target (>= 0) is the argmax of its logits in
+        forward(params, tokens), counted as each MeZO-mode block ends, so no
+        (B, N, V) array exists. The batch is checked as `loss_fn` checks it."""
+        tokens, targets = self._checked(tokens, targets), np.asarray(targets)
+        n = 0
+        for i, logits in self._blocks(self._views(params), tokens):
+            n += np.count_nonzero(logits.argmax(-1) == targets[i:i + len(logits)])
+            del logits
+        return int(n)
+
+    def _checked(self, tokens, targets=None) -> np.ndarray:
         """`tokens` as an array, or ValueError unless it is (batch, positions)
-        within the context window with every id in the vocabulary."""
+        within the context window with every id in the vocabulary and, given
+        `targets`, of their shape."""
         cfg = self.cfg
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -426,6 +433,8 @@ class ToyTransformer:
                 f"sequence length {tokens.shape[1]} exceeds context_length {cfg.context_length}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
+        if targets is not None and tokens.shape != np.shape(targets):
+            raise ValueError(f"tokens {tokens.shape} and targets {np.shape(targets)} differ in shape")
         return tokens
 
     def _block_rows(self, N: int) -> int:
@@ -440,6 +449,15 @@ class ToyTransformer:
                                       for l in range(self.cfg.num_layers))]
         return [{name: params.view(prefix + name, shape) for name, shape in table}
                 for table, prefix in tables]
+
+    def _blocks(self, views, tokens, out=None):
+        """(first row, logits) of each MeZO-mode block of `tokens` on the weights
+        `views`, written into out's rows if given. (B, N, D) @ W is one BLAS
+        call per sequence, so the blocks' logits are those of one block."""
+        rows = self._block_rows(tokens.shape[1])
+        for i in range(0, len(tokens), rows):
+            block = None if out is None else out[i:i + rows]
+            yield i, self._sequences(views, tokens[i:i + rows], False, block)[0]
 
     def _sequences(self, views, tokens, bp, out=None):
         """`forward` over one block of whole sequences on the weights of the

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mezofit.bench import EVAL_SEQUENCES
 from mezofit.memory import (
     ConfigError,
     ModelConfig,
@@ -721,10 +722,13 @@ def test_mezo_loss_peak_within_its_largest_moment(D, L, V, B):
     assert peak <= mezo_loss_peak_bound(model, B, cfg.context_length)
 
 
+# odd V, cropped N: 37 * 301 elements of logits per sequence give two
+# sequences per block, so five sequences run as blocks of 2, 2 and 1
+RAGGED = CFG.replace(context_length=40, hidden_dim=48, vocab_size=301, batch_size=5)
+
+
 def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
-    # odd V, cropped N: 37 * 301 elements of logits per sequence give two
-    # sequences per block, so five sequences run as blocks of 2, 2 and 1
-    cfg = CFG.replace(context_length=40, hidden_dim=48, vocab_size=301, batch_size=5)
+    cfg = RAGGED
     model, n = ToyTransformer(cfg), 37
     assert block_rows(model, n) == 2
     params = model.init_params(4)
@@ -739,6 +743,26 @@ def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
     assert loss == loss_from_logits(one_block, targets) == model.backward(params, tokens, targets)[1]
     peak = mezo_loss_peak(model, params, tokens, targets)
     assert peak <= mezo_loss_peak_bound(model, cfg.batch_size, n)
+
+
+@pytest.mark.parametrize("case", ["ragged-blocks", "masked", "zero-head"])
+def test_correct_counts_the_argmax_hits_of_the_full_logits(case):
+    model, n = ToyTransformer(RAGGED), 37
+    params = model.init_params(4)
+    if case == "zero-head":  # every logit ties, so every argmax is 0
+        params.segment("head")[:] = 0.0
+    tokens = tokens_for(RAGGED, seed=8)[:, :n]
+    hits = model.forward(params, tokens)[0].argmax(-1)
+    # half the targets are the argmax, so the count is neither 0 nor all
+    rng = np.random.default_rng(9)
+    targets = np.where(rng.random(hits.shape) < 0.5, hits,
+                       rng.integers(0, RAGGED.vocab_size, hits.shape))
+    if case == "masked":
+        targets[:, ::3] = -1
+    want = np.count_nonzero(hits == targets)
+    # a zero-head count of "picked logit == row max" would be every target
+    assert 0 < want < np.count_nonzero(targets >= 0)
+    assert model.correct(params, tokens, targets) == want
 
 
 
@@ -757,19 +781,28 @@ def test_bound_loss_follows_its_parameters_in_place_and_across_arrays(model):
     assert loss(params) == reference(params)
 
 
-@pytest.mark.parametrize("tokens,targets,match", [
-    (np.full((2, 8), 32), np.ones((2, 8), int), "token id out of range"),
-    (np.full((2, 8), -1), np.ones((2, 8), int), "token id out of range"),
-    (np.ones((2, 9), int), np.ones((2, 9), int), "exceeds context_length"),
-    (np.ones(8, int), np.ones(8, int), "batch, positions"),
-    (np.ones((2, 8), int), np.ones((2, 7), int), "differ in shape"),
-    (np.ones((2, 8), int), np.full((2, 8), -1), "no unmasked target"),
-    (np.ones((2, 8), int), np.full((2, 8), 32), "target id out of range"),
+@pytest.mark.parametrize("entry,tokens,targets,match", [
+    ("loss_fn", np.full((2, 8), 32), np.ones((2, 8), int), "token id out of range"),
+    ("loss_fn", np.full((2, 8), -1), np.ones((2, 8), int), "token id out of range"),
+    ("loss_fn", np.ones((2, 9), int), np.ones((2, 9), int), "exceeds context_length"),
+    ("loss_fn", np.ones(8, int), np.ones(8, int), "batch, positions"),
+    ("loss_fn", np.ones((2, 8), int), np.ones((2, 7), int), "differ in shape"),
+    ("loss_fn", np.ones((2, 8), int), np.full((2, 8), -1), "no unmasked target"),
+    ("loss_fn", np.ones((2, 8), int), np.full((2, 8), 32), "target id out of range"),
+    ("correct", np.full((2, 8), 32), np.ones((2, 8), int), "token id out of range"),
+    ("correct", np.ones((2, 9), int), np.ones((2, 9), int), "exceeds context_length"),
+    ("correct", np.ones((2, 8), int), np.ones((2, 7), int), "differ in shape"),
 ], ids=["token-past-V", "negative-token", "past-context", "one-dim", "shapes",
-        "all-masked", "target-past-V"])
-def test_bound_loss_checks_its_batch_when_bound(model, tokens, targets, match):
+        "all-masked", "target-past-V", "correct-token-past-V", "correct-past-context",
+        "correct-shapes"])
+def test_bound_loss_checks_its_batch_when_bound(model, params, entry, tokens, targets, match):
+    # `correct`, which counts the argmax hits of an evaluation, checks its
+    # batch as `loss_fn` does (a batch with no defined target counts 0)
     with pytest.raises(ValueError, match=match):
-        model.loss_fn(tokens, targets)
+        if entry == "correct":
+            model.correct(params, tokens, targets)
+        else:
+            model.loss_fn(tokens, targets)
 
 
 def bound_loss_peak_bound(model, B: int, N: int) -> int:
@@ -809,6 +842,42 @@ def test_bound_loss_peak_within_its_largest_moment(D, L, V, B):
     assert peak <= bound_loss_peak_bound(model, B, cfg.context_length)
     # below forward plus loss_from_logits, which holds all B*N*V logits
     assert peak < mezo_loss_peak(model, params, tokens, targets)
+
+
+def bound_accuracy_peak_bound(model, B: int, N: int) -> int:
+    """Shape-derived bytes of one `correct` call over B sequences of N
+    positions: the largest of its moments, in float64 elements. No two
+    blocks' logits are alive at once, so per block of b sequences: its
+    `block_live`; at the head, x and its norm beside the block's b*N*V
+    logits; at the count, those logits beside their b*N argmax and its
+    comparison with the targets. Nothing grows with B past one block."""
+    cfg = model.cfg
+    D, V = cfg.hidden_dim, cfg.vocab_size
+    b = min(B, block_rows(model, N))
+    logits = b * N * V
+    head, count = 2 * b * N * D + logits, logits + 2 * b * N
+    return int(8 * max(block_live(model, b, N), head, count)) + PEAK_SLACK
+
+
+@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)],
+                         ids=["D64-V64", "step-mid"])
+def test_bound_accuracy_peak_within_one_block(D, L, V, B):
+    # over the 128 sequences an evaluation reads, not a step's batch of B: an
+    # evaluation through forward held all their (128, N, V) logits (peaks of
+    # 4,726,328 and 17,179,448 B against bounds of 540,672 and 409,600)
+    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+                      vocab_size=V, batch_size=B, stored_layers=1.0)
+    model, n, N = ToyTransformer(cfg), EVAL_SEQUENCES, cfg.context_length
+    params = model.init_params(0)
+    tokens, targets = tokens_for(cfg, seed=1, batch=n), tokens_for(cfg, seed=2, batch=n)
+    model.correct(params, tokens, targets)  # warm up
+    tracemalloc.start()
+    try:
+        model.correct(params, tokens, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_accuracy_peak_bound(model, n, N) < 8 * n * N * V
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,17 @@ residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
 finite differences in the tests.
 
-MeZO mode (the default) runs the network over blocks of b whole sequences, as
-many as keep its widest buffer within `_BLOCK` elements (at least one), in
-`ToyTransformer._blocks`, the one loop over blocks. A block keeps nothing
-past the operation that reads it: each buffer is dropped once read, and GELU
-writes over its input through the FFN's normed input, dead by then, whose
-buffer then takes the FFN output. Its largest live set is: in attention, the
-block input, the rotated queries and keys, the values and the b*H*N*N scores;
-in the FFN, the block input, its normed input and the b*N*F pre-activation;
-at the head, the final norm's input and output. In BP
+MeZO mode (the default) runs the network over blocks of whole sequences
+(`_block_rows`) in `ToyTransformer._blocks`, the one loop over blocks, and
+drops each buffer once read: GELU writes over its input through the FFN's
+normed input, dead by then, whose buffer then takes the FFN output. In BP
 mode the batch is one block, and the forward also returns the cache the
 backward pass reads (`backward` runs this mode itself; through `forward` it
-serves callers that inspect the cache): every layer's two norm inputs, rotated
-queries and keys, values, attention probabilities, context and FFN
-pre-activation, plus the final norm's input.
-It holds nothing one elementwise op rebuilds: the backward pass forms each
-normed input again from its norm's input and the GELU output from the
-pre-activation, in the forward's float order.
+serves callers that inspect the cache), which holds nothing one elementwise
+op rebuilds: the backward pass forms each normed input again from its
+norm's input and the GELU output from the pre-activation, in the forward's
+float order. `ToyTransformer.peak_bytes` accounts for each call's live set
+and peak bytes.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
@@ -30,8 +24,7 @@ Importing this module on glibc keeps freed heap pages in the process (see
 mask, count and gather index once, and its function reduces each block's
 logits to its rows' loss terms as the block ends, the log-sum-exp through one
 `_TILE` of scratch. `correct(params, tokens, targets)` counts the targets each
-block's argmax hits. Neither builds the (B, N, V) logits, so each peaks at one
-block's live set, or its logits and the loss's tile. Only the benchmark and
+block's argmax hits. Neither builds the (B, N, V) logits. Only the benchmark and
 the tests call `forward`, which writes every block into one (B, N, V) array,
 and `loss_from_logits`; the bound loss is bit for bit their loss.
 
@@ -64,8 +57,9 @@ _ROPE_BASE = 10000.0
 # Elements of scratch that _gelu and the loss's log-sum-exp work through at
 # a time: 128 KiB of float64, small beside a layer's activations.
 _TILE = 1 << 14
-# A MeZO-mode forward block holds as many whole sequences (at least one) as
-# keep its widest buffer, N*F, H*N*N or N*V per sequence, in 256 KiB of float64.
+# A MeZO-mode forward block holds as many whole sequences as keep its widest
+# buffer, N*F, H*N*N or N*V per sequence, in 256 KiB of float64, at least one
+# and at most batch_size, so an evaluation peaks no higher than a step's loss.
 _BLOCK = 1 << 15
 
 # Left dynamic, glibc's thresholds rise only to the largest block freed (at
@@ -250,6 +244,11 @@ def _target_index(targets, V: int, run: int):
     return mask, count, gather.reshape(-1, 1)
 
 
+def _lse_tile(rows: int, V: int) -> int:
+    """Rows of the loss's log-sum-exp tile over `rows` rows of V logits."""
+    return min(max(1, _TILE // V), rows)
+
+
 def _row_terms(rows, gather, out):
     """(maxima, log-sum-exps) of (R, V) logit rows, each (R, 1), and into the
     (R, 1) `out` the log-probability (logit - max) - lse of the entry each
@@ -262,8 +261,8 @@ def _row_terms(rows, gather, out):
     V = rows.shape[-1]
     top = np.maximum.reduce(rows, axis=-1, keepdims=True)
     lse = np.empty_like(top)
-    step = max(1, _TILE // V)
-    scratch = np.empty((min(step, len(rows)), V))
+    step = _lse_tile(len(rows), V)
+    scratch = np.empty((step, V))
     for i in range(0, len(rows), step):
         block = rows[i:i + step]
         t = scratch[:len(block)]
@@ -438,9 +437,10 @@ class ToyTransformer:
         return tokens
 
     def _block_rows(self, N: int) -> int:
-        """Sequences per MeZO-mode block at N positions."""
+        """Sequences per MeZO-mode block at N positions (see `_BLOCK`)."""
         cfg = self.cfg
-        return max(1, _BLOCK // (N * max(self.ffn_dim, cfg.num_heads * N, cfg.vocab_size)))
+        widest = N * max(self.ffn_dim, cfg.num_heads * N, cfg.vocab_size)
+        return max(1, min(cfg.batch_size, _BLOCK // widest))
 
     def _views(self, params: ParameterVector) -> list[dict[str, np.ndarray]]:
         """`params` (weights or gradients) as shaped views keyed by short name:
@@ -624,6 +624,56 @@ class ToyTransformer:
 
         np.add.at(g["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss
+
+    # -- peak bytes ---------------------------------------------------------
+
+    def peak_bytes(self, entry: str, B: int, N: int) -> int:
+        """The tracemalloc peak of one call of `entry` over B sequences of N
+        positions, from shapes: "backward", "loss" (a `loss_fn` function),
+        "correct" or "forward" (`forward` plus `loss_from_logits`, MeZO
+        mode); another name raises ValueError. It models this float64 numpy
+        code, numpy's broadcast and reduction scratch included, as the
+        largest moment in elements plus a slack for view tables, headers and
+        numpy's iterators; `memory_for_mode` stays the paper's model.
+
+        "backward" peaks in the top layer's FFN backward: every layer's cache,
+        dx, the head's and final norm's gradients, the (F, D) ffn_out product,
+        the B*N*F incoming GELU gradient beside three tiles or that product,
+        and the -sin table (a second F*D covers the layer below's, where the
+        flat gradient has replaced the top layer's cache). A MeZO block of
+        b = min(B, `_block_rows`(N)) sequences holds, in attention, x_in, q,
+        k, v, a rotated copy and a half-width rotary product, then x_in, q4,
+        k4, v4 and the scores, then x_in, v4, the scores and the softmax's
+        row reductions (the rotary and softmax steps each add a numpy buffer
+        of at most np.getbufsize() elements); in the FFN, x_mid, its norm and
+        the pre-activation; at the head, x and its norm beside the logits:
+        one block's for "loss", which adds the log-sum-exp tile, the block's
+        row maxima and sums and the B*N terms it keeps, and "correct", which
+        adds the argmax and its comparison; all B*N*V for "forward", beside
+        every block if several, then the tile and four B*N columns."""
+        cfg = self.cfg
+        D, H, F, V = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size
+        if entry == "backward":
+            cache = cfg.num_layers * (6 * B * N * D + B * H * N * N + B * N * F) + B * N * D
+            transients = B * N * F + max(3 * min(_TILE, B * N * F), F * D) + N * cfg.head_dim // 2
+            # 24 KiB of view tables, layer dicts and headers; 96 B of numpy's dimension cache
+            return 8 * (cache + V * D + D + F * D + transients) + 24 * 1024 + 96
+        if entry not in ("loss", "correct", "forward"):
+            raise ValueError(f"unknown entry {entry!r}: not backward, loss, correct or forward")
+        b = min(B, self._block_rows(N))
+        act, scores, buf = b * N * D, b * H * N * N, np.getbufsize()
+        block = max(5.5 * act + min(buf, act / 2), 4 * act + scores,
+                    2 * act + scores + b * H * N + min(buf, scores), 2 * act + b * N * F)
+        held = B * N if entry == "loss" else 0
+        if entry == "forward":
+            logits = B * N * V
+            block += 0 if b == B else logits
+            last = logits + _lse_tile(B * N, V) * V + 4 * B * N
+        else:
+            logits = b * N * V
+            last = logits + 2 * b * N + (_lse_tile(b * N, V) * V if entry == "loss" else 0)
+        # 16 KiB for the view tables, headers and numpy's ufunc iterators
+        return int(8 * (max(block, 2 * act + logits, last) + held)) + 16 * 1024
 
 
 # ---------------------------------------------------------------------------

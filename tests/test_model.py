@@ -15,7 +15,6 @@ from mezofit.memory import (
     param_elements,
 )
 from mezofit.model import (
-    _BLOCK,
     _GELU_A,
     _GELU_C,
     _NORM_EPS,
@@ -53,6 +52,18 @@ def tokens_for(cfg, seed=3, batch=None):
     rng = np.random.default_rng(seed)
     b = batch if batch is not None else cfg.batch_size
     return rng.integers(0, cfg.vocab_size, size=(b, cfg.context_length))
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak over one call(), after one untraced call that warms
+    numpy's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +255,8 @@ def test_rmsnorm_backward_works_through_one_scratch_buffer():
     # iterator and numpy's cache of small dimension buffers.
     B, N, D = 8, 64, 128
     rng = np.random.default_rng(0)
-    x, gain = rng.standard_normal((B, N, D)), rng.standard_normal(D)
-    # warm numpy's caches
-    _rmsnorm_backward(rng.standard_normal((B, N, D)), x, gain, _rms_inv(x))
-    dy = rng.standard_normal((B, N, D))
-    tracemalloc.start()
-    try:
-        _rmsnorm_backward(dy, x, gain, _rms_inv(x))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (x, dy), gain = rng.standard_normal((2, B, N, D)), rng.standard_normal(D)
+    peak = traced_peak(lambda: _rmsnorm_backward(dy, x, gain, _rms_inv(x)))
     assert peak <= 8 * (B * N * D + 2 * B * N + D + np.getbufsize()) + 2048
 
 
@@ -261,13 +264,7 @@ def test_gelu_backward_works_through_three_tiles():
     # 262,144 elements: three untiled scratch buffers would be 6 MB
     rng = np.random.default_rng(0)
     u, da = rng.standard_normal((2, 8, 64, 512))
-    tracemalloc.start()
-    try:
-        _gelu_backward(da, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * _TILE + 4096
+    assert traced_peak(lambda: _gelu_backward(da, u)) <= 3 * 8 * _TILE + 4096
 
 
 @pytest.mark.parametrize("size", [1, _TILE - 1, _TILE, 2 * _TILE + 3])
@@ -302,14 +299,7 @@ def test_gelu_in_place_through_a_callers_scratch_allocates_no_array():
     # measured); 96 B more for numpy's cache of small dimension buffers.
     rng = np.random.default_rng(0)
     u, h = rng.standard_normal((4, 64, 512)), np.empty((4, 64, 128))
-    _gelu(u, u, h)  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        _gelu(u, u, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1024 + 96
+    assert traced_peak(lambda: _gelu(u, u, h)) <= 1024 + 96
 
 
 def _full_log_softmax_reference(logits, targets):
@@ -408,46 +398,6 @@ def test_backward_gradient_is_a_fresh_contiguous_vector(model, params):
         assert g.values.flags.owndata and g.values.base is None
         assert not np.shares_memory(g.values, params.values)
     assert not np.shares_memory(g1.values, g2.values)
-
-
-def bp_peak_bound(model, B: int, N: int) -> int:
-    """Shape-derived bytes a BP step may trace at its peak, in the FFN
-    backward of the top layer or of the layer below it. Live in the top
-    layer's: the lean cache of every layer (x_in, q4, k4, v4, ctx, x_mid:
-    6*B*N*D; probs: B*H*N*N; u: B*N*F), dx (B*N*D, where x_f was), the
-    gradients made so far, the head's and final norm's (V*D + D) and the
-    (F, D) ffn_out product, and one layer's transients: the incoming gradient
-    of the GELU output (B*N*F) beside either _gelu_backward's three tiles or
-    that (F, D) product, and the N*dh/2 table -sin. In the layer below's, the
-    flat 8*P gradient has taken the place of the top layer's cache and held
-    gradients, and its (F, D) product is made before it is copied in; at the
-    sizes tested the F*D counted twice above covers that excess (step-mid's
-    peak is there, about 280 KB above the top layer's). The slack is 24 KiB
-    for the weight and gradient view tables, the layer dicts and the array
-    headers, plus 96 B for numpy's cache of small dimension buffers."""
-    cfg = model.cfg
-    L, D, H, F, V = cfg.num_layers, cfg.hidden_dim, cfg.num_heads, model.ffn_dim, cfg.vocab_size
-    cache = 8 * (L * (6 * B * N * D + B * H * N * N + B * N * F) + B * N * D)
-    held = 8 * (V * D + D + F * D)
-    transients = 8 * (B * N * F + max(3 * min(_TILE, B * N * F), F * D) + N * cfg.head_dim // 2)
-    return cache + held + transients + 24 * 1024 + 96
-
-
-@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
-def test_bp_backward_peak_within_activations_gradient_and_scratch(D, L, V, B):
-    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
-                      vocab_size=V, batch_size=B, stored_layers=1.0)
-    model = ToyTransformer(cfg)
-    params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
-    model.backward(params, tokens, targets)  # warm up
-    tracemalloc.start()
-    try:
-        model.backward(params, tokens, targets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bp_peak_bound(model, B, cfg.context_length)
 
 
 @pytest.mark.skipif(not hasattr(_LIBC, "mallopt"), reason="needs glibc's mallopt")
@@ -567,13 +517,7 @@ def test_mezo_forward_peak_does_not_grow_with_stored_layers():
     def peak(stored):
         model = ToyTransformer(cfg.replace(stored_layers=stored))
         params = model.init_params(1)
-        model.forward(params, tokens, mode=LedgerMode.MEZO)  # warm up
-        tracemalloc.start()
-        try:
-            model.forward(params, tokens, mode=LedgerMode.MEZO)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: model.forward(params, tokens, mode=LedgerMode.MEZO))
 
     assert peak(4.0) <= 1.05 * peak(0.0)
 
@@ -583,16 +527,7 @@ def test_ledger_mezo_retains_one_layer_of_four():
                       num_heads=4, vocab_size=32, batch_size=2, stored_layers=1.0)
     model = ToyTransformer(cfg)
     params, tokens = model.init_params(1), tokens_for(cfg)
-    model.forward(params, tokens, mode=LedgerMode.BP)  # warm up
-
-    def peak(mode):
-        tracemalloc.start()
-        try:
-            model.forward(params, tokens, mode=mode)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    peak = lambda mode: traced_peak(lambda: model.forward(params, tokens, mode=mode))
     # measured against the BP forward's own peak, which holds all four layers
     mz = peak(LedgerMode.MEZO)
     assert 0 < mz <= peak(LedgerMode.BP) / cfg.num_layers
@@ -626,100 +561,48 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     model = ToyTransformer(cfg)
     params = model.init_params(0)
     tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
-
-    def loss():
-        return loss_from_logits(model.forward(params, tokens, mode=LedgerMode.MEZO)[0], targets)
-
-    loss()  # warm up
-    tracemalloc.start()
-    try:
-        loss()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: loss_from_logits(
+        model.forward(params, tokens, mode=LedgerMode.MEZO)[0], targets))
     N = cfg.context_length
     acts = mezo_memory(cfg.replace(bytes_per_param=8.0)).activations_bytes
     assert peak <= acts + 3 * B * N * V * 8
 
 
-def block_rows(model, N: int) -> int:
-    """Sequences per MeZO-mode forward block at N positions."""
-    cfg = model.cfg
-    return max(1, _BLOCK // (N * max(model.ffn_dim, cfg.num_heads * N, cfg.vocab_size)))
+# (D, V, B) at L=4, N=64: a one-block batch, and the step-mid shape. Against
+# these bounds a GELU with its own tile beside the FFN's live set broke
+# "forward" and "loss" at step-mid (1,514,376 B against 1,458,176, 465,016
+# against 413,696), and an evaluation through forward broke "correct"
+# (4,726,328 and 17,179,448 B against 540,672 and 409,600).
+PEAK_SHAPES = {"D64-V64": (64, 64, 4), "step-mid": (128, 256, 8)}
 
 
-def block_live(model, b: int, N: int) -> float:
-    """Float64 elements live at the largest moment of one MeZO-mode block of
-    b sequences of N positions, past its logits, when each buffer dies once
-    the next operation has read it: attention holds x_in, q, k, v and a
-    rotated copy beside one half-width rotary product and numpy's buffer for
-    its broadcast sine or cosine, then x_in, q4, k4, v4 and the b*H*N*N
-    scores, then x_in, v4 and the scores beside the softmax's b*H*N row
-    maxima or sums and numpy's buffer for that reduction; the FFN holds
-    x_mid, its normed input and the b*N*F pre-activation, which GELU
-    overwrites while tiling through the normed input, whose buffer then
-    takes the output. A numpy buffer is at most np.getbufsize() elements
-    and at most the size of the operation."""
-    cfg = model.cfg
-    D, H, F = cfg.hidden_dim, cfg.num_heads, model.ffn_dim
-    act, scores, buf = b * N * D, b * H * N * N, np.getbufsize()
-    rotary = 5.5 * act + min(buf, act / 2)
-    softmax = 2 * act + scores + b * H * N + min(buf, scores)
-    return max(rotary, 4 * act + scores, softmax, 2 * act + b * N * F)
-
-
-def lse_tile(rows: int, V: int) -> int:
-    """Elements of the loss's log-sum-exp tile over `rows` rows of V logits."""
-    return min(max(1, _TILE // V), rows) * V
-
-
-# Both bounds below add this slack for the view tables, layer dicts, array
-# headers, numpy's ufunc iterators and its cache of small dimension buffers;
-# the tests below use 2.4 to 8.8 KB of it.
-PEAK_SLACK = 16 * 1024
-
-
-def mezo_loss_peak_bound(model, B: int, N: int) -> int:
-    """Shape-derived bytes of a MeZO-mode forward plus loss over B sequences
-    of N positions: the largest of its moments, in float64 elements. In
-    blocks of b sequences: one block's `block_live`, beside the B*N*V logits
-    when the batch is more than one block (when it is one block the logits
-    are the head's own product); at the head, x and its norm beside the
-    logits; in the loss, the logits, its log-sum-exp tile of whole rows and
-    the B*N row maxima, log-sum-exps, picked terms and gather index."""
-    cfg = model.cfg
-    D, V = cfg.hidden_dim, cfg.vocab_size
-    b = min(B, block_rows(model, N))
-    logits = B * N * V
-    across = 0 if b == B else logits
-    head, loss = 2 * b * N * D + logits, logits + lse_tile(B * N, V) + 4 * B * N
-    return int(8 * max(block_live(model, b, N) + across, head, loss)) + PEAK_SLACK
-
-
-def mezo_loss_peak(model, params, tokens, targets) -> int:
-    def loss():
-        return loss_from_logits(model.forward(params, tokens)[0], targets)
-
-    loss()  # warm up
-    tracemalloc.start()
-    try:
-        loss()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
-def test_mezo_loss_peak_within_its_largest_moment(D, L, V, B):
-    # at step-mid the GELU tile of 16,384 elements beside the FFN's live set
-    # would break it (a peak of 1,514,376 B against a bound of 1,458,176)
-    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
+@pytest.mark.parametrize("entry,shape", [
+    *((e, s) for e in ("backward", "forward", "loss", "correct") for s in PEAK_SHAPES),
+    ("step", "D64-V64")])
+def test_peak_within_peak_bytes(entry, shape):
+    D, V, B = PEAK_SHAPES[shape]
+    cfg = ModelConfig(context_length=64, num_layers=4, hidden_dim=D, num_heads=4,
                       vocab_size=V, batch_size=B, stored_layers=1.0)
-    model = ToyTransformer(cfg)
+    model, N = ToyTransformer(cfg), cfg.context_length
+    # `correct` reads the 128 sequences an evaluation reads, not a step's batch
+    n = EVAL_SEQUENCES if entry == "correct" else B
     params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
-    peak = mezo_loss_peak(model, params, tokens, targets)
-    assert peak <= mezo_loss_peak_bound(model, B, cfg.context_length)
+    tokens, targets = tokens_for(cfg, seed=1, batch=n), tokens_for(cfg, seed=2, batch=n)
+    bound_loss = model.loss_fn(tokens, targets)
+    calls = dict(backward=lambda: model.backward(params, tokens, targets),
+                 forward=lambda: loss_from_logits(model.forward(params, tokens)[0], targets),
+                 loss=lambda: bound_loss(params),
+                 correct=lambda: model.correct(params, tokens, targets))
+    if entry not in calls:
+        with pytest.raises(ValueError, match="unknown entry 'step'"):
+            model.peak_bytes(entry, n, N)
+        return
+    peak, bound = traced_peak(calls[entry]), model.peak_bytes(entry, n, N)
+    assert peak <= bound
+    if entry == "loss":  # below forward plus loss_from_logits, which holds all B*N*V logits
+        assert peak < traced_peak(calls["forward"])
+    if entry == "correct":  # nothing grows with the sequences past one block
+        assert bound < 8 * n * N * V
 
 
 # odd V, cropped N: 37 * 301 elements of logits per sequence give two
@@ -730,7 +613,7 @@ RAGGED = CFG.replace(context_length=40, hidden_dim=48, vocab_size=301, batch_siz
 def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
     cfg = RAGGED
     model, n = ToyTransformer(cfg), 37
-    assert block_rows(model, n) == 2
+    assert model._block_rows(n) == 2
     params = model.init_params(4)
     tokens = tokens_for(cfg, seed=8)[:, :n]
     targets = tokens_for(cfg, seed=9)[:, :n]
@@ -741,8 +624,8 @@ def test_mezo_forward_over_a_ragged_run_of_blocks_is_bitwise_one_block():
     assert logits.tobytes() == one_block.tobytes()
     loss = loss_from_logits(logits, targets)
     assert loss == loss_from_logits(one_block, targets) == model.backward(params, tokens, targets)[1]
-    peak = mezo_loss_peak(model, params, tokens, targets)
-    assert peak <= mezo_loss_peak_bound(model, cfg.batch_size, n)
+    peak = traced_peak(lambda: loss_from_logits(model.forward(params, tokens)[0], targets))
+    assert peak <= model.peak_bytes("forward", cfg.batch_size, n)
 
 
 @pytest.mark.parametrize("case", ["ragged-blocks", "masked", "zero-head"])
@@ -763,7 +646,6 @@ def test_correct_counts_the_argmax_hits_of_the_full_logits(case):
     # a zero-head count of "picked logit == row max" would be every target
     assert 0 < want < np.count_nonzero(targets >= 0)
     assert model.correct(params, tokens, targets) == want
-
 
 
 def test_bound_loss_follows_its_parameters_in_place_and_across_arrays(model):
@@ -803,81 +685,6 @@ def test_bound_loss_checks_its_batch_when_bound(model, params, entry, tokens, ta
             model.correct(params, tokens, targets)
         else:
             model.loss_fn(tokens, targets)
-
-
-def bound_loss_peak_bound(model, B: int, N: int) -> int:
-    """Shape-derived bytes of one call of a `loss_fn` function over B
-    sequences of N positions: the largest of its moments, in float64
-    elements, beside the B*N loss terms that live through the call. No two
-    blocks' logits are alive at once, so per block of b sequences: its
-    `block_live`; at the head, x and its norm beside the block's b*N*V
-    logits; in the loss, those logits, the log-sum-exp tile of whole rows and
-    the block's row maxima and log-sum-exps."""
-    cfg = model.cfg
-    D, V = cfg.hidden_dim, cfg.vocab_size
-    b = min(B, block_rows(model, N))
-    logits = b * N * V
-    head, loss = 2 * b * N * D + logits, logits + lse_tile(b * N, V) + 2 * b * N
-    return int(8 * (max(block_live(model, b, N), head, loss) + B * N)) + PEAK_SLACK
-
-
-@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)],
-                         ids=["one-block", "step-mid"])
-def test_bound_loss_peak_within_its_largest_moment(D, L, V, B):
-    # at step-mid the GELU tile beside the FFN's live set would break it (a
-    # peak of 465,016 B against a bound of 413,696)
-    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
-                      vocab_size=V, batch_size=B, stored_layers=1.0)
-    model = ToyTransformer(cfg)
-    params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1), tokens_for(cfg, seed=2)
-    loss = model.loss_fn(tokens, targets)
-    loss(params)  # warm up
-    tracemalloc.start()
-    try:
-        loss(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_loss_peak_bound(model, B, cfg.context_length)
-    # below forward plus loss_from_logits, which holds all B*N*V logits
-    assert peak < mezo_loss_peak(model, params, tokens, targets)
-
-
-def bound_accuracy_peak_bound(model, B: int, N: int) -> int:
-    """Shape-derived bytes of one `correct` call over B sequences of N
-    positions: the largest of its moments, in float64 elements. No two
-    blocks' logits are alive at once, so per block of b sequences: its
-    `block_live`; at the head, x and its norm beside the block's b*N*V
-    logits; at the count, those logits beside their b*N argmax and its
-    comparison with the targets. Nothing grows with B past one block."""
-    cfg = model.cfg
-    D, V = cfg.hidden_dim, cfg.vocab_size
-    b = min(B, block_rows(model, N))
-    logits = b * N * V
-    head, count = 2 * b * N * D + logits, logits + 2 * b * N
-    return int(8 * max(block_live(model, b, N), head, count)) + PEAK_SLACK
-
-
-@pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)],
-                         ids=["D64-V64", "step-mid"])
-def test_bound_accuracy_peak_within_one_block(D, L, V, B):
-    # over the 128 sequences an evaluation reads, not a step's batch of B: an
-    # evaluation through forward held all their (128, N, V) logits (peaks of
-    # 4,726,328 and 17,179,448 B against bounds of 540,672 and 409,600)
-    cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
-                      vocab_size=V, batch_size=B, stored_layers=1.0)
-    model, n, N = ToyTransformer(cfg), EVAL_SEQUENCES, cfg.context_length
-    params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1, batch=n), tokens_for(cfg, seed=2, batch=n)
-    model.correct(params, tokens, targets)  # warm up
-    tracemalloc.start()
-    try:
-        model.correct(params, tokens, targets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_accuracy_peak_bound(model, n, N) < 8 * n * N * V
 
 
 # ---------------------------------------------------------------------------

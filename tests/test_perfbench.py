@@ -41,35 +41,52 @@ def test_restore_check_passes(perfbench_path):
 
 
 def test_train_matched_bp_peak_within_its_bound_by_shape(perfbench_path):
-    # the BP peak the benchmark reads, held to the bound test_model.py sets
-    # on backward by shape
+    # the BP peak the benchmark reads, held to the model's own account of it
     import workloads
     from mezofit.model import ToyTransformer
-    from test_model import bp_peak_bound
 
     wl = workloads.TrainMatched(0)
     cfg = wl.plan.bp_model
-    bound = bp_peak_bound(ToyTransformer(cfg), cfg.batch_size, cfg.context_length)
+    bound = ToyTransformer(cfg).peak_bytes("backward", cfg.batch_size, cfg.context_length)
     assert wl.memory_pass()["bp_peak_bytes"] <= bound
 
 
 def test_train_matched_mezo_peak_within_its_bound_by_shape(perfbench_path):
-    # the MeZO peak the benchmark reads: the bound test_model.py sets on one
-    # forward plus loss by shape (at this plan's MeZO model, the FFN's x_mid,
-    # normed input and pre-activation, 8*(2*b*N*D + b*N*F), plus its slack),
-    # plus the noise that a vector of one chunk keeps through the step, 8*P
+    # the MeZO peak the benchmark reads: one forward plus loss, by the
+    # model's own account, plus the noise that a vector of one chunk keeps
+    # through the step, 8*P
     import workloads
     from mezofit.model import ToyTransformer
     from mezofit.zo import DEFAULT_CHUNK
-    from test_model import mezo_loss_peak_bound
 
     wl = workloads.TrainMatched(0)
     cfg = wl.plan.mezo_model
     model = ToyTransformer(cfg)
     P = model.param_count()
     assert P <= DEFAULT_CHUNK
-    bound = mezo_loss_peak_bound(model, cfg.batch_size, cfg.context_length) + 8 * P
+    bound = model.peak_bytes("forward", cfg.batch_size, cfg.context_length) + 8 * P
     assert wl.memory_pass()["mezo_peak_bytes"] <= bound
+
+
+@pytest.mark.parametrize("method", ["mezo", "bp"])
+def test_train_matched_evaluation_peaks_no_higher_than_a_step_loss(perfbench_path, method):
+    # A block holds at most a step's batch, so `correct` over a run's 128
+    # cropped eval sequences peaks no higher than the bound loss of a step.
+    # With blocks sized by _BLOCK alone, the MeZO model's 128 sequences ran
+    # as two blocks of 64 and peaked at 398,416 B.
+    import workloads
+    from mezofit.bench import EVAL_SEQUENCES
+    from mezofit.model import ToyTransformer
+
+    plan = workloads.TrainMatched(0).plan
+    cfg = getattr(plan, f"{method}_model")
+    model, N = ToyTransformer(cfg), cfg.context_length
+    params = model.init_params(0)
+    tokens, targets = (a[:, -N:] for a in plan.task.eval_batch(EVAL_SEQUENCES))
+    model.correct(params, tokens, targets)  # warm up
+    peak = workloads.peak_bytes(lambda: model.correct(params, tokens, targets))
+    bound = model.peak_bytes("correct", EVAL_SEQUENCES, N)
+    assert peak <= bound <= model.peak_bytes("loss", cfg.batch_size, N)
 
 
 def test_traced_mezo_steps_account_for_every_loss_evaluation(perfbench_path):

@@ -8,7 +8,6 @@ from mezofit.memory import (
     MemoryMode,
     ModelConfig,
     SweepAxis,
-    SweepSpec,
     activation_bytes,
     bp_memory,
     max_dimension,

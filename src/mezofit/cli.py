@@ -6,12 +6,13 @@
     mezofit train  --plan FILE|desk --out DIR [--progress]
     mezofit verify [--dim N] [--seed S] [--epsilon E]    (N sizes the restoration vector)
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
-file that cannot be read or written, or a non-finite loss), 3 infeasible budget.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (including a file that cannot
+be read or written, a non-finite loss or arrays too large to allocate), 3 infeasible budget.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -28,12 +29,11 @@ from mezofit.memory import (
     InfeasibleError,
     MemoryMode,
     SweepAxis,
-    SweepSpec,
     max_dimension,
     memory_for_mode,
     sweep,
 )
-from mezofit.verify import MAX_VERIFY_DIM, RESTORE_DIM, run_verification
+from mezofit.verify import EPSILON, MAX_VERIFY_DIM, RESTORE_DIM, SEED, run_verification
 from mezofit.zo import NonfiniteGradError, NonfiniteLossError
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def cmd_plan(args) -> int:
     cfg = parse_model_config(args.config)
     b = memory_for_mode(cfg, MemoryMode(args.mode))
     if args.json:
-        print(json.dumps(b.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(b), indent=2, sort_keys=True))
     else:
         print(f"mode: {b.mode.value}")
         print("\n".join(_breakdown_lines(b)))
@@ -108,7 +108,7 @@ def cmd_sweep(args) -> int:
     cfg = parse_model_config(args.config)
     axis = SweepAxis(args.axis)
     values = _sweep_values(axis, args.from_, args.to, args.points, cfg.num_heads)
-    points = sweep(SweepSpec(axis, values, cfg), checkpointed=args.ckpt)
+    points = sweep(cfg, axis, values, checkpointed=args.ckpt)
     lines = ["axis_value,m_bp,m_mezo,ratio"]
     lines += [f"{p.axis_value},{p.m_bp!r},{p.m_mezo!r},{p.ratio!r}" for p in points]
     text = "\n".join(lines) + "\n"
@@ -131,7 +131,7 @@ def cmd_solve(args) -> int:
     b = memory_for_mode(solved, mode)
     if args.json:
         print(json.dumps({"axis": axis.value, "value": value,
-                          "budget_bytes": budget, **b.as_dict()},
+                          "budget_bytes": budget, **dataclasses.asdict(b)},
                          indent=2, sort_keys=True))
     else:
         print(f"largest {field} within {human_bytes(budget)}: {value}")
@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="estimator and gradient checks")
     p.add_argument("--dim", type=int, default=RESTORE_DIM, help="length of the restoration "
                    f"check's vector, 1 to {MAX_VERIFY_DIM}; the other checks are fixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=SEED)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError,  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError,  # ConfigError is a ValueError
             NonfiniteLossError, NonfiniteGradError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import sys
 import typing
 from dataclasses import dataclass
@@ -34,6 +35,14 @@ def field_types(cls) -> MappingProxyType:
     (``int | None`` maps to int); read-only, since every caller shares it."""
     return MappingProxyType({name: int if int in (hint, *typing.get_args(hint)) else float
                              for name, hint in typing.get_type_hints(cls).items()})
+
+
+def check_field_types(obj) -> None:
+    """ConfigError unless each field of `obj` holds its `field_types` kind and no bool."""
+    for name, kind in field_types(type(obj)).items():
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, int if kind is int else numbers.Real):
+            raise ConfigError(f"{name} must be {'integral' if kind is int else 'real'}, got {v!r}")
 
 
 class InfeasibleError(ValueError):
@@ -73,9 +82,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kv_heads is None:
             object.__setattr__(self, "kv_heads", self.num_heads)
+        check_field_types(self)
         for field, kind in field_types(ModelConfig).items():
             v = getattr(self, field)
-            if kind is int and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
+            if kind is int and v < 1:
                 raise ConfigError(f"{field} must be a positive integer, got {v!r}")
             if kind is int and v > sys.float_info.max:
                 raise ConfigError(f"{field} must not exceed the largest float")
@@ -86,7 +96,7 @@ class ModelConfig:
         if self.num_heads % self.kv_heads != 0:
             raise ConfigError(f"kv_heads must divide num_heads {self.num_heads}, got {self.kv_heads}")
         for field in ("bytes_per_param", "expansion_factor"):
-            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+            if not 0 < getattr(self, field) <= sys.float_info.max:  # NaN fails too
                 raise ConfigError(f"{field} must be finite and > 0, got {getattr(self, field)!r}")
         if not 0 <= self.stored_layers <= self.num_layers:
             raise ConfigError(
@@ -111,11 +121,6 @@ class MemoryBreakdown:
     activations_bytes: float
     total_bytes: float
     mode: MemoryMode
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["mode"] = self.mode.value
-        return d
 
 
 def _kv_and_ffn(cfg: ModelConfig) -> float:
@@ -201,22 +206,6 @@ AXIS_FIELD = {
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    axis: SweepAxis
-    values: tuple[int, ...]
-    base: ModelConfig
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty")
-        if any(v < 1 for v in self.values):
-            raise ConfigError("sweep values must be positive")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ConfigError("sweep values must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     axis_value: int
     m_bp: float
@@ -224,15 +213,21 @@ class SweepPoint:
     ratio: float
 
 
-def sweep(spec: SweepSpec, checkpointed: bool = False) -> list[SweepPoint]:
-    """Evaluate BP/MeZO totals and their ratio along one axis."""
-    field = AXIS_FIELD[spec.axis]
+def sweep(base: ModelConfig, axis: SweepAxis, values,
+          checkpointed: bool = False) -> list[SweepPoint]:
+    """BP/MeZO totals and their ratio at each of `values` (positive, increasing) along `axis`."""
+    values = [int(v) for v in values]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be strictly increasing")
+    if not values or values[0] < 1:
+        raise ConfigError("sweep values must be non-empty and positive")
+    field = AXIS_FIELD[SweepAxis(axis)]
     points = []
-    for v in spec.values:
+    for v in values:
         try:
-            cfg = spec.base.replace(**{field: v})
+            cfg = base.replace(**{field: v})
         except ConfigError as exc:
-            raise ConfigError(f"axis value {v} for {spec.axis.value}: {exc}") from exc
+            raise ConfigError(f"axis value {v} for {field}: {exc}") from exc
         mb = bp_memory(cfg, checkpointed).total_bytes
         mz = mezo_memory(cfg).total_bytes
         points.append(SweepPoint(v, mb, mz, mb / mz))

@@ -720,14 +720,14 @@ def _config_from_blob(blob) -> ModelConfig:
                          f"and lacks keys {missing}")
     try:
         return ModelConfig(**blob)
-    except TypeError as exc:
+    except ConfigError as exc:
         raise ValueError(f"checkpoint config is invalid: {exc}") from None
 
 
 def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
     """Read a save_weights checkpoint. A short read, bad magic, an unknown
-    version, a config blob that is not a full ModelConfig or segments that
-    differ from the config's model raise ValueError."""
+    version, a config blob that is not a full ModelConfig, segments that
+    differ from the config's model or bytes after them raise ValueError."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != _MAGIC:
             raise ValueError("not a mezofit weight checkpoint")
@@ -751,4 +751,6 @@ def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
                                  f"its config needs {want[0]!r} of {want[1]}")
             data = np.frombuffer(_read_exact(f, count * 8), dtype="<f8").astype(np.float64)
             arrays.append((name, data))
+        if f.read(1):
+            raise ValueError("checkpoint has bytes after its last segment")
     return cfg, ParameterVector.from_arrays(arrays)

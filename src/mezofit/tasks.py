@@ -6,12 +6,11 @@ reproducible. Target grids use -1 for positions excluded from the loss.
 
 A sample draws from a Philox keyed by (task seed, index) through
 `zo.keyed_philox`, which rewinds a spare generator instead of building one.
-`ToyTask.batch` is the one code path, and `sample` is a one-row batch: each
-row makes only its own keyed draws, and the rest (the successor chain, the
-separator, copy, marker and answer columns, the targets) runs once across
-the whole batch. The next-token chain's successor table depends only on
-(seed, vocab_size), so it is built once per pair and memoised; its arrays
-are read-only, so no caller can change what later samples see.
+`ToyTask.batch` is the one code path: each row makes only its own keyed
+draws; the rest (the successor chain, the separator, copy, marker and answer
+columns, the targets) runs once per batch. The next-token chain's successor
+table depends only on (seed, vocab_size), so it is memoised per pair; its
+arrays are read-only, so no caller can change what later samples see.
 """
 from __future__ import annotations
 
@@ -82,12 +81,6 @@ class ToyTask:
             if self.vocab_size < 5:
                 raise ConfigError("binary_qa needs vocab_size >= 5 "
                                   "(answers 0/1, marker, question tokens)")
-
-    def sample(self, index: int, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-        """One (tokens, targets) pair, each of length seq_len: row 0 of a
-        one-row batch."""
-        tokens, targets = self.batch((index,), split)
-        return tokens[0], targets[0]
 
     def batch(self, indices, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """(tokens, targets) of the samples at `indices` (a sized sequence of

@@ -28,6 +28,7 @@ from mezofit.zo import (
 )
 
 MAX_VERIFY_DIM, RESTORE_DIM = 4096, 64  # the restoration vector's bound and default size
+SEED, EPSILON = 0, 1e-3  # the battery's default seed and perturbation scale
 
 # The battery's fixed spec. Callers choose only epsilon, the seed, the
 # restoration vector's length and the quadratic check's direction count.
@@ -52,8 +53,8 @@ def _flat(values: np.ndarray) -> ParameterVector:
     return ParameterVector(values, (Segment("w", 0, values.size),))
 
 
-def check_restoration(dim: int = RESTORE_DIM, epsilon: float = 1e-3,
-                      seed: int = 0) -> CheckResult:
+def check_restoration(dim: int = RESTORE_DIM, epsilon: float = EPSILON,
+                      seed: int = SEED) -> CheckResult:
     """Theta must be bit-identical after every directional-derivative call."""
     rng = np.random.default_rng(seed)
     theta = _flat(rng.standard_normal(dim))
@@ -73,8 +74,8 @@ def check_restoration(dim: int = RESTORE_DIM, epsilon: float = 1e-3,
         f"{RESTORATION_SEEDS - failures}/{RESTORATION_SEEDS} seeds restored theta bitwise")
 
 
-def check_quadratic_unbiasedness(directions: int = 120_000, epsilon: float = 1e-3,
-                                 seed: int = 0) -> CheckResult:
+def check_quadratic_unbiasedness(directions: int = 120_000, epsilon: float = EPSILON,
+                                 seed: int = SEED) -> CheckResult:
     """E[g * z] equals Q theta for the quadratic 0.5 theta^T Q theta."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((QUADRATIC_DIM, QUADRATIC_DIM))
@@ -98,7 +99,7 @@ def check_quadratic_unbiasedness(directions: int = 120_000, epsilon: float = 1e-
         f"relative error {rel:.4f} over {directions} directions (tolerance {QUADRATIC_TOL})")
 
 
-def check_fd_gradient(seed: int = 0) -> CheckResult:
+def check_fd_gradient(seed: int = SEED) -> CheckResult:
     """Hand-written backward vs. central finite differences on the toy model."""
     model = ToyTransformer(FD_CONFIG)
     params = model.init_params(seed)
@@ -127,7 +128,7 @@ def check_fd_gradient(seed: int = 0) -> CheckResult:
         f"(tolerance {FD_TOL})")
 
 
-def check_cosine_positivity(epsilon: float = 1e-3, seed: int = 0) -> CheckResult:
+def check_cosine_positivity(epsilon: float = EPSILON, seed: int = SEED) -> CheckResult:
     """The COSINE_DIRECTIONS-averaged update must align with -grad almost always."""
     rng = np.random.default_rng(seed)
 
@@ -155,8 +156,8 @@ def check_cosine_positivity(epsilon: float = 1e-3, seed: int = 0) -> CheckResult
         f"(threshold {COSINE_THRESHOLD})")
 
 
-def run_verification(dim: int = RESTORE_DIM, seed: int = 0,
-                     epsilon: float = 1e-3) -> list[CheckResult]:
+def run_verification(dim: int = RESTORE_DIM, seed: int = SEED,
+                     epsilon: float = EPSILON) -> list[CheckResult]:
     """The full check battery used by the CLI. `dim` sizes the restoration
     check's vector only; the other checks run at their fixed spec."""
     if not 1 <= dim <= MAX_VERIFY_DIM:

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from mezofit.memory import ConfigError
+from mezofit.memory import ConfigError, check_field_types
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -215,12 +215,12 @@ class ZOConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if not (isinstance(self.num_perturbations, int)
-                and 1 <= self.num_perturbations <= sys.maxsize):
+        if not 1 <= self.num_perturbations <= sys.maxsize:
             raise ConfigError(
                 f"num_perturbations must be an integer in [1, {sys.maxsize}], "
                 f"got {self.num_perturbations!r}")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -515,6 +516,18 @@ def test_cmd_train_rejects_a_bad_plan_before_training(tmp_path, capsys, old, new
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cmd_train_refuses_a_plan_whose_arrays_cannot_be_allocated(tmp_path, capsys):
+    # petabytes per sequence: the probe batch's allocation fails at once
+    plan_path = tmp_path / "plan.ini"
+    plan_path.write_text(TINY_PLAN.replace("task_seed = 3",
+                                           "task_seed = 3\ntask_seq_len = 1000000000000000"))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--plan", str(plan_path), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cmd_train_refuses_a_plan_that_sets_the_mezo_learning_rate(tmp_path, capsys):
     # each MeZO run takes its rate from lr_grid_mezo, so a [mezo] value would be dropped
     plan_path = tmp_path / "plan.ini"
@@ -552,7 +565,15 @@ def test_verify_dim_sizes_only_the_restoration_vector(monkeypatch):
 
 
 def test_verify_dim_default_is_the_battery_default():
-    assert build_parser().parse_args(["verify"]).dim == verify.RESTORE_DIM
+    args = build_parser().parse_args(["verify"])
+    assert (args.dim, args.seed, args.epsilon) == (verify.RESTORE_DIM, verify.SEED, verify.EPSILON)
+    assert (verify.SEED, verify.EPSILON) == (0, 1e-3)  # what perfbench's battery runs at
+    for check in (verify.run_verification, verify.check_restoration,
+                  verify.check_quadratic_unbiasedness, verify.check_fd_gradient,
+                  verify.check_cosine_positivity):
+        defaults = {name: p.default for name, p in inspect.signature(check).parameters.items()}
+        assert defaults.get("seed") == verify.SEED, check.__name__
+        assert defaults.get("epsilon", verify.EPSILON) == verify.EPSILON, check.__name__
 
 
 def test_cmd_verify_rejects_zero_epsilon(capsys):

@@ -12,7 +12,6 @@ from mezofit.memory import (
     MemoryMode,
     ModelConfig,
     SweepAxis,
-    SweepSpec,
     activation_bytes,
     bp_memory,
     max_dimension,
@@ -23,6 +22,7 @@ from mezofit.memory import (
     sweep,
 )
 from mezofit.model import LedgerMode, ToyTransformer
+from mezofit.zo import ZOConfig
 
 # The 7B-class reference configuration used throughout.
 LLAMA7B = ModelConfig(context_length=2048, num_layers=32, hidden_dim=4096,
@@ -298,7 +298,7 @@ def test_mezo_never_exceeds_bp():
 
 def test_sweep_ratio_monotone_in_context():
     values = tuple(2 ** k for k in range(16))  # 1 .. 32768
-    points = sweep(SweepSpec(SweepAxis.N, values, LLAMA7B))
+    points = sweep(LLAMA7B, SweepAxis.N, values)
     # oracle: evaluate the ratio directly at every point
     direct = [memory_ratio(LLAMA7B.replace(context_length=v)) for v in values]
     assert [p.ratio for p in points] == direct
@@ -307,12 +307,12 @@ def test_sweep_ratio_monotone_in_context():
 
 
 def test_sweep_hidden_dim_starts_near_24x():
-    points = sweep(SweepSpec(SweepAxis.D, (512, 1024, 4096), LLAMA7B))
+    points = sweep(LLAMA7B, SweepAxis.D, (512, 1024, 4096))
     assert points[0].ratio == pytest.approx(23.8, abs=0.5)
 
 
 def test_single_value_sweep_matches_direct_calls():
-    points = sweep(SweepSpec(SweepAxis.L, (100,), LLAMA7B), checkpointed=True)
+    points = sweep(LLAMA7B, SweepAxis.L, (100,), checkpointed=True)
     assert len(points) == 1
     cfg = LLAMA7B.replace(num_layers=100)
     assert points[0].m_bp == bp_memory(cfg, True).total_bytes
@@ -320,13 +320,14 @@ def test_single_value_sweep_matches_direct_calls():
 
 
 def test_sweep_validation():
-    with pytest.raises(ConfigError):
-        SweepSpec(SweepAxis.N, (), LLAMA7B)
-    with pytest.raises(ConfigError):
-        SweepSpec(SweepAxis.N, (4, 2), LLAMA7B)
-    with pytest.raises(ConfigError, match="4097"):
-        # 4097 is not divisible by the 32 heads of the base config
-        sweep(SweepSpec(SweepAxis.D, (4096, 4097), LLAMA7B))
+    for values, match in (((), "non-empty"), ((0, 2), "positive"), ((4, 2), "increasing"),
+                          ((4, 4), "increasing")):
+        with pytest.raises(ConfigError, match=match):
+            sweep(LLAMA7B, SweepAxis.N, values)
+    for axis in (SweepAxis.D, "d"):
+        with pytest.raises(ConfigError, match="4097 for hidden_dim"):
+            # 4097 is not divisible by the 32 heads of the base config
+            sweep(LLAMA7B, axis, (4096, 4097))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="bytes_per_param"):
         ModelConfig(**good, bytes_per_param=0.0)
     for field in ("bytes_per_param", "expansion_factor"):
-        for value in (math.inf, math.nan, -1.0):
+        for value in (math.inf, math.nan, -1.0, 10 ** 400):
             with pytest.raises(ConfigError, match=field):
                 ModelConfig(**good, **{field: value})
     # kv_heads must divide num_heads = 4, so nothing above it either
@@ -504,6 +505,17 @@ def test_config_rejects_bad_values():
     assert ModelConfig(**good, kv_heads=2).kv_heads == 2
     with pytest.raises(ConfigError, match="context_length"):
         ModelConfig(**{**good, "context_length": 2.5})
+
+
+@pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("cls, field", [
+    *((ModelConfig, f) for f in ("bytes_per_param", "expansion_factor", "stored_layers")),
+    *((ZOConfig, f) for f in ("epsilon", "learning_rate", "num_perturbations", "master_seed")),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_config_fields_refuse_bools_strings_and_none(cls, field, value):
+    make = LLAMA7B.replace if cls is ModelConfig else ZOConfig
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        make(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +539,7 @@ CALLS = {
     "max_dimension-mode": (lambda m: max_dimension(1e6, SMALL, SweepAxis.D, m), MemoryMode),
     "max_dimension-axis": (lambda a: max_dimension(1e6, SMALL, a, MemoryMode.BP),
                            (SweepAxis.D, SweepAxis.L)),
+    "sweep-axis": (lambda a: sweep(SMALL, a, (4, 8)), SweepAxis),
 }
 
 

@@ -718,7 +718,7 @@ def test_checkpoint_rejects_every_truncation_bad_magic_and_version(tmp_path):
         cut.write_bytes(blob[:n])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_weights(cut)
-    for bad in (b"MZFX" + blob[4:], blob[:4] + b"\x02" + blob[5:]):
+    for bad in (b"MZFX" + blob[4:], blob[:4] + b"\x02" + blob[5:], blob + b"garbage!"):
         cut.write_bytes(bad)
         with pytest.raises(ValueError, match="checkpoint"):
             load_weights(cut)
@@ -747,7 +747,8 @@ def _with_config_blob(path, edit) -> None:
      r"unknown keys \[\] and lacks keys \['batch_size'\]"),
     (lambda b: [b], "not a JSON object"),
     (lambda b: {**b, "expansion_factor": "4"}, "checkpoint config is invalid"),
-], ids=["renamed", "dropped", "not-an-object", "bad-value"])
+    (lambda b: {**b, "bytes_per_param": True}, "checkpoint config is invalid: bytes_per_param"),
+], ids=["renamed", "dropped", "not-an-object", "bad-value", "true"])
 def test_checkpoint_rejects_a_config_blob_that_is_not_a_model_config(tmp_path, edit, match):
     path = tmp_path / "w.mzfw"
     save_weights(path, CFG, ToyTransformer(CFG).init_params(0))

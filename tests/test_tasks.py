@@ -17,10 +17,10 @@ from mezofit.zo import splitmix64
 
 def test_samples_are_deterministic():
     task = ToyTask(TaskKind.SEQUENCE_COPY, vocab_size=16, seq_len=9, seed=42)
-    t1, y1 = task.sample(5)
-    t2, y2 = task.sample(5)
+    (t1,), (y1,) = task.batch((5,))
+    (t2,), (y2,) = task.batch((5,))
     assert np.array_equal(t1, t2) and np.array_equal(y1, y2)
-    t3, _ = task.sample(6)
+    (t3,), _ = task.batch((6,))
     assert not np.array_equal(t1, t3)
 
 
@@ -28,15 +28,15 @@ def test_train_and_eval_splits_are_disjoint():
     # pattern space 255^8: identical sequences across splits would mean the
     # index partition leaked, not a chance collision
     task = ToyTask(TaskKind.SEQUENCE_COPY, vocab_size=256, seq_len=17, seed=42)
-    train = {task.sample(i, "train")[0].tobytes() for i in range(200)}
-    evald = {task.sample(i, "eval")[0].tobytes() for i in range(200)}
+    train = {task.batch((i,), "train")[0].tobytes() for i in range(200)}
+    evald = {task.batch((i,), "eval")[0].tobytes() for i in range(200)}
     assert len(train & evald) == 0
     assert len(train) == len(evald) == 200
 
 
 def test_sequence_copy_structure():
     task = ToyTask(TaskKind.SEQUENCE_COPY, vocab_size=16, seq_len=11, seed=0)
-    tokens, targets = task.sample(0)
+    (tokens,), (targets,) = task.batch((0,))
     p = 5
     assert tokens[p] == SEP_TOKEN
     assert np.array_equal(tokens[:p], tokens[p + 1:])
@@ -50,7 +50,7 @@ def test_next_token_follows_the_markov_table():
     succ = _markov_table(task.seed, task.vocab_size)
     assert succ.shape == (12, 2)
     assert _SUCCESSOR_P.sum() == pytest.approx(1.0)
-    tokens, targets = task.sample(9)
+    (tokens,), (targets,) = task.batch((9,))
     for i in range(31):
         assert tokens[i + 1] in succ[tokens[i]]
         assert targets[i] == tokens[i + 1]
@@ -89,7 +89,8 @@ def _reference_next_token_sample(task, index):
 def test_next_token_samples_equal_the_reference_construction(seed):
     task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=9, seq_len=12, seed=seed)
     for index in (0, 1, 17, 1 << 40):
-        assert np.array_equal(task.sample(index)[0], _reference_next_token_sample(task, index))
+        (tokens,), _ = task.batch((index,))
+        assert np.array_equal(tokens, _reference_next_token_sample(task, index))
 
 
 # sha256 of batch(range(40)) (tokens then targets, int64 little-endian),
@@ -161,7 +162,7 @@ def test_binary_qa_structure_and_balance():
     task = ToyTask(TaskKind.BINARY_QA_SYNTHETIC, vocab_size=32, seq_len=10, seed=7)
     answers = []
     for i in range(400):
-        tokens, targets = task.sample(i)
+        (tokens,), (targets,) = task.batch((i,))
         q = tokens[:8]
         assert np.all(q >= 3)
         assert tokens[8] == QMARK_TOKEN

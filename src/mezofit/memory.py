@@ -37,6 +37,14 @@ def field_types(cls) -> MappingProxyType:
                              for name, hint in typing.get_type_hints(cls).items()})
 
 
+def shown(v) -> str:
+    """repr(v), or the size of an int too long for repr (past 4,300 digits)."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
+
+
 def check_field_types(obj) -> None:
     """ConfigError unless each field of `obj` holds its `field_types` kind and no bool."""
     for name, kind in field_types(type(obj)).items():
@@ -86,7 +94,7 @@ class ModelConfig:
         for field, kind in field_types(ModelConfig).items():
             v = getattr(self, field)
             if kind is int and v < 1:
-                raise ConfigError(f"{field} must be a positive integer, got {v!r}")
+                raise ConfigError(f"{field} must be a positive integer, got {shown(v)}")
             if kind is int and v > sys.float_info.max:
                 raise ConfigError(f"{field} must not exceed the largest float")
         if self.hidden_dim % self.num_heads != 0:
@@ -96,12 +104,12 @@ class ModelConfig:
         if self.num_heads % self.kv_heads != 0:
             raise ConfigError(f"kv_heads must divide num_heads {self.num_heads}, got {self.kv_heads}")
         for field in ("bytes_per_param", "expansion_factor"):
-            if not 0 < getattr(self, field) <= sys.float_info.max:  # NaN fails too
-                raise ConfigError(f"{field} must be finite and > 0, got {getattr(self, field)!r}")
+            if not 0 < (v := getattr(self, field)) <= sys.float_info.max:  # NaN fails too
+                raise ConfigError(f"{field} must be finite and > 0, got {shown(v)}")
         if not 0 <= self.stored_layers <= self.num_layers:
             raise ConfigError(
                 f"stored_layers must lie in [0, num_layers], got "
-                f"{self.stored_layers!r} with num_layers={self.num_layers}")
+                f"{shown(self.stored_layers)} with num_layers={self.num_layers}")
 
     def replace(self, **changes) -> "ModelConfig":
         return dataclasses.replace(self, **changes)

@@ -4,7 +4,8 @@ The stack is: token embedding, then per layer {RMS-norm, multi-head causal
 self-attention with rotary position encoding, residual; RMS-norm, GELU FFN,
 residual}, a final RMS-norm, and an untied LM head. Everything runs in
 float64 and the backward pass is hand-written reverse mode, verified against
-finite differences in the tests.
+finite differences in the tests. Attention copies no array to change layout:
+heads are `_heads` views, and the rotary step runs in place over whole rows.
 
 MeZO mode (the default) runs the network over blocks of whole sequences
 (`_block_rows`) in `ToyTransformer._blocks`, the one loop over blocks, and
@@ -20,18 +21,13 @@ and peak bytes.
 Importing this module on glibc keeps freed heap pages in the process (see
 `_LIBC`), so a warm BP step reuses that cache's pages, not fresh ones.
 
-`loss_fn(tokens, targets)` binds one batch: it checks it and forms the target
-mask, count and gather index once, and its function reduces each block's
-logits to its rows' loss terms as the block ends, the log-sum-exp through one
-`_TILE` of scratch. `correct(params, tokens, targets)` counts the targets each
-block's argmax hits. Neither builds the (B, N, V) logits. Only the benchmark and
-the tests call `forward`, which writes every block into one (B, N, V) array,
-and `loss_from_logits`; the bound loss is bit for bit their loss.
-
-The backward pass frees each layer's cache as it goes, allocates the flat
-gradient only once the top layer's cache is gone and writes its transients in
-place (`_gelu_backward` the GELU output over u through three scratch tiles,
-`_rmsnorm_backward` dx over dy), in the float order of the plain expressions,
+`loss_fn(tokens, targets)` binds one batch and reduces each block's logits to
+its rows' loss terms as the block ends; `correct(params, tokens, targets)`
+counts the targets each block's argmax hits. Neither builds the (B, N, V)
+logits. Only the benchmark and the tests call `forward`, which writes every
+block into one (B, N, V) array, and `loss_from_logits`; the bound loss is bit
+for bit their loss. The backward pass frees each layer's cache as it goes and
+writes its transients in place, in the float order of the plain expressions,
 so its gradients are bit for bit those of an out-of-place pass.
 """
 from __future__ import annotations
@@ -184,28 +180,42 @@ def _gelu_backward(da: np.ndarray, u: np.ndarray) -> np.ndarray:
     return da
 
 
-def _rope_tables(n: int, head_dim: int):
-    inv_freq = _ROPE_BASE ** (-np.arange(0, head_dim, 2) / head_dim)
-    ang = np.arange(n)[:, None] * inv_freq[None, :]  # (N, head_dim/2)
-    return np.cos(ang), np.sin(ang)
+def _rope_tables(n: int, head_dim: int, heads: int):
+    """Read-only `_rope` tables, (cos, sin, swap) and the inverse (cos, -sin,
+    swap): (n, heads*head_dim) cos and signed sine (-sin at even dims, +sin
+    at odd), each pair's angle at both its dims, and the pair swap 1, 0, 3, 2, ...."""
+    ang = np.arange(n)[:, None] * _ROPE_BASE ** (-np.arange(0, head_dim, 2) / head_dim)
+    ang = np.tile(np.repeat(ang, 2, axis=1), heads)
+    sin = np.sin(ang)
+    sin[:, 0::2] *= -1.0
+    cos, nsin, swap = np.cos(ang), -sin, np.arange(heads * head_dim) ^ 1
+    for t in (cos, sin, nsin, swap):
+        t.flags.writeable = False
+    return (cos, sin, swap), (cos, nsin, swap)
 
 
-def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved pairs of head dims by position-dependent angles.
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """Rotate the head dims' interleaved pairs of the contiguous (..., N, D) `x`
+    in place, as x*cos + swap(x)*sin over N rows of `_rope_tables`: bit for
+    bit the half-view e*c - o*s and o*c + e*s, as IEEE addition commutes and
+    fl(o*(-s)) = -fl(o*s). `swap` is in range; take's "clip" skips a check."""
+    n = x.shape[-2]
+    sw = x.take(swap, axis=-1, mode="clip")
+    x *= cos[:n]
+    sw *= sin[:n]
+    x += sw
+    return x
 
-    x: (B, N, H, dh); cos/sin: (N, dh/2). Non-parametric, orthogonal per pair:
-    its backward is the rotation by -sin, bit for bit the transposed rotation.
-    """
-    e, o = x[..., 0::2], x[..., 1::2]
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
-    out = np.empty_like(x)
-    oe, oo = out[..., 0::2], out[..., 1::2]
-    # e*c - o*s and e*s + o*c, each written into its half of `out`
-    np.multiply(e, c, out=oe)
-    oe -= o * s
-    np.multiply(e, s, out=oo)
-    oo += o * c
+
+def _heads(x: np.ndarray, H: int) -> np.ndarray:
+    """The (B, H, N, dh) view of a (B, N, D) array; matmul takes it as it is."""
+    return x.reshape(*x.shape[:2], H, -1).transpose(0, 2, 1, 3)
+
+
+def _head_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over heads, written into a fresh (B, N, D) array's `_heads` view."""
+    out = np.empty((len(b), a.shape[-2], b.shape[1] * b.shape[-1]))
+    np.matmul(a, b, out=_heads(out, b.shape[1]))
     return out
 
 
@@ -259,7 +269,7 @@ def _row_terms(rows, gather, out):
     the full log-probabilities, which are never built. A row's terms do not
     depend on the rows beside it."""
     V = rows.shape[-1]
-    top = np.maximum.reduce(rows, axis=-1, keepdims=True)
+    top = np.fmax.reduce(rows, axis=-1, keepdims=True)  # max's value on rows without NaN
     lse = np.empty_like(top)
     step = _lse_tile(len(rows), V)
     scratch = np.empty((step, V))
@@ -332,9 +342,10 @@ class ToyTransformer:
                            ("wv", (D, D)), ("wo", (D, D)), ("norm_ffn", (D,)),
                            ("ffn_in", (D, F)), ("ffn_out", (F, D)))
         self._ends = (("embed", (V, D)), ("norm_final", (D,)), ("head", (V, D)))
-        self._cos, self._sin = _rope_tables(cfg.context_length, cfg.head_dim)
         n = cfg.context_length
+        self._rot, self._unrot = _rope_tables(n, cfg.head_dim, cfg.num_heads)
         self._neg_mask = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
+        self._neg_mask.flags.writeable = False
 
     # -- parameters ---------------------------------------------------------
 
@@ -462,15 +473,10 @@ class ToyTransformer:
     def _sequences(self, views, tokens, bp, out=None):
         """`forward` over one block of whole sequences on the weights of the
         `_views` table `views`, writing the logits into `out` if given."""
-        N = tokens.shape[1]
-        cos, sin = self._cos[:N], self._sin[:N]
-        # The temporaries of _attention and _ffn die when they return; only BP
-        # mode keeps the cache backward reads.
-        layers = []
-        ends = views[0]
+        layers, ends = [], views[0]
         x = ends["embed"][tokens]
         for w in views[1:]:
-            x, attn = self._attention(w, x, cos, sin, bp)
+            x, attn = self._attention(w, x, bp)
             x, ffn = self._ffn(w, x, bp)
             if bp:
                 layers.append({**attn, **ffn})
@@ -478,43 +484,33 @@ class ToyTransformer:
         logits = np.matmul(_rmsnorm(x, ends["norm_final"]), ends["head"].T, out=out)
         return logits, dict(layers=layers, x_f=x) if bp else None
 
-    def _attention(self, w, x_in, cos, sin, bp):
+    def _attention(self, w, x_in, bp):
         """x_in + attn(rmsnorm(x_in)) @ wo over one layer's weights `w`, and
-        (BP mode) what backward reads.
-        Each buffer is dropped once the next operation has read it; in BP
-        mode the cache keeps the ones backward reads."""
-        B, N, D = x_in.shape
-        H, dh = self.cfg.num_heads, self.cfg.head_dim
+        (BP mode) what backward reads: q and k rotate in place and q, k, v
+        and ctx are `_heads` views. Each buffer is dropped once the next
+        operation has read it; in BP mode the cache keeps the ones backward
+        reads."""
+        N, H, dh = x_in.shape[1], self.cfg.num_heads, self.cfg.head_dim
         h = _rmsnorm(x_in, w["norm_attn"])
-        q = h @ w["wq"]
-        k = h @ w["wk"]
-        v = h @ w["wv"]
-        cache = dict(x_in=x_in) if bp else {}
+        q = _heads(_rope(h @ w["wq"], *self._rot), H)
+        k = _heads(_rope(h @ w["wk"], *self._rot), H)
+        v = _heads(h @ w["wv"], H)
         del h
-        # head-major layout (B, H, N, dh) keeps attention on plain matmuls;
-        # each rebinding drops the projection it replaces
-        q = _rope(q.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-        k = _rope(k.reshape(B, N, H, dh), cos, sin).transpose(0, 2, 1, 3)
-        v = np.ascontiguousarray(v.reshape(B, N, H, dh).transpose(0, 2, 1, 3))
+        cache = dict(x_in=x_in, q4=q, k4=k, v4=v) if bp else {}
         # softmax in place: the scores buffer becomes the probabilities
         probs = q @ k.transpose(0, 1, 3, 2)
-        if bp:
-            cache.update(q4=q, k4=k)
         del q, k
         probs *= 1.0 / np.sqrt(dh)
         probs += self._neg_mask[:N, :N]  # -inf above the diagonal: causal attention
-        probs -= probs.max(axis=-1, keepdims=True)
+        probs -= np.fmax.reduce(probs, axis=-1, keepdims=True)  # max's value on rows without NaN
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        ctx = probs @ v
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+        ctx = _head_product(probs, v)
         if bp:
-            cache.update(v4=v, probs=probs)
+            cache.update(probs=probs, ctx=ctx)
         del probs, v
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, N, D)
         out = ctx @ w["wo"]
         out += x_in
-        if bp:
-            cache["ctx"] = ctx
         return out, cache
 
     def _ffn(self, w, x_mid, bp):
@@ -541,13 +537,14 @@ class ToyTransformer:
         Rebuilds what the cache does not hold where it is read: each normed
         input from its norm's input, with the r that norm's backward then
         reads, and the GELU output, which `_gelu_backward` leaves in u's
-        buffer. Frees each layer's cache as it goes, each array and transient
-        after its last read; the logits and their gradient go once the final
-        norm's gradient exists. The flat gradient is made once the top layer's
-        cache is gone. Each in-place step keeps the float order of the plain
-        expression, so gradients are unchanged."""
+        buffer. dv, dq and dk are written through `_heads` views, and dq and
+        dk rotate back in place. Frees each layer's cache as it goes, each
+        array and transient after its last read; the logits and their
+        gradient go once the final norm's gradient exists. The flat gradient
+        is made once the top layer's cache is gone. Each in-place step keeps
+        the float order of the plain expression, so gradients are unchanged."""
         cfg = self.cfg
-        D, H, dh, F, V = cfg.hidden_dim, cfg.num_heads, cfg.head_dim, self.ffn_dim, cfg.vocab_size
+        D, H, F, V = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size
         tokens = self._checked(tokens)
         views = self._views(params)
         logits, caches = self._sequences(views, tokens, True)
@@ -555,9 +552,7 @@ class ToyTransformer:
         del logits
 
         (ends, *weights), layers = views, caches["layers"]
-        B, N = tokens.shape
-        cos, nsin = self._cos[:N], -self._sin[:N]
-        inv_sqrt_dh = 1.0 / np.sqrt(dh)
+        inv_sqrt_dh = 1.0 / np.sqrt(cfg.head_dim)
 
         x_f = caches.pop("x_f")
         r = _rms_inv(x_f)
@@ -584,23 +579,22 @@ class ToyTransformer:
 
             # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
             g["wo"] = c.pop("ctx").reshape(-1, D).T @ dx.reshape(-1, D)
-            dctx = (dx @ w["wo"].T).reshape(B, N, H, dh).transpose(0, 2, 1, 3)
+            dctx = _heads(dx @ w["wo"].T, H)
             probs = c.pop("probs")
             dscores = dctx @ c.pop("v4").transpose(0, 1, 3, 2)  # dprobs, then dscores in place
-            dv = (probs.transpose(0, 1, 3, 2) @ dctx).transpose(0, 2, 1, 3).reshape(B, N, D)
+            dv = _head_product(probs.transpose(0, 1, 3, 2), dctx)
             del dctx
-            inner = np.sum(dscores * probs, axis=-1, keepdims=True)
+            inner = np.add.reduce(dscores * probs, axis=-1, keepdims=True)
             dscores -= inner
             dscores *= probs
             del probs, inner
-            dq4 = dscores @ c.pop("k4")
-            dq4 *= inv_sqrt_dh
-            dk4 = dscores.transpose(0, 1, 3, 2) @ c.pop("q4")
-            dk4 *= inv_sqrt_dh
+            dq = _head_product(dscores, c.pop("k4"))
+            dq *= inv_sqrt_dh
+            dk = _head_product(dscores.transpose(0, 1, 3, 2), c.pop("q4"))
+            dk *= inv_sqrt_dh
             del dscores
-            dq = _rope(dq4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
-            dk = _rope(dk4.transpose(0, 2, 1, 3), cos, nsin).reshape(B, N, D)
-            del dq4, dk4
+            _rope(dq, *self._unrot)
+            _rope(dk, *self._unrot)
             x_in = c.pop("x_in")
             r = _rms_inv(x_in)
             h2d = _rmsnorm(x_in, w["norm_attn"], r).reshape(-1, D)
@@ -638,31 +632,31 @@ class ToyTransformer:
 
         "backward" peaks in the top layer's FFN backward: every layer's cache,
         dx, the head's and final norm's gradients, the (F, D) ffn_out product,
-        the B*N*F incoming GELU gradient beside three tiles or that product,
-        and the -sin table (a second F*D covers the layer below's, where the
-        flat gradient has replaced the top layer's cache). A MeZO block of
-        b = min(B, `_block_rows`(N)) sequences holds, in attention, x_in, q,
-        k, v, a rotated copy and a half-width rotary product, then x_in, q4,
-        k4, v4 and the scores, then x_in, v4, the scores and the softmax's
-        row reductions (the rotary and softmax steps each add a numpy buffer
-        of at most np.getbufsize() elements); in the FFN, x_mid, its norm and
-        the pre-activation; at the head, x and its norm beside the logits:
-        one block's for "loss", which adds the log-sum-exp tile, the block's
-        row maxima and sums and the B*N terms it keeps, and "correct", which
-        adds the argmax and its comparison; all B*N*V for "forward", beside
-        every block if several, then the tile and four B*N columns."""
+        the B*N*F incoming GELU gradient beside three tiles or that product
+        (a second F*D covers the layer below's, where the flat gradient has
+        replaced the top layer's cache). A MeZO block of b = min(B,
+        `_block_rows`(N)) sequences holds, in attention, x_in, its norm, q,
+        k and `_rope`'s pair-swapped copy or v, then x_in, q, k, v and the
+        scores, then x_in, v, the scores and the softmax's row reductions
+        (the rotary step's broadcast tables and the softmax each add a numpy
+        buffer of at most np.getbufsize() elements); in the FFN, x_mid, its
+        norm and the pre-activation; at the head, x and its norm beside the
+        logits: one block's for "loss", which adds the log-sum-exp tile, the
+        block's row maxima and sums and the B*N terms it keeps, and "correct",
+        which adds the argmax and its comparison; all B*N*V for "forward",
+        beside every block if several, then the tile and four B*N columns."""
         cfg = self.cfg
         D, H, F, V = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size
         if entry == "backward":
             cache = cfg.num_layers * (6 * B * N * D + B * H * N * N + B * N * F) + B * N * D
-            transients = B * N * F + max(3 * min(_TILE, B * N * F), F * D) + N * cfg.head_dim // 2
+            transients = B * N * F + max(3 * min(_TILE, B * N * F), F * D)
             # 24 KiB of view tables, layer dicts and headers; 96 B of numpy's dimension cache
             return 8 * (cache + V * D + D + F * D + transients) + 24 * 1024 + 96
         if entry not in ("loss", "correct", "forward"):
             raise ValueError(f"unknown entry {entry!r}: not backward, loss, correct or forward")
         b = min(B, self._block_rows(N))
         act, scores, buf = b * N * D, b * H * N * N, np.getbufsize()
-        block = max(5.5 * act + min(buf, act / 2), 4 * act + scores,
+        block = max(5 * act + min(buf, act), 4 * act + scores,
                     2 * act + scores + b * H * N + min(buf, scores), 2 * act + b * N * F)
         held = B * N if entry == "loss" else 0
         if entry == "forward":
@@ -673,7 +667,7 @@ class ToyTransformer:
             logits = b * N * V
             last = logits + 2 * b * N + (_lse_tile(b * N, V) * V if entry == "loss" else 0)
         # 16 KiB for the view tables, headers and numpy's ufunc iterators
-        return int(8 * (max(block, 2 * act + logits, last) + held)) + 16 * 1024
+        return 8 * (max(block, 2 * act + logits, last) + held) + 16 * 1024
 
 
 # ---------------------------------------------------------------------------

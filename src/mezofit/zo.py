@@ -30,7 +30,6 @@ The record makes the parameter vector come back bit-for-bit after an estimate.
 """
 from __future__ import annotations
 
-import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from mezofit.memory import ConfigError, check_field_types
+from mezofit.memory import ConfigError, check_field_types, shown
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -216,14 +215,13 @@ class ZOConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        if not 0 < self.epsilon <= sys.float_info.max:  # NaN fails too
+            raise ConfigError(f"epsilon must be finite and > 0, got {shown(self.epsilon)}")
         if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+            raise ConfigError(f"learning_rate must be >= 0, got {shown(self.learning_rate)}")
         if not 1 <= self.num_perturbations <= sys.maxsize:
-            raise ConfigError(
-                f"num_perturbations must be an integer in [1, {sys.maxsize}], "
-                f"got {self.num_perturbations!r}")
+            raise ConfigError(f"num_perturbations must be an integer in [1, {sys.maxsize}], "
+                              f"got {shown(self.num_perturbations)}")
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,7 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     restored too when a loss is non-finite or `loss_fn` raises.
     """
     if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
+        raise ConfigError(f"epsilon must be > 0, got {shown(epsilon)}")
     g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
     return g
 

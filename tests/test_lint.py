@@ -39,8 +39,9 @@ def test_no_unused_imports(module):
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """`module:name` of each private (`_name`, not dunder) function, method,
-    class or module-level constant that no name, attribute or import alias in
-    any of the sources refers to. Assigning a name does not count as a use."""
+    class, module-level constant or `self._name` attribute that no name,
+    attribute or import alias in any of the sources refers to. Assigning a
+    name or an attribute does not count as a use."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -51,6 +52,8 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 used.add(node.attr)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                defined.append((module, node.attr))
             elif isinstance(node, ast.alias):
                 used.add(node.name)
         for node in tree.body:
@@ -67,14 +70,15 @@ def test_lint_flags_dead_private_names():
         "a.py": ("_USED, _DEAD = 1, 2\n_IMPORTED = 3\n"
                  "def _helper():\n    return _USED\n"
                  "class _Box:\n    def __init__(self):\n        self._dead_attr = 0\n"
-                 "    def _method(self):\n        return self._called()\n"
+                 "        self._kept, self._stale = 1, 2\n        other._set_elsewhere = 3\n"
+                 "    def _method(self):\n        return self._called() + self._kept\n"
                  "    def _called(self):\n        return 0\n"
                  "def public():\n    return _Box()._method()\n"),
         "b.py": '"""Mentions _dead_fn."""\nfrom a import _IMPORTED\n_DEAD = 0\n'
                 "def _dead_fn():\n    pass\n",
     }
-    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_helper", "b.py:_DEAD",
-                                           "b.py:_dead_fn"]
+    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_dead_attr", "a.py:_helper",
+                                           "a.py:_stale", "b.py:_DEAD", "b.py:_dead_fn"]
 
 
 def test_no_dead_private_names():

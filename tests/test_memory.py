@@ -507,6 +507,22 @@ def test_config_rejects_bad_values():
         ModelConfig(**{**good, "context_length": 2.5})
 
 
+HUGE = 10 ** 5000  # more digits than repr will write
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ModelConfig, "expansion_factor", HUGE),
+    *((ModelConfig, f, -HUGE) for f in ("stored_layers", "bytes_per_param", "num_layers",
+                                        "hidden_dim")),
+    (ZOConfig, "num_perturbations", HUGE), (ZOConfig, "num_perturbations", -HUGE),
+    (ZOConfig, "epsilon", HUGE), (ZOConfig, "epsilon", -HUGE), (ZOConfig, "learning_rate", -HUGE),
+], ids=lambda x: "huge" if x == HUGE else "-huge" if x == -HUGE else getattr(x, "__name__", x))
+def test_config_messages_name_the_field_of_an_int_too_long_to_print(cls, field, value):
+    make = LLAMA7B.replace if cls is ModelConfig else ZOConfig
+    with pytest.raises(ConfigError, match=f"^{field} must .* integer of 16610 bits"):
+        make(**{field: value})
+
+
 @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "str", "none"])
 @pytest.mark.parametrize("cls, field", [
     *((ModelConfig, f) for f in ("bytes_per_param", "expansion_factor", "stored_layers")),

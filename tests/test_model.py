@@ -19,6 +19,7 @@ from mezofit.model import (
     _GELU_C,
     _NORM_EPS,
     _LIBC,
+    _ROPE_BASE,
     _TILE,
     LedgerMode,
     ToyTransformer,
@@ -27,12 +28,14 @@ from mezofit.model import (
     _loss_backward,
     _rms_inv,
     _rmsnorm_backward,
+    _rope,
+    _rope_tables,
     load_weights,
     loss_from_logits,
     save_weights,
 )
 from mezofit.tasks import TaskKind, ToyTask
-from mezofit.zo import bp_sgd_step
+from mezofit.zo import ZOConfig, bp_sgd_step, mezo_step
 
 CFG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
                   vocab_size=32, batch_size=2)
@@ -246,6 +249,41 @@ def test_in_place_primitives_match_the_plain_expressions_bitwise(shape):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _half_view_rope(x, cos, sin):
+    """The rotation over stride-2 half-width views of (B, N, H, dh) heads,
+    cos/sin (N, dh/2): e*c - o*s and e*s + o*c, each into its half."""
+    e, o = x[..., 0::2], x[..., 1::2]
+    c, s = cos[None, :, None, :], sin[None, :, None, :]
+    out = np.empty_like(x)
+    oe, oo = out[..., 0::2], out[..., 1::2]
+    np.multiply(e, c, out=oe)
+    oe -= o * s
+    np.multiply(e, s, out=oo)
+    oo += o * c
+    return out
+
+
+@pytest.mark.parametrize("heads,n", [(2, 64), (2, 37), (4, 64), (4, 1)])
+def test_full_width_rope_is_the_half_view_rotation_bitwise(heads, n):
+    # a 64-position context cropped to n, at dh = 16
+    dh, context = 16, 64
+    inv_freq = _ROPE_BASE ** (-np.arange(0, dh, 2) / dh)
+    ang = np.arange(context)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(ang)[:n], np.sin(ang)[:n]
+    x = np.random.default_rng(n).standard_normal((3, n, heads, dh)) * 5
+    for tables, sign in zip(_rope_tables(context, dh, heads), (1.0, -1.0)):  # forward, inverse
+        got = x.reshape(3, n, heads * dh).copy()
+        assert _rope(got, *tables) is got
+        assert got.tobytes() == _half_view_rope(x, cos, sign * sin).tobytes()
+
+
+def test_rope_tables_and_causal_mask_are_read_only():
+    model = ToyTransformer(CFG)
+    for table in (*model._rot, *model._unrot, model._neg_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
 def test_rmsnorm_backward_works_through_one_scratch_buffer():
     # dx takes dy's buffer and r is cubed in place, so beside one B*N*D
     # scratch buffer it allocates the B*N row term s and the D-element dgain;
@@ -386,6 +424,25 @@ def test_train_matched_bp_gradient_matches_its_pinned_digest():
     grad, loss = model.backward(model.init_params(0), tokens, targets)
     assert hashlib.sha256(grad.values.tobytes()).hexdigest().startswith("6957731670a20725")
     assert loss == 2.1342525102144827
+
+
+def test_step_mid_mezo_step_matches_its_pinned_digest():
+    # One seed-0 MeZO step at the step-mid config (one sequence per block,
+    # dh=32, 14 noise chunks), through the bound loss and through forward
+    # plus loss_from_logits, recorded with numpy 2.4.6 on x86-64: sha256 of
+    # theta after the step, then the losses, then the projected gradients.
+    cfg = ModelConfig(context_length=64, num_layers=4, hidden_dim=128, num_heads=4,
+                      vocab_size=256, batch_size=8)
+    model = ToyTransformer(cfg)
+    tokens, targets = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, cfg.vocab_size,
+                              cfg.context_length, 0).batch(range(8))
+    for loss_fn in (model.loss_fn(tokens, targets),
+                    lambda p: loss_from_logits(model.forward(p, tokens)[0], targets)):
+        theta, report = mezo_step(loss_fn, model.init_params(0), ZOConfig(1e-3, 1e-4, 5, 0), 0)
+        digest = hashlib.sha256(theta.values.tobytes())
+        digest.update(np.array(report.losses, dtype=np.float64).tobytes())
+        digest.update(np.array(report.projected_gradients, dtype=np.float64).tobytes())
+        assert digest.hexdigest().startswith("e6d43b6c12b5ddf4")
 
 
 def test_backward_gradient_is_a_fresh_contiguous_vector(model, params):
@@ -646,6 +703,31 @@ def test_correct_counts_the_argmax_hits_of_the_full_logits(case):
     # a zero-head count of "picked logit == row max" would be every target
     assert 0 < want < np.count_nonzero(targets >= 0)
     assert model.correct(params, tokens, targets) == want
+
+
+@pytest.mark.parametrize("value,where,hits", [
+    (v, w, h) for v, row in ((np.nan, (5, 1, 0)), (np.inf, (5, 1, 6)), (-np.inf, (5, 1, 2)))
+    for w, h in zip(("first", "middle", "last"), row)])
+def test_a_non_finite_parameter_gives_a_nan_loss_and_a_fixed_count(model, params, value,
+                                                                     where, hits):
+    # The first coordinate is token 0's embedding, which the batch reads; the
+    # middle one sits in a layer's weights, the last in the head. Each count
+    # is the one the row maxima of np.maximum gave.
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(0, CFG.vocab_size, size=(2, 8))
+    tokens[0, 3] = 0
+    argmax = model.forward(params, tokens)[0].argmax(-1)
+    targets = np.where(rng.random(argmax.shape) < 0.5, argmax,
+                       rng.integers(0, CFG.vocab_size, argmax.shape))
+    broken = params.copy()
+    broken.values[dict(first=0, middle=len(params) // 2, last=len(params) - 1)[where]] = value
+    with np.errstate(all="ignore"):
+        logits = model.forward(broken, tokens)[0]
+        assert np.isnan(model.loss_fn(tokens, targets)(broken))
+        assert np.isnan(loss_from_logits(logits, targets))
+        assert np.isnan(model.backward(broken, tokens, targets)[1])
+        assert model.correct(broken, tokens, targets) == hits \
+            == np.count_nonzero(logits.argmax(-1) == targets)
 
 
 def test_bound_loss_follows_its_parameters_in_place_and_across_arrays(model):

@@ -23,6 +23,7 @@ from mezofit.zo import (
     NonfiniteLossError,
     ZOConfig,
     bp_sgd_step,
+    check_step_size,
     mezo_step,
     splitmix64,
 )
@@ -58,9 +59,10 @@ class ExperimentPlan:
                 f"steps * batch_size = {self.steps} * {batch} train samples is more "
                 f"than the {EVAL_INDEX_BASE} train indices below the eval split")
         for name in ("lr_grid_bp", "lr_grid_mezo"):
-            grid = getattr(self, name)
-            if not grid or not all(0 <= lr < np.inf for lr in grid):  # NaN fails too
-                raise ConfigError(f"{name} needs finite rates >= 0, got {grid!r}")
+            if not getattr(self, name):
+                raise ConfigError(f"{name} needs at least one rate")
+            for lr in getattr(self, name):
+                check_step_size(name, lr, positive=False)
         bp_total = bp_memory(self.bp_model).total_bytes
         mezo_total = mezo_memory(self.mezo_model).total_bytes
         if not max(bp_total, mezo_total) <= self.budget_bytes:  # a NaN budget fails too

@@ -26,9 +26,11 @@ its rows' loss terms as the block ends; `correct(params, tokens, targets)`
 counts the targets each block's argmax hits. Neither builds the (B, N, V)
 logits. Only the benchmark and the tests call `forward`, which writes every
 block into one (B, N, V) array, and `loss_from_logits`; the bound loss is bit
-for bit their loss. The backward pass frees each layer's cache as it goes and
-writes its transients in place, in the float order of the plain expressions,
-so its gradients are bit for bit those of an out-of-place pass.
+for bit their loss. The backward pass runs the blocks in reverse, each block's
+backward beside its forward, frees each layer's cache as it goes and writes
+every layer's gradient products below the top one into their places in the
+flat gradient, its transients in place, all in the float order of the plain
+expressions, so its gradients are bit for bit those of an out-of-place pass.
 """
 from __future__ import annotations
 
@@ -99,13 +101,13 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray, r: np.ndarray | None = None) -> np
     return y
 
 
-def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray):
-    """Gradients of _rmsnorm, given r = _rms_inv(x), dx written into `dy` and
-    r cubed in place, through one scratch buffer in the float order of
-    dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
+def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray, out=None):
+    """(dx, dgain) of _rmsnorm given r = _rms_inv(x), dx written into `dy`, dgain
+    into `out` if given and r cubed in place, through one scratch buffer in the
+    float order of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
     t = dy * x
     t *= r
-    dgain = np.sum(t, axis=(0, 1))
+    dgain = np.sum(t, axis=(0, 1), out=out)
     dx = np.multiply(dy, gain, out=dy)
     np.multiply(dx, x, out=t)
     s = np.sum(t, axis=-1, keepdims=True)
@@ -302,13 +304,6 @@ def _loss_backward(logits, targets):
     dlogits[rows[0], rows[1], targets[mask]] -= 1.0
     dlogits *= mask[..., None] / count
     return loss, dlogits
-
-
-class _Grads(dict):
-    """Views of a flat gradient by name: setting a name copies into its view."""
-
-    def __setitem__(self, name, a):
-        self[name][:] = a
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +510,11 @@ class ToyTransformer:
 
     def _ffn(self, w, x_mid, bp):
         """x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out over one layer's weights
-        `w`, and (BP mode) what backward reads: x_mid and u. BP mode drops the
-        normed input h once u exists (tiling through it saves no BP peak); MeZO
-        mode writes GELU over u through h, dead by then, then the output into h."""
+        `w`, and (BP mode) what backward reads: x_mid and u. MeZO mode writes
+        GELU over u through the normed input h, dead by then, then the output
+        into h. BP mode drops h once u exists and gives GELU its own output and
+        tile: MeZO's path saves no BP peak there and, bit for bit the same, made
+        the train-matched BP backward 4-6% slower (in-process A/Bs, 1 thread)."""
         h = _rmsnorm(x_mid, w["norm_ffn"])
         u = h @ w["ffn_in"]
         if bp:
@@ -534,17 +531,16 @@ class ToyTransformer:
                  targets: np.ndarray) -> tuple[ParameterVector, float]:
         """Exact reverse-mode gradient of the masked mean cross-entropy.
 
-        Rebuilds what the cache does not hold where it is read: each normed
-        input from its norm's input, with the r that norm's backward then
-        reads, and the GELU output, which `_gelu_backward` leaves in u's
-        buffer. dv, dq and dk are written through `_heads` views, and dq and
-        dk rotate back in place. Frees each layer's cache as it goes, each
-        array and transient after its last read; the logits and their
-        gradient go once the final norm's gradient exists. The flat gradient
-        is made once the top layer's cache is gone. Each in-place step keeps
-        the float order of the plain expression, so gradients are unchanged."""
-        cfg = self.cfg
-        D, H, F, V = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size
+        Runs the blocks in reverse from the top, `_ffn_backward` then
+        `_attention_backward` per layer; each pops its cache entries and its
+        transients die when it returns. Each writes every gradient product
+        through `np.matmul(..., out=g.get(name))`, the gains through
+        `_rmsnorm_backward`: for the ends and the top layer `g` is a held dict,
+        so the products are made fresh and copied in once the flat gradient is
+        made, after the top layer's cache is gone; below, `g` is the layer's
+        views of the flat gradient, so each product is written into its place.
+        In-place steps keep the plain expressions' float order."""
+        D, V = self.cfg.hidden_dim, self.cfg.vocab_size
         tokens = self._checked(tokens)
         views = self._views(params)
         logits, caches = self._sequences(views, tokens, True)
@@ -552,72 +548,79 @@ class ToyTransformer:
         del logits
 
         (ends, *weights), layers = views, caches["layers"]
-        inv_sqrt_dh = 1.0 / np.sqrt(cfg.head_dim)
-
         x_f = caches.pop("x_f")
         r = _rms_inv(x_f)
-        # held as made until the flat gradient exists; embed=0.0 zeroes its segment
-        g = dict(embed=0.0, head=dlogits.reshape(-1, V).T @ _rmsnorm(
-            x_f, ends["norm_final"], r).reshape(-1, D))
-        dhf = dlogits @ ends["head"]
-        dx, g["norm_final"] = _rmsnorm_backward(dhf, x_f, ends["norm_final"], r)
-        del dlogits, dhf, x_f, r
+        g = dict(head=dlogits.reshape(-1, V).T @ _rmsnorm(x_f, ends["norm_final"], r).reshape(-1, D))
+        dx, g["norm_final"] = _rmsnorm_backward(dlogits @ ends["head"], x_f, ends["norm_final"], r)
+        del dlogits, x_f, r
 
         while layers:
             c, w = layers.pop(), weights.pop()
-            # FFN block: x = x_mid + gelu(rmsnorm(x_mid) @ w_in) @ w_out
-            x_mid, u = c.pop("x_mid"), c.pop("u")
-            du = _gelu_backward(dx @ w["ffn_out"].T, u)
-            g["ffn_out"] = u.reshape(-1, F).T @ dx.reshape(-1, D)  # u now holds gelu(u)
-            del u
-            r = _rms_inv(x_mid)
-            g["ffn_in"] = _rmsnorm(x_mid, w["norm_ffn"], r).reshape(-1, D).T @ du.reshape(-1, F)
-            dh2 = du @ w["ffn_in"].T
-            del du
-            dx_mid, g["norm_ffn"] = _rmsnorm_backward(dh2, x_mid, w["norm_ffn"], r)
-            dx += dx_mid  # residual
-
-            # attention block: x = x_in + attn(rmsnorm(x_in)) @ wo
-            g["wo"] = c.pop("ctx").reshape(-1, D).T @ dx.reshape(-1, D)
-            dctx = _heads(dx @ w["wo"].T, H)
-            probs = c.pop("probs")
-            dscores = dctx @ c.pop("v4").transpose(0, 1, 3, 2)  # dprobs, then dscores in place
-            dv = _head_product(probs.transpose(0, 1, 3, 2), dctx)
-            del dctx
-            inner = np.add.reduce(dscores * probs, axis=-1, keepdims=True)
-            dscores -= inner
-            dscores *= probs
-            del probs, inner
-            dq = _head_product(dscores, c.pop("k4"))
-            dq *= inv_sqrt_dh
-            dk = _head_product(dscores.transpose(0, 1, 3, 2), c.pop("q4"))
-            dk *= inv_sqrt_dh
-            del dscores
-            _rope(dq, *self._unrot)
-            _rope(dk, *self._unrot)
-            x_in = c.pop("x_in")
-            r = _rms_inv(x_in)
-            h2d = _rmsnorm(x_in, w["norm_attn"], r).reshape(-1, D)
-            g["wq"] = h2d.T @ dq.reshape(-1, D)
-            g["wk"] = h2d.T @ dk.reshape(-1, D)
-            g["wv"] = h2d.T @ dv.reshape(-1, D)
-            dh_pre = dq @ w["wq"].T
-            dh_pre += dk @ w["wk"].T
-            dh_pre += dv @ w["wv"].T
-            dx_in, g["norm_attn"] = _rmsnorm_backward(dh_pre, x_in, w["norm_attn"], r)
-            dx += dx_in
-            # nothing of this layer may outlive it into the next one
-            del c, w, x_mid, x_in, r, dh2, dx_mid, dq, dk, dv, h2d, dh_pre, dx_in
-            if "head" in g:  # the top layer's cache is gone
+            self._ffn_backward(w, c, dx, g)
+            self._attention_backward(w, c, dx, g)
+            del c  # its emptied dict, before the flat gradient is made
+            if "head" in g:  # the top layer's cache is gone: make the flat gradient
                 grad = ParameterVector(np.empty(len(params)), params.segments)
                 grads = self._views(grad)
                 into = {**grads[0], **grads.pop()}  # the ends' and top layer's views
                 for name in list(g):  # each held array is dropped once copied in
                     into[name][:] = g.pop(name)
-            g = _Grads(grads.pop())  # after layer 0, the embedding's, final norm's and head's
+            g = grads.pop()  # after layer 0, the embedding's, final norm's and head's
 
+        g["embed"][:] = 0.0
         np.add.at(g["embed"], tokens.ravel(), dx.reshape(-1, D))
         return grad, loss
+
+    def _ffn_backward(self, w, c, dx, g):
+        """Backward of `_ffn` over one layer's weights `w` and cache `c`: adds the
+        block's input gradient to dx in place and writes its weights' gradients
+        through `g` (see `backward`). u's buffer takes the GELU output."""
+        D, F = self.cfg.hidden_dim, self.ffn_dim
+        x_mid, u = c.pop("x_mid"), c.pop("u")
+        du = _gelu_backward(dx @ w["ffn_out"].T, u)
+        g["ffn_out"] = np.matmul(u.reshape(-1, F).T, dx.reshape(-1, D), out=g.get("ffn_out"))
+        del u
+        r = _rms_inv(x_mid)
+        g["ffn_in"] = np.matmul(_rmsnorm(x_mid, w["norm_ffn"], r).reshape(-1, D).T,
+                                du.reshape(-1, F), out=g.get("ffn_in"))
+        dh = du @ w["ffn_in"].T
+        del du
+        dh, g["norm_ffn"] = _rmsnorm_backward(dh, x_mid, w["norm_ffn"], r, g.get("norm_ffn"))
+        dx += dh
+
+    def _attention_backward(self, w, c, dx, g):
+        """Backward of `_attention` over one layer's weights `w` and cache `c`,
+        as `_ffn_backward` is of `_ffn`: dv, dq and dk are written through
+        `_heads` views, and dq and dk rotate back in place."""
+        D, H = self.cfg.hidden_dim, self.cfg.num_heads
+        g["wo"] = np.matmul(c.pop("ctx").reshape(-1, D).T, dx.reshape(-1, D), out=g.get("wo"))
+        dctx = _heads(dx @ w["wo"].T, H)
+        probs = c.pop("probs")
+        dscores = dctx @ c.pop("v4").transpose(0, 1, 3, 2)  # dprobs, then dscores in place
+        dv = _head_product(probs.transpose(0, 1, 3, 2), dctx)
+        del dctx
+        inner = np.add.reduce(dscores * probs, axis=-1, keepdims=True)
+        dscores -= inner
+        dscores *= probs
+        del probs, inner
+        inv_sqrt_dh = 1.0 / np.sqrt(self.cfg.head_dim)
+        dq = _head_product(dscores, c.pop("k4"))
+        dq *= inv_sqrt_dh
+        dk = _head_product(dscores.transpose(0, 1, 3, 2), c.pop("q4"))
+        dk *= inv_sqrt_dh
+        del dscores
+        _rope(dq, *self._unrot)
+        _rope(dk, *self._unrot)
+        x_in = c.pop("x_in")
+        r = _rms_inv(x_in)
+        h2d = _rmsnorm(x_in, w["norm_attn"], r).reshape(-1, D)
+        for name, d in (("wq", dq), ("wk", dk), ("wv", dv)):
+            g[name] = np.matmul(h2d.T, d.reshape(-1, D), out=g.get(name))
+        dh = dq @ w["wq"].T
+        dh += dk @ w["wk"].T
+        dh += dv @ w["wv"].T
+        dh, g["norm_attn"] = _rmsnorm_backward(dh, x_in, w["norm_attn"], r, g.get("norm_attn"))
+        dx += dh
 
     # -- peak bytes ---------------------------------------------------------
 
@@ -630,11 +633,18 @@ class ToyTransformer:
         largest moment in elements plus a slack for view tables, headers and
         numpy's iterators; `memory_for_mode` stays the paper's model.
 
-        "backward" peaks in the top layer's FFN backward: every layer's cache,
-        dx, the head's and final norm's gradients, the (F, D) ffn_out product,
-        the B*N*F incoming GELU gradient beside three tiles or that product
-        (a second F*D covers the layer below's, where the flat gradient has
-        replaced the top layer's cache). A MeZO block of b = min(B,
+        "backward" holds dx and the caches of the layers below the top one
+        throughout, beside the largest of three moments: the loss gradient
+        (the top layer's cache, the logits, their gradient, five B*N columns
+        and a broadcast buffer); the top layer's blocks, whose products are
+        held until the flat gradient exists (its cache and the head's and
+        final norm's gradients, beside, in the FFN, the GELU gradient and
+        three tiles or the (F, D) ffn_out product, and in attention, less the
+        cache it has freed, the scores' gradient, its product with the scores,
+        dv and the row sums, with the FFN's and wo's gradients); the flat
+        gradient of 8*P bytes, beside first the held ends' and top layer's
+        gradients and then a lower layer's transients, whose products are
+        written into their places. A MeZO block of b = min(B,
         `_block_rows`(N)) sequences holds, in attention, x_in, its norm, q,
         k and `_rope`'s pair-swapped copy or v, then x_in, q, k, v and the
         scores, then x_in, v, the scores and the softmax's row reductions
@@ -644,30 +654,39 @@ class ToyTransformer:
         logits: one block's for "loss", which adds the log-sum-exp tile, the
         block's row maxima and sums and the B*N terms it keeps, and "correct",
         which adds the argmax and its comparison; all B*N*V for "forward",
-        beside every block if several, then the tile and four B*N columns."""
+        beside every block if several, then the tile and four B*N columns.
+        The tile's max-shift broadcasts the row maxima, so "loss" and
+        "forward" add a numpy buffer of at most the tile there too."""
         cfg = self.cfg
-        D, H, F, V = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size
+        D, H, F, V, L = cfg.hidden_dim, cfg.num_heads, self.ffn_dim, cfg.vocab_size, cfg.num_layers
+        buf = np.getbufsize()
         if entry == "backward":
-            cache = cfg.num_layers * (6 * B * N * D + B * H * N * N + B * N * F) + B * N * D
-            transients = B * N * F + max(3 * min(_TILE, B * N * F), F * D)
-            # 24 KiB of view tables, layer dicts and headers; 96 B of numpy's dimension cache
-            return 8 * (cache + V * D + D + F * D + transients) + 24 * 1024 + 96
+            act, scores, ffn = B * N * D, B * H * N * N, B * N * F
+            layer = 6 * act + scores + ffn  # one layer's cache
+            # each block's transients past its layer's cache
+            gelu, attn = ffn + 3 * min(_TILE, ffn), 2 * scores + B * H * N - 2 * act - ffn
+            held = V * D + 3 * D + 2 * F * D + 4 * D * D  # the ends' and top layer's, bar embed
+            moment = max(layer + 2 * B * N * V + 5 * B * N + min(buf, B * N * V),
+                         layer + V * D + D + max(gelu, ffn + F * D, attn + 2 * F * D + D * D + D),
+                         self.param_count() + (max(held, gelu, attn) if L > 1 else held))
+            # (4 + 5L) KiB of view tables, layer dicts and headers; 96 B of numpy's dimension cache
+            return 8 * ((L - 1) * layer + act + moment) + (4 + 5 * L) * 1024 + 96
         if entry not in ("loss", "correct", "forward"):
             raise ValueError(f"unknown entry {entry!r}: not backward, loss, correct or forward")
         b = min(B, self._block_rows(N))
-        act, scores, buf = b * N * D, b * H * N * N, np.getbufsize()
+        act, scores = b * N * D, b * H * N * N
         block = max(5 * act + min(buf, act), 4 * act + scores,
                     2 * act + scores + b * H * N + min(buf, scores), 2 * act + b * N * F)
         held = B * N if entry == "loss" else 0
         if entry == "forward":
-            logits = B * N * V
+            logits, tile = B * N * V, _lse_tile(B * N, V) * V
             block += 0 if b == B else logits
-            last = logits + _lse_tile(B * N, V) * V + 4 * B * N
+            last = logits + tile + min(buf, tile) + 4 * B * N
         else:
-            logits = b * N * V
-            last = logits + 2 * b * N + (_lse_tile(b * N, V) * V if entry == "loss" else 0)
-        # 16 KiB for the view tables, headers and numpy's ufunc iterators
-        return 8 * (max(block, 2 * act + logits, last) + held) + 16 * 1024
+            logits, tile = b * N * V, _lse_tile(b * N, V) * V if entry == "loss" else 0
+            last = logits + 2 * b * N + tile + min(buf, tile)
+        # (12 + L) KiB for the view tables, headers and numpy's ufunc iterators
+        return 8 * (max(block, 2 * act + logits, last) + held) + (12 + L) * 1024
 
 
 # ---------------------------------------------------------------------------

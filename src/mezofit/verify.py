@@ -21,6 +21,7 @@ from mezofit.zo import (
     PerturbationSeed,
     Segment,
     ZOConfig,
+    check_step_size,
     generate_noise,
     mezo_step,
     spsa_directional_derivative,
@@ -164,7 +165,7 @@ def run_verification(dim: int = RESTORE_DIM, seed: int = SEED,
         raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    ZOConfig(epsilon=epsilon)  # reject invalid epsilon up front
+    check_step_size("epsilon", epsilon, positive=True)  # up front, before any check runs
     return [
         check_restoration(dim=dim, epsilon=epsilon, seed=seed),
         check_quadratic_unbiasedness(epsilon=epsilon, seed=seed),

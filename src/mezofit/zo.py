@@ -40,6 +40,7 @@ import numpy as np
 from mezofit.memory import ConfigError, check_field_types, shown
 
 DEFAULT_CHUNK = 1 << 16
+_FLOAT_MAX = sys.float_info.max
 
 _MASK64 = (1 << 64) - 1
 
@@ -206,6 +207,20 @@ def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_
 # hyperparameters
 # ---------------------------------------------------------------------------
 
+def check_step_size(name: str, value, positive: bool) -> None:
+    """The one rule for step sizes: ConfigError naming `name` and `value`
+    unless it is a number in [0, largest float], and above 0 when `positive`.
+    Learning rates may be 0; epsilon, `positive`, may not. NaN, inf, an int
+    past the largest float and a value that does not compare fail."""
+    try:
+        ok = (0.0 < value if positive else 0.0 <= value) and value <= _FLOAT_MAX
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must lie in {'(' if positive else '['}0, "
+                          f"{_FLOAT_MAX!r}], got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class ZOConfig:
     epsilon: float = 1e-3
@@ -215,10 +230,8 @@ class ZOConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not 0 < self.epsilon <= sys.float_info.max:  # NaN fails too
-            raise ConfigError(f"epsilon must be finite and > 0, got {shown(self.epsilon)}")
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {shown(self.learning_rate)}")
+        check_step_size("epsilon", self.epsilon, positive=True)
+        check_step_size("learning_rate", self.learning_rate, positive=False)
         if not 1 <= self.num_perturbations <= sys.maxsize:
             raise ConfigError(f"num_perturbations must be an integer in [1, {sys.maxsize}], "
                               f"got {shown(self.num_perturbations)}")
@@ -305,10 +318,10 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     Evaluates the loss at theta + eps*z and theta - eps*z by shifting theta in
     place (z is streamed from `seed`, never stored whole), restores theta
     bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps). Theta is
-    restored too when a loss is non-finite or `loss_fn` raises.
+    restored too when a loss is non-finite or `loss_fn` raises. An epsilon
+    that `check_step_size` refuses raises ConfigError before theta is touched.
     """
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {shown(epsilon)}")
+    check_step_size("epsilon", epsilon, positive=True)
     g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
     return g
 
@@ -389,7 +402,9 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
                 theta: ParameterVector,
                 eta: float) -> ParameterVector:
     """Vanilla SGD: theta <- theta - eta * grad, consuming the gradient buffer.
-    `loss_and_grad_fn` returns (gradient, loss) as the toy model's backward does."""
+    `loss_and_grad_fn` returns (gradient, loss) as the toy model's backward does.
+    An eta that `check_step_size` refuses raises ConfigError before it is called."""
+    check_step_size("eta", eta, positive=False)
     grad, loss = loss_and_grad_fn(theta)
     if not np.isfinite(loss):
         raise NonfiniteLossError(f"loss is {loss}")

@@ -88,6 +88,13 @@ def test_plan_requires_larger_mezo_model():
                   budget_bytes=1e12)
 
 
+@pytest.mark.parametrize("grid", ["lr_grid_bp", "lr_grid_mezo"])
+def test_plan_refuses_a_learning_rate_past_the_largest_float(grid):
+    # an int rate compares below inf but overflows the float update
+    with pytest.raises(ConfigError, match=grid):
+        make_plan(**{grid: (0.5, 10 ** 400)})
+
+
 @pytest.mark.parametrize("bp_batch, mezo_batch", [(16, 16), (16, 8), (8, 16)])
 def test_plan_refuses_train_samples_that_reach_the_eval_split(bp_batch, mezo_batch):
     # train indices are [0, 2^40); a run draws steps * batch_size of them.

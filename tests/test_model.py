@@ -625,6 +625,16 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     assert peak <= acts + 3 * B * N * V * 8
 
 
+def entry_calls(model, tokens, targets):
+    """One call per `peak_bytes` entry, on seed-0 parameters."""
+    params = model.init_params(0)
+    bound_loss = model.loss_fn(tokens, targets)
+    return dict(backward=lambda: model.backward(params, tokens, targets),
+                forward=lambda: loss_from_logits(model.forward(params, tokens)[0], targets),
+                loss=lambda: bound_loss(params),
+                correct=lambda: model.correct(params, tokens, targets))
+
+
 # (D, V, B) at L=4, N=64: a one-block batch, and the step-mid shape. Against
 # these bounds a GELU with its own tile beside the FFN's live set broke
 # "forward" and "loss" at step-mid (1,514,376 B against 1,458,176, 465,016
@@ -643,13 +653,7 @@ def test_peak_within_peak_bytes(entry, shape):
     model, N = ToyTransformer(cfg), cfg.context_length
     # `correct` reads the 128 sequences an evaluation reads, not a step's batch
     n = EVAL_SEQUENCES if entry == "correct" else B
-    params = model.init_params(0)
-    tokens, targets = tokens_for(cfg, seed=1, batch=n), tokens_for(cfg, seed=2, batch=n)
-    bound_loss = model.loss_fn(tokens, targets)
-    calls = dict(backward=lambda: model.backward(params, tokens, targets),
-                 forward=lambda: loss_from_logits(model.forward(params, tokens)[0], targets),
-                 loss=lambda: bound_loss(params),
-                 correct=lambda: model.correct(params, tokens, targets))
+    calls = entry_calls(model, tokens_for(cfg, seed=1, batch=n), tokens_for(cfg, seed=2, batch=n))
     if entry not in calls:
         with pytest.raises(ValueError, match="unknown entry 'step'"):
             model.peak_bytes(entry, n, N)
@@ -660,6 +664,30 @@ def test_peak_within_peak_bytes(entry, shape):
         assert peak < traced_peak(calls["forward"])
     if entry == "correct":  # nothing grows with the sequences past one block
         assert bound < 8 * n * N * V
+
+
+# (D, V, B, L, N), with H = 2 at D = 8 and 4 otherwise: small and
+# weight-dominated configs. Against these, a "backward" bound of the top
+# layer's FFN moment alone, without the flat gradient's 8*P, fell short by up
+# to 5.4x (2,070,095 B against 385,632 at D=64, V=8, B=1, L=4, N=4), and
+# "loss" and "forward" bounds without the log-sum-exp's broadcast buffer by up
+# to 52,208 B (D=8, V=256, B=16, L=4, N=64). At L=12 a MeZO slack that does
+# not grow with the layers' view tables fell short by 744 B.
+OFF_GRID = [(64, 8, 1, 4, 4), (32, 64, 4, 3, 8), (8, 256, 16, 4, 64), (64, 256, 1, 1, 4),
+            (8, 64, 4, 2, 16), (8, 256, 1, 4, 16), (8, 256, 1, 2, 16), (64, 64, 1, 2, 16),
+            (32, 256, 4, 1, 16), (8, 256, 4, 1, 64), (64, 8, 16, 4, 16), (8, 8, 1, 12, 4)]
+
+
+@pytest.mark.parametrize("shape", OFF_GRID, ids=lambda s: "D{}-V{}-B{}-L{}-N{}".format(*s))
+def test_peak_within_peak_bytes_off_the_activation_grid(shape):
+    D, V, B, L, N = shape
+    cfg = ModelConfig(context_length=N, num_layers=L, hidden_dim=D,
+                      num_heads=2 if D == 8 else 4, vocab_size=V, batch_size=B)
+    model = ToyTransformer(cfg)
+    calls = entry_calls(model, tokens_for(cfg, seed=1), tokens_for(cfg, seed=2))
+    over = {entry: (peak, bound) for entry, call in calls.items()
+            if (peak := traced_peak(call)) > (bound := model.peak_bytes(entry, B, N))}
+    assert not over
 
 
 # odd V, cropped N: 37 * 301 elements of logits per sequence give two

@@ -232,6 +232,15 @@ def test_spsa_rejects_bad_epsilon():
                                     PerturbationSeed(0, 0), 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [np.inf, 10 ** 400], ids=["inf", "int-1e400"])
+def test_spsa_refuses_an_epsilon_past_the_largest_float_before_shifting(epsilon):
+    theta = flat([1.0, -2.0, 0.5])
+    before = theta.values.tobytes()
+    with pytest.raises(ConfigError, match="epsilon"):
+        spsa_directional_derivative(quadratic, theta, PerturbationSeed(0, 0), epsilon)
+    assert theta.values.tobytes() == before
+
+
 def test_spsa_nonfinite_loss_restores_then_raises():
     theta = flat(np.ones(100))
     before = theta.values.tobytes()
@@ -578,6 +587,12 @@ def test_zo_config_validation():
         mezo_step(quadratic, flat([1.0]), ZOConfig(), -1)
 
 
+def test_zo_config_refuses_a_learning_rate_past_the_largest_float():
+    # mezo_step would run all 2n losses, then overflow at lr / n
+    with pytest.raises(ConfigError, match="learning_rate"):
+        ZOConfig(1e-3, 10 ** 400, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # bp sgd step
 # ---------------------------------------------------------------------------
@@ -621,6 +636,21 @@ def test_bp_sgd_step_reaches_least_squares_optimum():
     for _ in range(100):
         bp_sgd_step(grad_fn, theta, 0.5)
     assert objective(theta.values) - objective(w_star) < 1e-6
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0, 10 ** 400],
+                         ids=["nan", "inf", "negative", "int-1e400"])
+def test_bp_sgd_step_refuses_a_bad_eta_before_touching_theta(eta):
+    theta = flat([1.0, -2.0])
+    before, calls = theta.values.tobytes(), []
+
+    def grad_fn(t):
+        calls.append(t)
+        return flat([1.0, 1.0]), 1.0
+
+    with pytest.raises(ConfigError, match="eta"):
+        bp_sgd_step(grad_fn, theta, eta)
+    assert theta.values.tobytes() == before and not calls
 
 
 def test_bp_sgd_step_nonfinite_errors():

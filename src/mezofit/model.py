@@ -35,10 +35,7 @@ expressions, so its gradients are bit for bit those of an out-of-place pass.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
-import json
 import math
-import struct
 import sys
 from enum import Enum
 from typing import Callable
@@ -332,7 +329,7 @@ class ToyTransformer:
         self.cfg = cfg
         self.ffn_dim = F = int(round(ffn))
         D, V = cfg.hidden_dim, cfg.vocab_size
-        # (name, shape) in checkpoint order; a layer's names take the prefix "layer{l}."
+        # (name, shape) in segment order; a layer's names take the prefix "layer{l}."
         self._per_layer = (("norm_attn", (D,)), ("wq", (D, D)), ("wk", (D, D)),
                            ("wv", (D, D)), ("wo", (D, D)), ("norm_ffn", (D,)),
                            ("ffn_in", (D, F)), ("ffn_out", (F, D)))
@@ -687,83 +684,3 @@ class ToyTransformer:
             last = logits + 2 * b * N + tile + min(buf, tile)
         # (12 + L) KiB for the view tables, headers and numpy's ufunc iterators
         return 8 * (max(block, 2 * act + logits, last) + held) + (12 + L) * 1024
-
-
-# ---------------------------------------------------------------------------
-# weight checkpoints
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MZFW"
-_VERSION = 1
-
-
-def save_weights(path, cfg: ModelConfig, params: ParameterVector) -> None:
-    """Named-segment binary checkpoint; round-trips bit-exactly."""
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(params.segments)))
-        for seg in params.segments:
-            name = seg.name.encode()
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<Q", seg.length))
-            f.write(params.segment(seg.name).astype("<f8", copy=False).tobytes())
-
-
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint: wanted {n} bytes at offset "
-                         f"{f.tell() - len(data)}, found {len(data)}")
-    return data
-
-
-def _config_from_blob(blob) -> ModelConfig:
-    """The ModelConfig a checkpoint's JSON blob names; ValueError unless the
-    blob holds every ModelConfig field, no other key and values it accepts."""
-    if not isinstance(blob, dict):
-        raise ValueError("checkpoint config is not a JSON object")
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown, missing = sorted(blob.keys() - fields), sorted(fields - blob.keys())
-    if unknown or missing:
-        raise ValueError(f"checkpoint config has unknown keys {unknown} "
-                         f"and lacks keys {missing}")
-    try:
-        return ModelConfig(**blob)
-    except ConfigError as exc:
-        raise ValueError(f"checkpoint config is invalid: {exc}") from None
-
-
-def load_weights(path) -> tuple[ModelConfig, ParameterVector]:
-    """Read a save_weights checkpoint. A short read, bad magic, an unknown
-    version, a config blob that is not a full ModelConfig, segments that
-    differ from the config's model or bytes after them raise ValueError."""
-    with open(path, "rb") as f:
-        if _read_exact(f, 4) != _MAGIC:
-            raise ValueError("not a mezofit weight checkpoint")
-        version, blob_len = struct.unpack("<II", _read_exact(f, 8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        cfg = _config_from_blob(json.loads(_read_exact(f, blob_len).decode()))
-        expected = [(name, math.prod(shape))
-                    for name, shape in ToyTransformer(cfg).segment_shapes()]
-        (n_segments,) = struct.unpack("<I", _read_exact(f, 4))
-        if n_segments != len(expected):
-            raise ValueError(f"checkpoint holds {n_segments} segments, its config needs "
-                             f"{len(expected)}")
-        arrays = []
-        for want in expected:
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2))
-            name = _read_exact(f, name_len).decode()
-            (count,) = struct.unpack("<Q", _read_exact(f, 8))
-            if (name, count) != want:
-                raise ValueError(f"checkpoint segment {name!r} of {count} values, "
-                                 f"its config needs {want[0]!r} of {want[1]}")
-            data = np.frombuffer(_read_exact(f, count * 8), dtype="<f8").astype(np.float64)
-            arrays.append((name, data))
-        if f.read(1):
-            raise ValueError("checkpoint has bytes after its last segment")
-    return cfg, ParameterVector.from_arrays(arrays)

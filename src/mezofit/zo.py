@@ -358,10 +358,10 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     from its seed.
 
     A non-finite loss raises NonfiniteLossError and a non-finite projected
-    gradient raises NonfiniteGradError; either way, and when `loss_fn`
-    raises, theta is at its pre-step value, since the update has not begun. If the update itself overflows
-    (finite gradients whose scaled sum is not), theta keeps the non-finite
-    values written and NonfiniteLossError is raised."""
+    gradient raises NonfiniteGradError; either way, and when `loss_fn` raises,
+    theta is at its pre-step value, since the update has not begun. If the
+    update itself overflows (finite gradients whose scaled sum is not), theta
+    keeps the non-finite values written and NonfiniteLossError is raised."""
     if step_index < 0:
         raise ConfigError(f"step_index must be >= 0, got {step_index}")
     sseed = step_seed(cfg.master_seed, step_index)

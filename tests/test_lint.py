@@ -1,11 +1,12 @@
-"""Unused-import, dead-private-name and unused-parameter lints over the
-package, using only the standard library."""
+"""Unused-import, dead-private-name, unreferenced-public-name and
+unused-parameter lints over the package, using only the standard library."""
 import ast
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mezofit"
+PERFBENCH = SRC.parent.parent / "perfbench"
 # __init__.py only re-exports, so its imports are its interface
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -37,25 +38,35 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def referenced_names(source: str) -> set[str]:
+    """Each name, attribute and import alias that `source` refers to.
+    Assigning a name or an attribute does not count as a use, and neither
+    does a mention in a docstring or a comment."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """`module:name` of each private (`_name`, not dunder) function, method,
-    class, module-level constant or `self._name` attribute that no name,
-    attribute or import alias in any of the sources refers to. Assigning a
-    name or an attribute does not count as a use."""
+    class, module-level constant or `self._name` attribute that no source
+    refers to (see `referenced_names`)."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        used |= referenced_names(source)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
-            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                used.add(node.attr)
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) == "self"):
                 defined.append((module, node.attr))
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
         for node in tree.body:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
@@ -120,3 +131,47 @@ def test_lint_flags_unused_parameters():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_parameters(module):
     assert unused_parameters((SRC / module).read_text()) == []
+
+
+def unreferenced_public_names(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """`module:name` of each public top-level function and class and each
+    public method in `defining` that no source in `defining` or `referring`
+    refers to (see `referenced_names`)."""
+    defined = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            defined += [(module, n.name) for n in (node, *members)
+                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    used = set().union(*map(referenced_names, (*defining.values(), *referring)))
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if not name.startswith("_") and name not in used)
+
+
+def test_lint_flags_unreferenced_public_names():
+    defining = {
+        "a.py": ('"""Mentions orphan."""\n'
+                 "def used():\n    return Kept().called()\n"
+                 "def orphan():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class Kept:\n    def called(self):\n        return 0\n"
+                 "    def unused_method(self):\n        pass\n"
+                 "    def __repr__(self):\n        return ''\n"
+                 "class Orphan:\n    pass\n"
+                 "def assigned_only():\n    pass\n"
+                 "other.assigned_only = 1\n"),
+        "__init__.py": "from a import Exported\n",
+        "b.py": "class Exported:\n    pass\n"
+                "def by_bench():\n    pass\n",
+    }
+    referring = ["from b import by_bench\nused()\n"]
+    assert unreferenced_public_names(defining, referring) == [
+        "a.py:Orphan", "a.py:assigned_only", "a.py:orphan", "a.py:unused_method"]
+
+
+def test_no_unreferenced_public_names():
+    """Every public name in the package is used by the package or the
+    benchmark; code that only the tests call does not belong in src/."""
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    referring = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert unreferenced_public_names(defining, referring) == []

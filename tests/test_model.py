@@ -1,6 +1,4 @@
 import hashlib
-import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -30,9 +28,7 @@ from mezofit.model import (
     _rmsnorm_backward,
     _rope,
     _rope_tables,
-    load_weights,
     loss_from_logits,
-    save_weights,
 )
 from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import ZOConfig, bp_sgd_step, mezo_step
@@ -795,73 +791,3 @@ def test_bound_loss_checks_its_batch_when_bound(model, params, entry, tokens, ta
             model.correct(params, tokens, targets)
         else:
             model.loss_fn(tokens, targets)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path, model, params):
-    path = tmp_path / "weights.mzfw"
-    save_weights(path, CFG, params)
-    cfg2, params2 = load_weights(path)
-    assert cfg2 == CFG
-    assert params2.values.tobytes() == params.values.tobytes()
-    assert params2.segments == params.segments
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="checkpoint"):
-        load_weights(path)
-
-
-def test_checkpoint_rejects_every_truncation_bad_magic_and_version(tmp_path):
-    cfg = ModelConfig(context_length=4, num_layers=1, hidden_dim=4, num_heads=2,
-                      vocab_size=8, batch_size=1)
-    path = tmp_path / "w.mzfw"
-    save_weights(path, cfg, ToyTransformer(cfg).init_params(0))
-    blob = path.read_bytes()
-    cut = tmp_path / "cut.mzfw"
-    for n in range(len(blob)):
-        cut.write_bytes(blob[:n])
-        with pytest.raises(ValueError, match="truncated checkpoint"):
-            load_weights(cut)
-    for bad in (b"MZFX" + blob[4:], blob[:4] + b"\x02" + blob[5:], blob + b"garbage!"):
-        cut.write_bytes(bad)
-        with pytest.raises(ValueError, match="checkpoint"):
-            load_weights(cut)
-
-
-def test_checkpoint_rejects_segments_that_do_not_fit_the_config(tmp_path):
-    path = tmp_path / "w.mzfw"
-    save_weights(path, CFG.replace(vocab_size=16), ToyTransformer(CFG).init_params(0))
-    with pytest.raises(ValueError, match="embed"):
-        load_weights(path)
-
-
-def _with_config_blob(path, edit) -> None:
-    """Rewrite the config blob of the checkpoint at `path` as edit(blob)."""
-    data = path.read_bytes()
-    version, blob_len = struct.unpack("<II", data[4:12])
-    blob = json.dumps(edit(json.loads(data[12:12 + blob_len]))).encode()
-    path.write_bytes(data[:4] + struct.pack("<II", version, len(blob)) + blob
-                     + data[12 + blob_len:])
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda b: {("batch_sz" if k == "batch_size" else k): v for k, v in b.items()},
-     r"unknown keys \['batch_sz'\] and lacks keys \['batch_size'\]"),
-    (lambda b: {k: v for k, v in b.items() if k != "batch_size"},
-     r"unknown keys \[\] and lacks keys \['batch_size'\]"),
-    (lambda b: [b], "not a JSON object"),
-    (lambda b: {**b, "expansion_factor": "4"}, "checkpoint config is invalid"),
-    (lambda b: {**b, "bytes_per_param": True}, "checkpoint config is invalid: bytes_per_param"),
-], ids=["renamed", "dropped", "not-an-object", "bad-value", "true"])
-def test_checkpoint_rejects_a_config_blob_that_is_not_a_model_config(tmp_path, edit, match):
-    path = tmp_path / "w.mzfw"
-    save_weights(path, CFG, ToyTransformer(CFG).init_params(0))
-    _with_config_blob(path, edit)
-    with pytest.raises(ValueError, match=match):
-        load_weights(path)

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from mezofit.memory import ConfigError, ModelConfig
-from mezofit.zo import ParameterVector, PerturbationSeed, generate_noise, splitmix64
+from mezofit.zo import ParameterVector, PerturbationSeed, Segment, generate_noise, splitmix64
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -310,9 +310,9 @@ def _loss_backward(logits, targets):
 class ToyTransformer:
     """Decoder-only transformer bound to one ModelConfig.
 
-    Parameters live in a ParameterVector tiled by `segment_shapes`: the
-    embedding, then each layer's `_per_layer` segments, then the final norm
-    and the head. Every view of a weight or gradient comes from `_views`.
+    Only the model knows its parameter layout: `_segments` tiles the flat
+    ParameterVector (embedding, layers, final norm, head), and `_views`, the
+    one source of weight and gradient views, slices it through `_table`.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -328,12 +328,19 @@ class ToyTransformer:
                 f"hidden_dim * expansion_factor must be a finite integer, got {ffn!r}")
         self.cfg = cfg
         self.ffn_dim = F = int(round(ffn))
-        D, V = cfg.hidden_dim, cfg.vocab_size
-        # (name, shape) in segment order; a layer's names take the prefix "layer{l}."
-        self._per_layer = (("norm_attn", (D,)), ("wq", (D, D)), ("wk", (D, D)),
-                           ("wv", (D, D)), ("wo", (D, D)), ("norm_ffn", (D,)),
-                           ("ffn_in", (D, F)), ("ffn_out", (F, D)))
-        self._ends = (("embed", (V, D)), ("norm_final", (D,)), ("head", (V, D)))
+        D, V, L = cfg.hidden_dim, cfg.vocab_size, cfg.num_layers
+        layer = (("norm_attn", (D,)), ("wq", (D, D)), ("wk", (D, D)), ("wv", (D, D)),
+                 ("wo", (D, D)), ("norm_ffn", (D,)), ("ffn_in", (D, F)), ("ffn_out", (F, D)))
+        # (view table, short name, shape) in segment order; table l + 1 is layer l's
+        order = [(0, "embed", (V, D)), *((l + 1, *seg) for l in range(L) for seg in layer),
+                 (0, "norm_final", (D,)), (0, "head", (V, D))]
+        self._table, segments, pos = [[] for _ in range(L + 1)], [], 0
+        for t, name, shape in order:
+            size = math.prod(shape)
+            self._table[t].append((name, slice(pos, pos + size), shape))
+            segments.append(Segment(f"layer{t - 1}.{name}" if t else name, pos, size))
+            pos += size
+        self._segments = tuple(segments)
         n = cfg.context_length
         self._rot, self._unrot = _rope_tables(n, cfg.head_dim, cfg.num_heads)
         self._neg_mask = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, -np.inf)
@@ -341,28 +348,24 @@ class ToyTransformer:
 
     # -- parameters ---------------------------------------------------------
 
-    def segment_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        embed, *final = self._ends
-        return [embed, *((f"layer{l}.{name}", shape) for l in range(self.cfg.num_layers)
-                         for name, shape in self._per_layer), *final]
-
     def init_params(self, seed: int) -> ParameterVector:
-        """Scaled-normal matrices (scale 1/sqrt(D)); the 1-D segments, the
-        norm gains, are ones."""
+        """One flat vector, segment by segment: a matrix is the normal stream
+        keyed by (seed, its index) times 1/sqrt(D), a norm gain is ones."""
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
-        arrays = []
         base = splitmix64(seed & ((1 << 64) - 1))
-        for idx, (name, shape) in enumerate(self.segment_shapes()):
+        values = np.empty(self.param_count())
+        (embed, *final), layers = self._table[0], self._table[1:]
+        for idx, (_, part, shape) in enumerate([embed, *(s for t in layers for s in t), *final]):
+            out = values[part]
             if len(shape) == 1:
-                arrays.append((name, np.ones(shape)))
+                out[:] = 1.0
             else:
-                noise = generate_noise(PerturbationSeed(base, idx), math.prod(shape))
-                arrays.append((name, noise.reshape(shape) * scale))
-        return ParameterVector.from_arrays(arrays)
+                np.multiply(generate_noise(PerturbationSeed(base, idx), out.size), scale, out=out)
+        return ParameterVector(values, self._segments)
 
     def param_count(self) -> int:
         """Trainable elements, norm gains included."""
-        return sum(math.prod(shape) for _, shape in self.segment_shapes())
+        return sum(seg.length for seg in self._segments)
 
     # -- forward ------------------------------------------------------------
 
@@ -374,7 +377,7 @@ class ToyTransformer:
         MeZO mode it is None. The logits are bit for bit the same in either
         mode. Only the benchmark and the tests call it: a run's MeZO losses,
         train-loss probes and evaluations go through `loss_fn` and `correct`."""
-        tokens = self._checked(tokens)
+        tokens, _ = self._checked(tokens)
         (B, N), bp = tokens.shape, LedgerMode(mode) is LedgerMode.BP
         views = self._views(params)
         if bp or self._block_rows(N) >= B:
@@ -395,7 +398,7 @@ class ToyTransformer:
         handed that same array (MeZO shifts it in place). It reduces the
         logits of each of `_blocks` to its rows' loss terms as the block ends,
         so no (B, N, V) array exists."""
-        tokens, targets = self._checked(tokens, targets), np.asarray(targets)
+        tokens, targets = self._checked(tokens, targets)
         (B, N), V = tokens.shape, self.cfg.vocab_size
         mask, count, gather = _target_index(targets, V, self._block_rows(N) * N)
         memo = [None, None]  # the parameter array last seen and its views
@@ -415,17 +418,18 @@ class ToyTransformer:
         """Positions whose target (>= 0) is the argmax of its logits in
         forward(params, tokens), counted as each MeZO-mode block ends, so no
         (B, N, V) array exists. The batch is checked as `loss_fn` checks it."""
-        tokens, targets = self._checked(tokens, targets), np.asarray(targets)
+        tokens, targets = self._checked(tokens, targets)
         n = 0
         for i, logits in self._blocks(self._views(params), tokens):
             n += np.count_nonzero(logits.argmax(-1) == targets[i:i + len(logits)])
             del logits
         return int(n)
 
-    def _checked(self, tokens, targets=None) -> np.ndarray:
-        """`tokens` as an array, or ValueError unless it is (batch, positions)
-        within the context window with every id in the vocabulary and, given
-        `targets`, of their shape."""
+    def _checked(self, tokens, targets=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """(tokens, targets) as arrays, or ValueError unless the tokens are a
+        non-empty integer (batch, positions) array within the context window,
+        every id in the vocabulary, and `targets`, if given, are integers of
+        the same shape."""
         cfg = self.cfg
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -433,11 +437,19 @@ class ToyTransformer:
         if tokens.shape[1] > cfg.context_length:
             raise ValueError(
                 f"sequence length {tokens.shape[1]} exceeds context_length {cfg.context_length}")
+        if tokens.size == 0:
+            raise ValueError(f"empty batch: tokens of shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise ValueError("token id out of range")
-        if targets is not None and tokens.shape != np.shape(targets):
-            raise ValueError(f"tokens {tokens.shape} and targets {np.shape(targets)} differ in shape")
-        return tokens
+        if targets is not None:
+            targets = np.asarray(targets)
+            if tokens.shape != targets.shape:
+                raise ValueError(f"tokens {tokens.shape} and targets {targets.shape} differ in shape")
+            if targets.dtype.kind not in "iu":
+                raise ValueError(f"target ids must be integers, got dtype {targets.dtype}")
+        return tokens, targets
 
     def _block_rows(self, N: int) -> int:
         """Sequences per MeZO-mode block at N positions (see `_BLOCK`)."""
@@ -447,11 +459,13 @@ class ToyTransformer:
 
     def _views(self, params: ParameterVector) -> list[dict[str, np.ndarray]]:
         """`params` (weights or gradients) as shaped views keyed by short name:
-        one dict for the embedding, final norm and head, then one per layer."""
-        tables = [(self._ends, ""), *((self._per_layer, f"layer{l}.")
-                                      for l in range(self.cfg.num_layers))]
-        return [{name: params.view(prefix + name, shape) for name, shape in table}
-                for table, prefix in tables]
+        one dict for the embedding, final norm and head, then one per layer.
+        ValueError unless `params` has this model's segments."""
+        if params.segments is not self._segments and params.segments != self._segments:
+            raise ValueError(f"parameters of {len(params)} values in {len(params.segments)} "
+                             "segments are not laid out as this model's segments")
+        return [{name: params.values[part].reshape(shape) for name, part, shape in table}
+                for table in self._table]
 
     def _blocks(self, views, tokens, out=None):
         """(first row, logits) of each MeZO-mode block of `tokens` on the weights
@@ -538,10 +552,10 @@ class ToyTransformer:
         views of the flat gradient, so each product is written into its place.
         In-place steps keep the plain expressions' float order."""
         D, V = self.cfg.hidden_dim, self.cfg.vocab_size
-        tokens = self._checked(tokens)
+        tokens, targets = self._checked(tokens, targets)
         views = self._views(params)
         logits, caches = self._sequences(views, tokens, True)
-        loss, dlogits = _loss_backward(logits, np.asarray(targets))
+        loss, dlogits = _loss_backward(logits, targets)
         del logits
 
         (ends, *weights), layers = views, caches["layers"]
@@ -557,7 +571,7 @@ class ToyTransformer:
             self._attention_backward(w, c, dx, g)
             del c  # its emptied dict, before the flat gradient is made
             if "head" in g:  # the top layer's cache is gone: make the flat gradient
-                grad = ParameterVector(np.empty(len(params)), params.segments)
+                grad = ParameterVector(np.empty(len(params)), self._segments)
                 grads = self._views(grad)
                 into = {**grads[0], **grads.pop()}  # the ends' and top layer's views
                 for name in list(g):  # each held array is dropped once copied in

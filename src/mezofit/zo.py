@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,7 +66,9 @@ class Segment:
 
 @dataclass
 class ParameterVector:
-    """Flat float64 parameter storage tiled exactly by named segments."""
+    """Flat float64 parameter storage tiled exactly by named segments. The
+    estimator sees only the flat values; the model that lays the segments
+    out gives them shapes (`ToyTransformer._views`)."""
 
     values: np.ndarray
     segments: tuple[Segment, ...]
@@ -89,28 +91,9 @@ class ParameterVector:
         if pos != self.values.size:
             raise ValueError(
                 f"segments cover {pos} elements but the vector holds {self.values.size}")
-        self._by_name = {s.name: s for s in self.segments}
-
-    @classmethod
-    def from_arrays(cls, named_arrays: Sequence[tuple[str, np.ndarray]]) -> "ParameterVector":
-        segments, chunks, pos = [], [], 0
-        for name, arr in named_arrays:
-            flat = np.asarray(arr, dtype=np.float64).ravel()
-            segments.append(Segment(name, pos, flat.size))
-            chunks.append(flat)
-            pos += flat.size
-        values = np.concatenate(chunks) if chunks else np.empty(0)
-        return cls(values, tuple(segments))
 
     def __len__(self) -> int:
         return self.values.size
-
-    def segment(self, name: str) -> np.ndarray:
-        seg = self._by_name[name]
-        return self.values[seg.offset:seg.offset + seg.length]
-
-    def view(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self.segment(name).reshape(shape)
 
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.segments)

@@ -31,7 +31,7 @@ from mezofit.model import (
     loss_from_logits,
 )
 from mezofit.tasks import TaskKind, ToyTask
-from mezofit.zo import ZOConfig, bp_sgd_step, mezo_step
+from mezofit.zo import ParameterVector, Segment, ZOConfig, bp_sgd_step, mezo_step
 
 CFG = ModelConfig(context_length=8, num_layers=2, hidden_dim=16, num_heads=4,
                   vocab_size=32, batch_size=2)
@@ -78,7 +78,7 @@ def test_forward_single_token(model, params):
 def test_forward_zero_head_gives_zero_logits(model):
     params = model.init_params(7)
     params.values[:] = 0.0
-    params.segment("embed")[:] = 1.0  # any embedding; head of zeros kills it
+    model._views(params)[0]["embed"][:] = 1.0  # any embedding; head of zeros kills it
     logits, _ = model.forward(params, tokens_for(CFG))
     assert np.all(logits == 0.0)
 
@@ -154,6 +154,41 @@ def test_toy_config_validation():
                                    hidden_dim=21, num_heads=7, vocab_size=8))
 
 
+def test_init_params_writes_theta_once():
+    # beside theta, one segment's noise at a time; joining separately built
+    # segments held theta twice at this step-mid config (13,932,260 B)
+    model = ToyTransformer(ModelConfig(context_length=64, num_layers=4, hidden_dim=128,
+                                       num_heads=4, vocab_size=256, batch_size=8))
+    largest = max(seg.length for seg in model.init_params(0).segments)
+    assert traced_peak(lambda: model.init_params(11)) <= 8 * (model.param_count() + largest) + 4096
+
+
+def call_entry(model, entry, params, tokens, targets):
+    if entry == "forward":
+        return model.forward(params, tokens)
+    if entry == "loss_fn":
+        return model.loss_fn(tokens, targets)(params)
+    return getattr(model, entry)(params, tokens, targets)
+
+
+ENTRIES = ["forward", "loss_fn", "correct", "backward"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case", ["deeper-model", "one-segment"])
+def test_parameters_of_another_layout_are_refused(model, entry, case):
+    # a 2-layer theta on a 1-layer model; the right length in one segment
+    one_layer = ToyTransformer(CFG.replace(num_layers=1))
+    if case == "deeper-model":
+        params = model.init_params(7)
+    else:
+        values = one_layer.init_params(7).values
+        params = ParameterVector(values, (Segment("w", 0, values.size),))
+    tokens, targets = tokens_for(CFG), tokens_for(CFG, seed=4)
+    with pytest.raises(ValueError, match="not laid out as this model's segments"):
+        call_entry(one_layer, entry, params, tokens, targets)
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -203,7 +238,7 @@ def test_backward_unused_embedding_row_has_zero_gradient(model, params):
     tokens = np.full((2, 8), 3)
     targets = np.full((2, 8), 4)
     grad, _ = model.backward(params, tokens, targets)
-    gemb = grad.view("embed", (32, 16))
+    gemb = model._views(grad)[0]["embed"]
     assert np.all(gemb[7] == 0.0)  # token 7 never appears
     assert np.any(gemb[3] != 0.0)
 
@@ -512,7 +547,7 @@ def test_bp_cache_holds_what_backward_reads(model, params, n):
         scores=B * H * n * n, attn=4 * B * n * D, ffn=B * n * F, norm=2 * B * n * D)]
     assert cache["x_f"].shape == (B, n, D)
     # layer 0 reads the embedding rows themselves
-    embed = params.view("embed", (CFG.vocab_size, D))
+    embed = model._views(params)[0]["embed"]
     assert cache["layers"][0]["x_in"].tobytes() == embed[tokens].tobytes()
 
 
@@ -714,7 +749,7 @@ def test_correct_counts_the_argmax_hits_of_the_full_logits(case):
     model, n = ToyTransformer(RAGGED), 37
     params = model.init_params(4)
     if case == "zero-head":  # every logit ties, so every argmax is 0
-        params.segment("head")[:] = 0.0
+        model._views(params)[0]["head"][:] = 0.0
     tokens = tokens_for(RAGGED, seed=8)[:, :n]
     hits = model.forward(params, tokens)[0].argmax(-1)
     # half the targets are the argmax, so the count is neither 0 nor all
@@ -791,3 +826,20 @@ def test_bound_loss_checks_its_batch_when_bound(model, params, entry, tokens, ta
             model.correct(params, tokens, targets)
         else:
             model.loss_fn(tokens, targets)
+
+
+MALFORMED = {
+    "float-tokens": (np.ones((2, 8)), np.ones((2, 8), int), "token ids must be integers"),
+    "bool-tokens": (np.ones((2, 8), bool), np.ones((2, 8), int), "token ids must be integers"),
+    "float-targets": (np.ones((2, 8), int), np.ones((2, 8)), "target ids must be integers"),
+    "no-sequences": (np.ones((0, 8), int), np.ones((0, 8), int), "empty batch"),
+    "no-positions": (np.ones((2, 0), int), np.ones((2, 0), int), "empty batch"),
+}
+
+
+@pytest.mark.parametrize("case,entry", [(c, e) for c in MALFORMED for e in ENTRIES
+                                        if (c, e) != ("float-targets", "forward")])
+def test_every_entry_refuses_a_malformed_batch(model, params, case, entry):
+    tokens, targets, match = MALFORMED[case]
+    with pytest.raises(ValueError, match=match):
+        call_entry(model, entry, params, tokens, targets)

@@ -9,11 +9,8 @@ from mezofit.memory import (
     ModelConfig,
     SweepAxis,
     activation_bytes,
-    bp_memory,
     max_dimension,
     memory_for_mode,
-    memory_ratio,
-    mezo_memory,
     param_elements,
     sweep,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mezofit.memory import ConfigError, ModelConfig, bp_memory, mezo_memory
+from mezofit.memory import ConfigError, MemoryMode, ModelConfig, memory_for_mode
 from mezofit.model import ToyTransformer, loss_from_logits
 from mezofit.tasks import EVAL_INDEX_BASE, ToyTask
 from mezofit.zo import (
@@ -63,8 +63,8 @@ class ExperimentPlan:
                 raise ConfigError(f"{name} needs at least one rate")
             for lr in getattr(self, name):
                 check_step_size(name, lr, positive=False)
-        bp_total = bp_memory(self.bp_model).total_bytes
-        mezo_total = mezo_memory(self.mezo_model).total_bytes
+        bp_total = memory_for_mode(self.bp_model, MemoryMode.BP).total_bytes
+        mezo_total = memory_for_mode(self.mezo_model, MemoryMode.MEZO).total_bytes
         if not max(bp_total, mezo_total) <= self.budget_bytes:  # a NaN budget fails too
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "

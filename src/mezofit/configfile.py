@@ -14,7 +14,7 @@ import configparser
 from pathlib import Path
 
 from mezofit.bench import ExperimentPlan
-from mezofit.memory import ConfigError, ModelConfig, bp_memory, field_types, mezo_memory
+from mezofit.memory import ConfigError, MemoryMode, ModelConfig, field_types, memory_for_mode
 from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import ZOConfig
 
@@ -159,7 +159,8 @@ def parse_plan(path_or_text: str | Path, is_text: bool = False) -> ExperimentPla
                    seq_len=exp.get("task_seq_len", base.context_length),
                    seed=exp.get("task_seed", 0))
     budget = exp["budget_bytes"] if "budget_bytes" in exp else max(
-        bp_memory(bp_model).total_bytes, mezo_memory(mezo_model).total_bytes)
+        memory_for_mode(bp_model, MemoryMode.BP).total_bytes,
+        memory_for_mode(mezo_model, MemoryMode.MEZO).total_bytes)
     return ExperimentPlan(
         budget_bytes=budget, bp_model=bp_model, mezo_model=mezo_model, task=task,
         steps=exp["steps"], eval_every=exp["eval_every"],

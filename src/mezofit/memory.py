@@ -6,9 +6,9 @@ memory-efficient zeroth-order optimization (MeZO), plus scaling sweeps over
 context length / depth / width and a bisection solver for the largest model
 dimension that fits a byte budget.
 
-One expression gives every mode's total; each mode's activation term is
-`activation_bytes` over the layers it keeps: L under BP, sqrt(L) under
-checkpointed BP and stored_layers under MeZO.
+`memory_for_mode` is the one total: every caller names its `MemoryMode`, and
+each mode's activation term is `activation_bytes` over the layers it keeps:
+L under BP, sqrt(L) under checkpointed BP and stored_layers under MeZO.
 
 All functions here are pure; no shared mutable state.
 """
@@ -69,10 +69,10 @@ class ModelConfig:
 
     ``stored_layers`` is the implementation-specific number of layers' worth
     of activations a MeZO runtime keeps buffered (0 <= stored_layers <=
-    num_layers, fractions allowed). It is the layer count of
-    ``mezo_memory``'s activation term; the desk model's MeZO forward buffers
-    no layer. No integer field may exceed the largest float. The desk model
-    accepts only ``kv_heads == num_heads`` and ``num_mlps == 2``.
+    num_layers, fractions allowed). It is the layer count of the MeZO
+    activation term of ``memory_for_mode``; the desk model's MeZO forward
+    buffers no layer. No integer field may exceed the largest float. The desk
+    model accepts only ``kv_heads == num_heads`` and ``num_mlps == 2``.
     """
 
     context_length: int
@@ -181,19 +181,9 @@ def memory_for_mode(cfg: ModelConfig, mode: MemoryMode) -> MemoryBreakdown:
                            weights + gradients + embed_head + acts, mode)
 
 
-def bp_memory(cfg: ModelConfig, checkpointed: bool = False) -> MemoryBreakdown:
-    """`memory_for_mode` under BP, checkpointed or not."""
-    return memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP)
-
-
 def mezo_memory(cfg: ModelConfig) -> MemoryBreakdown:
-    """`memory_for_mode` under MeZO."""
+    """`memory_for_mode` under MeZO; kept only for perfbench/workloads.py, which imports it."""
     return memory_for_mode(cfg, MemoryMode.MEZO)
-
-
-def memory_ratio(cfg: ModelConfig, checkpointed: bool = False) -> float:
-    """BP-over-MeZO total-memory ratio; larger means greater MeZO savings."""
-    return bp_memory(cfg, checkpointed).total_bytes / mezo_memory(cfg).total_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +220,15 @@ def sweep(base: ModelConfig, axis: SweepAxis, values,
     if not values or values[0] < 1:
         raise ConfigError("sweep values must be non-empty and positive")
     field = AXIS_FIELD[SweepAxis(axis)]
+    bp_mode = MemoryMode.BP_CHECKPOINTED if checkpointed else MemoryMode.BP
     points = []
     for v in values:
         try:
             cfg = base.replace(**{field: v})
         except ConfigError as exc:
             raise ConfigError(f"axis value {v} for {field}: {exc}") from exc
-        mb = bp_memory(cfg, checkpointed).total_bytes
-        mz = mezo_memory(cfg).total_bytes
+        mb = memory_for_mode(cfg, bp_mode).total_bytes
+        mz = memory_for_mode(cfg, MemoryMode.MEZO).total_bytes
         points.append(SweepPoint(v, mb, mz, mb / mz))
     return points
 
@@ -251,10 +242,12 @@ def max_dimension(budget_bytes: float, cfg: ModelConfig, free_axis: SweepAxis,
     """Largest value of the free axis whose total memory fits the budget.
 
     Total memory is strictly increasing in both hidden_dim and num_layers, so
-    monotone bisection applies. hidden_dim candidates are restricted to
-    multiples of num_heads; num_layers candidates start at
-    ceil(stored_layers) so the configuration stays valid.
+    monotone bisection applies. hidden_dim candidates are restricted to multiples
+    of num_heads; num_layers candidates start at ceil(stored_layers) so the
+    configuration stays valid. A budget that is not finite raises ConfigError.
     """
+    if not math.isfinite(budget_bytes):
+        raise ConfigError(f"budget must be a finite number of bytes, got {shown(budget_bytes)}")
     free_axis = SweepAxis(free_axis)
     if free_axis is SweepAxis.D:
         step = cfg.num_heads

@@ -219,7 +219,7 @@ def _head_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def loss_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy over positions with target >= 0 (-1 ignores)."""
+    """Mean cross-entropy over targets >= 0; a target is -1 (ignored) or an id in [0, V)."""
     return _masked_nll(logits, targets)[0]
 
 
@@ -241,16 +241,21 @@ def _target_index(targets, V: int, run: int):
     """(mask, count, gather) of (B, N) targets over rows of V logits: the mask
     of targets >= 0, its count, and per row the flat index of its target (of
     column 0 where masked) within its run of `run` consecutive rows, as a
-    (B*N, 1) column. No unmasked target, or one of V or more, raises
-    ValueError."""
+    (B*N, 1) column. No unmasked target, or one that `_check_targets`
+    refuses, raises ValueError."""
     mask = targets >= 0
     count = int(mask.sum())
     if count == 0:
         raise ValueError("no unmasked target positions")
-    if targets.max() >= V:
-        raise ValueError(f"target id out of range for {V} logits")
+    _check_targets(targets, V)
     gather = np.arange(mask.size) % run * V + np.where(mask, targets, 0).reshape(-1)
     return mask, count, gather.reshape(-1, 1)
+
+
+def _check_targets(targets, V: int) -> None:
+    """ValueError unless each target is -1 (ignored) or an id in [0, V)."""
+    if targets.min() < -1 or targets.max() >= V:
+        raise ValueError(f"target id out of range for {V} logits")
 
 
 def _lse_tile(rows: int, V: int) -> int:
@@ -415,10 +420,11 @@ class ToyTransformer:
         return loss
 
     def correct(self, params: ParameterVector, tokens: np.ndarray, targets: np.ndarray) -> int:
-        """Positions whose target (>= 0) is the argmax of its logits in
-        forward(params, tokens), counted as each MeZO-mode block ends, so no
-        (B, N, V) array exists. The batch is checked as `loss_fn` checks it."""
+        """Positions whose target (>= 0) is the argmax of its logits in forward(params,
+        tokens), counted as each MeZO-mode block ends, so no (B, N, V) array exists. The
+        batch is checked as `loss_fn` checks it, but one with no unmasked target counts 0."""
         tokens, targets = self._checked(tokens, targets)
+        _check_targets(targets, self.cfg.vocab_size)
         n = 0
         for i, logits in self._blocks(self._views(params), tokens):
             n += np.count_nonzero(logits.argmax(-1) == targets[i:i + len(logits)])

@@ -21,10 +21,8 @@ from mezofit.memory import (
     ModelConfig,
     SweepAxis,
     activation_bytes,
-    bp_memory,
     max_dimension,
-    memory_ratio,
-    mezo_memory,
+    memory_for_mode,
     param_elements,
 )
 from mezofit.model import LedgerMode, ToyTransformer
@@ -35,6 +33,7 @@ from mezofit.verify import (
     check_restoration,
 )
 from test_bench import parse_csv
+from test_memory import bp_over_mezo
 
 LLAMA7B = ModelConfig(context_length=2048, num_layers=32, hidden_dim=4096,
                       num_heads=32, vocab_size=32000, batch_size=1,
@@ -60,8 +59,8 @@ def test_criterion_1_formula_fidelity():
     # 12*b*L*D^2 = 12_884_901_888; 2*b*V*D = 524_288_000; A/32 = 956_301_312
     hand_mezo = 12_884_901_888 + 524_288_000 + 956_301_312
 
-    got_bp = bp_memory(LLAMA7B).total_bytes
-    got_mezo = mezo_memory(LLAMA7B).total_bytes
+    got_bp = memory_for_mode(LLAMA7B, MemoryMode.BP).total_bytes
+    got_mezo = memory_for_mode(LLAMA7B, MemoryMode.MEZO).total_bytes
     ok = (abs(got_bp - hand_bp) <= 1e-12 * hand_bp
           and abs(got_mezo - hand_mezo) <= 1e-12 * hand_mezo)
     report("criterion 1 (formula fidelity)", ok,
@@ -77,26 +76,26 @@ def test_criterion_1_formula_fidelity():
 def test_criterion_2_ratio_regimes():
     """Savings-ratio brackets across context, depth, width, checkpointing."""
     checks = [
-        ("ratio(N=256)", memory_ratio(LLAMA7B.replace(context_length=256)),
+        ("ratio(N=256)", bp_over_mezo(LLAMA7B.replace(context_length=256)),
          1.9, 2.3),
-        ("ratio(N=32768)", memory_ratio(LLAMA7B.replace(context_length=32768)),
+        ("ratio(N=32768)", bp_over_mezo(LLAMA7B.replace(context_length=32768)),
          20.0, 32.0),
-        ("ratio(L=100)", memory_ratio(LLAMA7B.replace(num_layers=100)),
+        ("ratio(L=100)", bp_over_mezo(LLAMA7B.replace(num_layers=100)),
          4.20, 4.30),
-        ("ratio(L=10^4)", memory_ratio(LLAMA7B.replace(num_layers=10_000)),
+        ("ratio(L=10^4)", bp_over_mezo(LLAMA7B.replace(num_layers=10_000)),
          4.37, 4.38),
         ("ckpt ratio(L=100)",
-         memory_ratio(LLAMA7B.replace(num_layers=100), checkpointed=True),
+         bp_over_mezo(LLAMA7B.replace(num_layers=100), MemoryMode.BP_CHECKPOINTED),
          2.16, 2.20),
         ("ckpt ratio(L=15000)",
-         memory_ratio(LLAMA7B.replace(num_layers=15_000), checkpointed=True),
+         bp_over_mezo(LLAMA7B.replace(num_layers=15_000), MemoryMode.BP_CHECKPOINTED),
          2.00, 2.02),
-        ("ratio(D=512)", memory_ratio(LLAMA7B.replace(hidden_dim=512)),
+        ("ratio(D=512)", bp_over_mezo(LLAMA7B.replace(hidden_dim=512)),
          23.0, 25.0),
         ("ckpt ratio(D=512)",
-         memory_ratio(LLAMA7B.replace(hidden_dim=512), checkpointed=True),
+         bp_over_mezo(LLAMA7B.replace(hidden_dim=512), MemoryMode.BP_CHECKPOINTED),
          4.3, 5.5),
-        ("ratio(D=2^20)", memory_ratio(LLAMA7B.replace(hidden_dim=2 ** 20)),
+        ("ratio(D=2^20)", bp_over_mezo(LLAMA7B.replace(hidden_dim=2 ** 20)),
          2.0, 2.05),
     ]
     failures = [f"{name} = {value:.4f} not in [{lo}, {hi}]"
@@ -116,7 +115,7 @@ def test_criterion_2_ratio_regimes():
     hand_bp = 8_053_063_680_000 + 1_048_576_000 + 95_630_131_200
     hand_mezo = 4_026_531_840_000 + 524_288_000 + 956_301_312
     hand_ckpt = hand_bp / hand_mezo
-    got_ckpt = memory_ratio(LLAMA7B.replace(num_layers=10_000), checkpointed=True)
+    got_ckpt = bp_over_mezo(LLAMA7B.replace(num_layers=10_000), MemoryMode.BP_CHECKPOINTED)
     ckpt_ok = got_ckpt == pytest.approx(hand_ckpt, rel=1e-12)
     print(f"    ckpt ratio(L=10^4) = {got_ckpt:.10f}  hand {hand_ckpt:.10f}"
           f"  {'ok' if ckpt_ok else 'MISMATCH'}")
@@ -150,10 +149,11 @@ def test_criterion_3_mezo_fits_larger_models():
             bytes_per_param=rng.choice([1.0, 2.0, 4.0]),
             stored_layers=rng.uniform(0, L / 2),
         )
-        assert mezo_memory(cfg).total_bytes <= bp_memory(cfg).total_bytes
+        assert (memory_for_mode(cfg, MemoryMode.MEZO).total_bytes
+                <= memory_for_mode(cfg, MemoryMode.BP).total_bytes)
         # a budget feasible for BP at some width, then solve both modes
-        budget = bp_memory(cfg.replace(hidden_dim=H * rng.randint(1, 128))
-                           ).total_bytes * rng.uniform(1.0, 3.0)
+        budget = memory_for_mode(cfg.replace(hidden_dim=H * rng.randint(1, 128)),
+                                 MemoryMode.BP).total_bytes * rng.uniform(1.0, 3.0)
         d_bp = max_dimension(budget, cfg, SweepAxis.D, MemoryMode.BP)
         d_mezo = max_dimension(budget, cfg, SweepAxis.D, MemoryMode.MEZO)
         p_bp = param_elements(cfg.replace(hidden_dim=d_bp))

@@ -14,7 +14,7 @@ from mezofit.bench import (
     steps_to_fraction_of_plateau,
     summarize,
 )
-from mezofit.memory import ConfigError, ModelConfig, bp_memory, mezo_memory
+from mezofit.memory import ConfigError, MemoryMode, ModelConfig, memory_for_mode
 from mezofit.model import LedgerMode, ToyTransformer, loss_from_logits
 from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import ZOConfig, mezo_step
@@ -41,8 +41,8 @@ def parse_csv(text: str) -> list[RunRecord]:
 
 def make_plan(**overrides) -> ExperimentPlan:
     fields = dict(
-        budget_bytes=max(bp_memory(BP_CFG).total_bytes,
-                         mezo_memory(MEZO_CFG).total_bytes),
+        budget_bytes=max(memory_for_mode(BP_CFG, MemoryMode.BP).total_bytes,
+                         memory_for_mode(MEZO_CFG, MemoryMode.MEZO).total_bytes),
         bp_model=BP_CFG,
         mezo_model=MEZO_CFG,
         task=TASK,
@@ -63,8 +63,8 @@ def make_plan(**overrides) -> ExperimentPlan:
 
 def test_plan_totals_are_matched():
     plan = make_plan()
-    bp_total = bp_memory(plan.bp_model).total_bytes
-    mz_total = mezo_memory(plan.mezo_model).total_bytes
+    bp_total = memory_for_mode(plan.bp_model, MemoryMode.BP).total_bytes
+    mz_total = memory_for_mode(plan.mezo_model, MemoryMode.MEZO).total_bytes
     assert max(bp_total, mz_total) <= plan.budget_bytes
     assert max(bp_total, mz_total) / min(bp_total, mz_total) <= 1.15
 
@@ -76,7 +76,8 @@ def test_plan_rejects_budget_violation():
 
 def test_plan_rejects_mismatched_totals():
     small = MEZO_CFG.replace(stored_layers=2.0)  # inflates the MeZO total
-    budget = max(bp_memory(BP_CFG).total_bytes, mezo_memory(small).total_bytes)
+    budget = max(memory_for_mode(BP_CFG, MemoryMode.BP).total_bytes,
+                 memory_for_mode(small, MemoryMode.MEZO).total_bytes)
     with pytest.raises(ConfigError, match="differ by more than"):
         make_plan(mezo_model=small, budget_bytes=budget)
 

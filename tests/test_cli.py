@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -14,10 +15,8 @@ from mezofit.memory import (
     ConfigError,
     MemoryMode,
     ModelConfig,
-    bp_memory,
     field_types,
     memory_for_mode,
-    mezo_memory,
 )
 
 LLAMA_INI = "[model]\npreset = llama2-7b\n"
@@ -377,7 +376,8 @@ def test_cmd_sweep_rejects_impossible_points(llama_config, capsys, axis, lo, hi,
 # ---------------------------------------------------------------------------
 
 def test_cmd_solve_fixed_point(llama_config, capsys):
-    budget = repr(mezo_memory(ModelConfig(**PRESETS["llama2-7b"])).total_bytes)
+    cfg = ModelConfig(**PRESETS["llama2-7b"])
+    budget = repr(memory_for_mode(cfg, MemoryMode.MEZO).total_bytes)
     assert main(["solve", "--config", llama_config, "--budget", budget,
                  "--axis", "d", "--mode", "mezo", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -390,7 +390,7 @@ def test_cmd_solve_80gb_bp_matches_scan(llama_config, capsys):
     value = json.loads(capsys.readouterr().out)["value"]
     base = ModelConfig(**PRESETS["llama2-7b"])
     feasible = [d for d in range(32, 16384, 32)
-                if bp_memory(base.replace(hidden_dim=d)).total_bytes <= 80e9]
+                if memory_for_mode(base.replace(hidden_dim=d), MemoryMode.BP).total_bytes <= 80e9]
     assert value == max(feasible)
 
 
@@ -436,6 +436,29 @@ def test_an_integer_past_the_largest_float_exits_2_with_one_line(tmp_path, capsy
     assert main([*command, "--config", str(p), "--mode", mode]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
+
+
+# The bit-exact guard for refactors of memory.py: the other analytic tests
+# compare with pytest.approx, so a reordered sum that moves one ulp would pass
+# them. The totals are Python floats and the sweep points are rounded ints, so
+# the printed text, and this digest, do not depend on BLAS or the platform.
+ANALYTIC_CLI_SHA256 = "9cc07eb3825e196eabd5ba6795fc8a7778609a7fc42973ca0d4a27a8aa24a6b3"
+
+
+def test_analytic_cli_output_is_bitwise_pinned(llama_config, capsys):
+    config = ["--config", llama_config]
+    runs = [["plan", *config, "--mode", mode, "--json"] for mode in ("bp", "bp-ckpt", "mezo")]
+    for axis, lo, hi, points in (("n", 1, 32768, 16), ("l", 1, 100, 100), ("d", 32, 16384, 16)):
+        for ckpt in ([], ["--ckpt"]):
+            runs.append(["sweep", *config, "--axis", axis, "--from", str(lo), "--to", str(hi),
+                         "--points", str(points), *ckpt])
+    runs += [["solve", *config, "--budget", "80GB", "--axis", axis, "--mode", mode, "--json"]
+             for axis in ("d", "l") for mode in ("bp", "bp-ckpt", "mezo")]
+    out = []
+    for argv in runs:
+        assert main(argv) == 0, argv
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == ANALYTIC_CLI_SHA256
 
 
 @pytest.mark.parametrize("command", [["plan", "--mode", "bp"],

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -13,11 +14,8 @@ from mezofit.memory import (
     ModelConfig,
     SweepAxis,
     activation_bytes,
-    bp_memory,
     max_dimension,
     memory_for_mode,
-    memory_ratio,
-    mezo_memory,
     param_elements,
     sweep,
 )
@@ -36,6 +34,12 @@ def spreadsheet_bp_total(B, L, N, D, H, b, V, ckpt=False):
     if ckpt:
         acts = acts * math.sqrt(L) / L
     return 24 * b * L * D * D + 4 * b * V * D + acts
+
+
+def bp_over_mezo(cfg, bp_mode=MemoryMode.BP):
+    """The paper's savings ratio: the BP total over the MeZO total."""
+    return (memory_for_mode(cfg, bp_mode).total_bytes
+            / memory_for_mode(cfg, MemoryMode.MEZO).total_bytes)
 
 
 def spreadsheet_mezo_total(B, L, N, D, H, b, V, Lp):
@@ -87,7 +91,7 @@ def test_activation_bytes_all_ones():
 
 
 def test_bp_memory_7b():
-    b = bp_memory(LLAMA7B)
+    b = memory_for_mode(LLAMA7B, MemoryMode.BP)
     assert b.weights_bytes == 12_884_901_888.0
     assert b.gradients_bytes == 12_884_901_888.0
     assert b.embedding_head_bytes == 1_048_576_000.0
@@ -98,7 +102,7 @@ def test_bp_memory_7b():
 
 
 def test_bp_memory_7b_checkpointed():
-    b = bp_memory(LLAMA7B, checkpointed=True)
+    b = memory_for_mode(LLAMA7B, MemoryMode.BP_CHECKPOINTED)
     expected_acts = 30_601_641_984.0 * math.sqrt(32) / 32
     assert b.activations_bytes == pytest.approx(expected_acts, rel=1e-15)
     assert b.mode is MemoryMode.BP_CHECKPOINTED
@@ -106,11 +110,12 @@ def test_bp_memory_7b_checkpointed():
 
 def test_checkpointing_noop_for_single_layer():
     cfg = LLAMA7B.replace(num_layers=1)
-    assert bp_memory(cfg, True).total_bytes == bp_memory(cfg, False).total_bytes
+    assert (memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED).total_bytes
+            == memory_for_mode(cfg, MemoryMode.BP).total_bytes)
 
 
 def test_mezo_memory_7b():
-    m = mezo_memory(LLAMA7B)
+    m = memory_for_mode(LLAMA7B, MemoryMode.MEZO)
     assert m.weights_bytes == 12_884_901_888.0
     assert m.gradients_bytes == 0.0
     assert m.embedding_head_bytes == 524_288_000.0
@@ -119,10 +124,10 @@ def test_mezo_memory_7b():
 
 
 def test_mezo_memory_stored_layers_extremes():
-    none = mezo_memory(LLAMA7B.replace(stored_layers=0.0))
+    none = memory_for_mode(LLAMA7B.replace(stored_layers=0.0), MemoryMode.MEZO)
     assert none.activations_bytes == 0.0
     assert none.total_bytes == none.weights_bytes + none.embedding_head_bytes
-    full = mezo_memory(LLAMA7B.replace(stored_layers=32.0))
+    full = memory_for_mode(LLAMA7B.replace(stored_layers=32.0), MemoryMode.MEZO)
     assert full.activations_bytes == activation_bytes(LLAMA7B)
 
 
@@ -145,11 +150,11 @@ def test_totals_match_spreadsheet_on_random_configs():
         args = (cfg.batch_size, cfg.num_layers, cfg.context_length,
                 cfg.hidden_dim, cfg.num_heads, cfg.bytes_per_param,
                 cfg.vocab_size)
-        assert bp_memory(cfg).total_bytes == pytest.approx(
+        assert memory_for_mode(cfg, MemoryMode.BP).total_bytes == pytest.approx(
             spreadsheet_bp_total(*args), rel=1e-12)
-        assert bp_memory(cfg, True).total_bytes == pytest.approx(
+        assert memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED).total_bytes == pytest.approx(
             spreadsheet_bp_total(*args, ckpt=True), rel=1e-12)
-        assert mezo_memory(cfg).total_bytes == pytest.approx(
+        assert memory_for_mode(cfg, MemoryMode.MEZO).total_bytes == pytest.approx(
             spreadsheet_mezo_total(*args, Lp=cfg.stored_layers), rel=1e-12)
 
 
@@ -208,22 +213,22 @@ def test_default_knob_totals_match_the_frozen_12_16_formula_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 def test_ratio_moderate_context():
-    assert memory_ratio(LLAMA7B.replace(context_length=256)) == pytest.approx(2.10, abs=0.01)
+    assert bp_over_mezo(LLAMA7B.replace(context_length=256)) == pytest.approx(2.10, abs=0.01)
 
 
 def test_ratio_deep_model():
-    assert memory_ratio(LLAMA7B.replace(num_layers=100)) == pytest.approx(4.24, abs=0.01)
+    assert bp_over_mezo(LLAMA7B.replace(num_layers=100)) == pytest.approx(4.24, abs=0.01)
 
 
 def test_ratio_deep_model_checkpointed():
-    r = memory_ratio(LLAMA7B.replace(num_layers=100), checkpointed=True)
+    r = bp_over_mezo(LLAMA7B.replace(num_layers=100), MemoryMode.BP_CHECKPOINTED)
     assert r == pytest.approx(2.18, abs=0.01)
 
 
 def test_checkpointed_layer_ratio_converges_to_two_from_above():
     # sqrt(L) recomputation leaves a 1/sqrt(L) tail: still ~2.023 at L=10^4,
     # inside [2.00, 2.02] only from L = 13,615 onward, limit exactly 2.
-    values = [memory_ratio(LLAMA7B.replace(num_layers=L), checkpointed=True)
+    values = [bp_over_mezo(LLAMA7B.replace(num_layers=L), MemoryMode.BP_CHECKPOINTED)
               for L in (10_000, 15_000, 100_000, 1_000_000)]
     assert values[0] == pytest.approx(2.0233, abs=5e-4)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -276,8 +281,8 @@ def test_checkpointing_never_increases_memory():
     rng = random.Random(99)
     for _ in range(200):
         cfg = _random_config(rng)
-        plain = bp_memory(cfg).total_bytes
-        ckpt = bp_memory(cfg, True).total_bytes
+        plain = memory_for_mode(cfg, MemoryMode.BP).total_bytes
+        ckpt = memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED).total_bytes
         if cfg.num_layers == 1:
             assert ckpt == plain
         else:
@@ -289,7 +294,8 @@ def test_mezo_never_exceeds_bp():
     rng = random.Random(4242)
     for _ in range(300):
         cfg = _random_config(rng)
-        assert mezo_memory(cfg).total_bytes <= bp_memory(cfg).total_bytes
+        assert (memory_for_mode(cfg, MemoryMode.MEZO).total_bytes
+                <= memory_for_mode(cfg, MemoryMode.BP).total_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,7 @@ def test_sweep_ratio_monotone_in_context():
     values = tuple(2 ** k for k in range(16))  # 1 .. 32768
     points = sweep(LLAMA7B, SweepAxis.N, values)
     # oracle: evaluate the ratio directly at every point
-    direct = [memory_ratio(LLAMA7B.replace(context_length=v)) for v in values]
+    direct = [bp_over_mezo(LLAMA7B.replace(context_length=v)) for v in values]
     assert [p.ratio for p in points] == direct
     assert all(b >= a for a, b in zip(direct, direct[1:]))
     assert 20 <= points[-1].ratio <= 32
@@ -315,8 +321,8 @@ def test_single_value_sweep_matches_direct_calls():
     points = sweep(LLAMA7B, SweepAxis.L, (100,), checkpointed=True)
     assert len(points) == 1
     cfg = LLAMA7B.replace(num_layers=100)
-    assert points[0].m_bp == bp_memory(cfg, True).total_bytes
-    assert points[0].m_mezo == mezo_memory(cfg).total_bytes
+    assert points[0].m_bp == memory_for_mode(cfg, MemoryMode.BP_CHECKPOINTED).total_bytes
+    assert points[0].m_mezo == memory_for_mode(cfg, MemoryMode.MEZO).total_bytes
 
 
 def test_sweep_validation():
@@ -335,7 +341,7 @@ def test_sweep_validation():
 # ---------------------------------------------------------------------------
 
 def test_solver_fixed_point_at_known_config():
-    budget = mezo_memory(LLAMA7B).total_bytes
+    budget = memory_for_mode(LLAMA7B, MemoryMode.MEZO).total_bytes
     assert max_dimension(budget, LLAMA7B, SweepAxis.D, MemoryMode.MEZO) == 4096
 
 
@@ -358,16 +364,17 @@ def test_solver_matches_linear_scan_17gb_case():
     for budget in (20e9, 25e9, 46e9):
         got = max_dimension(budget, cfg, SweepAxis.D, MemoryMode.MEZO)
         assert got == _scan_max_hidden_dim(cfg, budget, MemoryMode.MEZO)
-        assert mezo_memory(cfg.replace(hidden_dim=got)).total_bytes <= budget
-        assert mezo_memory(cfg.replace(hidden_dim=got + 32)).total_bytes > budget
+        assert memory_for_mode(cfg.replace(hidden_dim=got), MemoryMode.MEZO).total_bytes <= budget
+        bigger = cfg.replace(hidden_dim=got + 32)
+        assert memory_for_mode(bigger, MemoryMode.MEZO).total_bytes > budget
 
 
 def test_solver_layers_axis_matches_scan():
     cfg = LLAMA7B.replace(stored_layers=1.0)
-    budget = bp_memory(cfg.replace(num_layers=77)).total_bytes * 1.001
+    budget = memory_for_mode(cfg.replace(num_layers=77), MemoryMode.BP).total_bytes * 1.001
     got = max_dimension(budget, cfg, SweepAxis.L, MemoryMode.BP)
     feasible = [l for l in range(1, 200)
-                if bp_memory(cfg.replace(num_layers=l)).total_bytes <= budget]
+                if memory_for_mode(cfg.replace(num_layers=l), MemoryMode.BP).total_bytes <= budget]
     assert got == max(feasible) == 77
 
 
@@ -388,7 +395,8 @@ def test_checkpointed_solver_fits_at_least_the_plain_layers_near_the_largest_flo
     # as many layers as plain BP; an activation term that overflows to inf
     # before its division used to answer ~1e199 layers against BP's ~1e291
     got = max_dimension(budget, LLAMA7B, SweepAxis.L, MemoryMode.BP_CHECKPOINTED)
-    total = lambda l: bp_memory(LLAMA7B.replace(num_layers=l), checkpointed=True).total_bytes
+    total = lambda l: memory_for_mode(LLAMA7B.replace(num_layers=l),
+                                      MemoryMode.BP_CHECKPOINTED).total_bytes
     assert total(got) <= budget < total(got + 1)
     assert got >= max_dimension(budget, LLAMA7B, SweepAxis.L, MemoryMode.BP)
 
@@ -435,7 +443,7 @@ def test_each_mode_keeps_activation_bytes_over_its_layers():
 
 def test_mezo_activation_term_does_not_depend_on_num_layers():
     cfg = LLAMA7B.replace(context_length=1000, stored_layers=0.7)
-    acts = {mezo_memory(cfg.replace(num_layers=L)).activations_bytes
+    acts = {memory_for_mode(cfg.replace(num_layers=L), MemoryMode.MEZO).activations_bytes
             for L in (1, 3, 1000, 10 ** 300)}
     assert len(acts) == 1
 
@@ -449,7 +457,7 @@ def test_a_batch_past_the_largest_float_totals_inf(mode):
 
 
 def test_mezo_storing_no_layer_keeps_no_activations_at_any_batch():
-    m = mezo_memory(LLAMA7B.replace(stored_layers=0.0, batch_size=10 ** 305))
+    m = memory_for_mode(LLAMA7B.replace(stored_layers=0.0, batch_size=10 ** 305), MemoryMode.MEZO)
     assert m.activations_bytes == 0.0
     assert m.total_bytes == m.weights_bytes + m.embedding_head_bytes
 
@@ -468,13 +476,23 @@ def test_solver_infeasible_budget():
         max_dimension(1.0, LLAMA7B, SweepAxis.D, MemoryMode.MEZO)
 
 
+@pytest.mark.parametrize("axis", [SweepAxis.D, SweepAxis.L])
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_solver_refuses_a_budget_that_is_not_finite(budget, axis):
+    # a NaN budget once solved to the smallest admissible width, and an
+    # infinite one blamed hidden_dim
+    with pytest.raises(ConfigError, match=rf"^budget must be a finite number of bytes, "
+                                          rf"got {re.escape(repr(budget))}$"):
+        max_dimension(budget, LLAMA7B, axis, MemoryMode.BP)
+
+
 def test_solver_respects_stored_layers_floor():
     cfg = LLAMA7B.replace(stored_layers=13.12)
     # budget below memory at the minimum admissible L = ceil(13.12) = 14
-    low = mezo_memory(cfg.replace(num_layers=14)).total_bytes - 1
+    low = memory_for_mode(cfg.replace(num_layers=14), MemoryMode.MEZO).total_bytes - 1
     with pytest.raises(InfeasibleError):
         max_dimension(low, cfg, SweepAxis.L, MemoryMode.MEZO)
-    got = max_dimension(mezo_memory(cfg.replace(num_layers=14)).total_bytes,
+    got = max_dimension(memory_for_mode(cfg.replace(num_layers=14), MemoryMode.MEZO).total_bytes,
                         cfg, SweepAxis.L, MemoryMode.MEZO)
     assert got == 14
 

@@ -7,9 +7,10 @@ import pytest
 from mezofit.bench import EVAL_SEQUENCES
 from mezofit.memory import (
     ConfigError,
+    MemoryMode,
     ModelConfig,
     activation_bytes,
-    mezo_memory,
+    memory_for_mode,
     param_elements,
 )
 from mezofit.model import (
@@ -228,6 +229,12 @@ def test_loss_shape_mismatch():
         loss_from_logits(np.zeros((1, 4, 8)), np.zeros((1, 5), dtype=int))
     with pytest.raises(ValueError, match="unmasked"):
         loss_from_logits(np.zeros((1, 2, 8)), np.full((1, 2), -1))
+
+
+@pytest.mark.parametrize("target", [-7, -2, 8])
+def test_loss_from_logits_refuses_a_target_that_is_neither_minus_one_nor_an_id(target):
+    with pytest.raises(ValueError, match="target id out of range for 8 logits"):
+        loss_from_logits(np.zeros((1, 2, 8)), np.array([[3, target]]))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +648,7 @@ def test_ledger_mezo_zero_stored_layers_retains_nothing(model, params):
 
 @pytest.mark.parametrize("D,L,V,B", [(64, 4, 64, 4), (128, 4, 256, 8)])
 def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
-    # The bound is mezo_memory's activation term at 8 B per float64 element,
+    # The bound is the MeZO activation term of memory_for_mode at 8 B per float64 element,
     # plus the logits, log-probabilities and their exp (3*B*N*V elements),
     # which the formula leaves out.
     cfg = ModelConfig(context_length=64, num_layers=L, hidden_dim=D, num_heads=4,
@@ -652,7 +659,7 @@ def test_mezo_loss_peak_within_analytic_activations(D, L, V, B):
     peak = traced_peak(lambda: loss_from_logits(
         model.forward(params, tokens, mode=LedgerMode.MEZO)[0], targets))
     N = cfg.context_length
-    acts = mezo_memory(cfg.replace(bytes_per_param=8.0)).activations_bytes
+    acts = memory_for_mode(cfg.replace(bytes_per_param=8.0), MemoryMode.MEZO).activations_bytes
     assert peak <= acts + 3 * B * N * V * 8
 
 
@@ -828,17 +835,27 @@ def test_bound_loss_checks_its_batch_when_bound(model, params, entry, tokens, ta
             model.loss_fn(tokens, targets)
 
 
+def one_target_set(value):
+    """(2, 8) targets of ones but for `value` at the first position."""
+    targets = np.ones((2, 8), int)
+    targets[0, 0] = value
+    return targets
+
+
 MALFORMED = {
     "float-tokens": (np.ones((2, 8)), np.ones((2, 8), int), "token ids must be integers"),
     "bool-tokens": (np.ones((2, 8), bool), np.ones((2, 8), int), "token ids must be integers"),
     "float-targets": (np.ones((2, 8), int), np.ones((2, 8)), "target ids must be integers"),
+    # a target is -1 (ignored) or an id in [0, V): -7 is not masked, and V is no id
+    "target-below-minus-one": (np.ones((2, 8), int), one_target_set(-7), "target id out of range"),
+    "target-past-V": (np.ones((2, 8), int), one_target_set(32), "target id out of range"),
     "no-sequences": (np.ones((0, 8), int), np.ones((0, 8), int), "empty batch"),
     "no-positions": (np.ones((2, 0), int), np.ones((2, 0), int), "empty batch"),
 }
 
 
 @pytest.mark.parametrize("case,entry", [(c, e) for c in MALFORMED for e in ENTRIES
-                                        if (c, e) != ("float-targets", "forward")])
+                                        if e != "forward" or "target" not in c])
 def test_every_entry_refuses_a_malformed_batch(model, params, case, entry):
     tokens, targets, match = MALFORMED[case]
     with pytest.raises(ValueError, match=match):

@@ -39,7 +39,7 @@ CSV_COLUMNS = ("method", "learning_rate", "step", "wall_clock_s",
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    budget_bytes: float
+    budget_bytes: float | None  # None: the larger of the two models' totals
     bp_model: ModelConfig
     mezo_model: ModelConfig
     task: ToyTask
@@ -65,6 +65,8 @@ class ExperimentPlan:
                 check_step_size(name, lr, positive=False)
         bp_total = memory_for_mode(self.bp_model, MemoryMode.BP).total_bytes
         mezo_total = memory_for_mode(self.mezo_model, MemoryMode.MEZO).total_bytes
+        if self.budget_bytes is None:
+            object.__setattr__(self, "budget_bytes", max(bp_total, mezo_total))
         if not max(bp_total, mezo_total) <= self.budget_bytes:  # a NaN budget fails too
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "

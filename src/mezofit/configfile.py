@@ -14,7 +14,7 @@ import configparser
 from pathlib import Path
 
 from mezofit.bench import ExperimentPlan
-from mezofit.memory import ConfigError, MemoryMode, ModelConfig, field_types, memory_for_mode
+from mezofit.memory import ConfigError, ModelConfig, field_types
 from mezofit.tasks import TaskKind, ToyTask
 from mezofit.zo import ZOConfig
 
@@ -37,7 +37,8 @@ def _lr_grid(raw: str) -> tuple[float, ...]:
 
 
 # [experiment]'s own keys: each one's parser and whether it is required. The
-# optional ones default to the [model] values or the models' totals below.
+# optional ones default to the [model] values; a missing budget_bytes is left
+# for ExperimentPlan to fill with the larger of the models' totals.
 _EXPERIMENT = {
     "task": (TaskKind, True),
     "task_vocab_size": (int, False),
@@ -158,11 +159,8 @@ def parse_plan(path_or_text: str | Path, is_text: bool = False) -> ExperimentPla
                    vocab_size=exp.get("task_vocab_size", base.vocab_size),
                    seq_len=exp.get("task_seq_len", base.context_length),
                    seed=exp.get("task_seed", 0))
-    budget = exp["budget_bytes"] if "budget_bytes" in exp else max(
-        memory_for_mode(bp_model, MemoryMode.BP).total_bytes,
-        memory_for_mode(mezo_model, MemoryMode.MEZO).total_bytes)
     return ExperimentPlan(
-        budget_bytes=budget, bp_model=bp_model, mezo_model=mezo_model, task=task,
-        steps=exp["steps"], eval_every=exp["eval_every"],
+        budget_bytes=exp.get("budget_bytes"), bp_model=bp_model, mezo_model=mezo_model,
+        task=task, steps=exp["steps"], eval_every=exp["eval_every"],
         lr_grid_bp=exp["lr_grid_bp"], lr_grid_mezo=exp["lr_grid_mezo"],
         zo=zo, run_seed=exp["run_seed"])

@@ -14,22 +14,30 @@ one and the estimator holds none while the loss function runs. Only
 its last block is simply collected, generator and all. The loss may take and
 release generators of its own (task batches, for instance).
 
-One `_Stream` walks a direction's noise for all four passes (+shift,
--shift, restore, update). A vector that fits in one chunk keeps its noise for
-the three passes of its estimate, so it is drawn once before the update; a
-longer one is redrawn from the stream start on every pass. Every pass works in
-place through two chunk-sized scratch buffers, allocated once per pass.
+Each estimate's three passes (+shift, -shift, restore) go through one
+`_Stream` and consume only the scaled step d = fl(epsilon*z). None rescales z:
+fl(-epsilon*z) = -d and fl(x - (-d)) = fl(x + d) in IEEE arithmetic, so the
+-shift and the restore only add or subtract d. A vector that fits in one chunk
+keeps d, its noise drawn and scaled once, and each pass works on the whole
+vector through two temporaries of its size; a longer one redraws and scales
+each chunk on every pass and works through two chunk-sized buffers. The update
+walks the n directions' raw z in lockstep. So a step draws from a stream 2n
+times for a one-chunk vector and 4n times for a longer one, and one
+`spsa_directional_derivative` once and three times.
 
 The estimator's own bytes at a loss evaluation are one sparse record of the
-few coordinates whose float perturbation cannot be undone by arithmetic alone,
-10 bytes each at the default chunk (a uint16 chunk-local index and the saved
-float64), plus the whole noise vector only when it fits in one chunk. With a
-pass's scratch they peak at the kept noise plus two scratch buffers for a
-one-chunk vector, and at two chunk buffers plus the record for a longer one.
-The record makes the parameter vector come back bit-for-bit after an estimate.
+few coordinates whose float perturbation cannot be undone bit for bit by
+arithmetic alone, 10 bytes each at the default chunk (a uint16 chunk-local
+index and the saved float64), plus the whole d only when it fits in one chunk.
+With a pass's scratch they peak at the kept d plus two temporaries of its size
+for a one-chunk vector, and at two chunk buffers plus the record for a longer
+one. The record makes the parameter vector come back bit-for-bit after an
+estimate.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -233,62 +241,83 @@ class StepReport:
 # ---------------------------------------------------------------------------
 #
 # Plain float adds lose low bits, so x + d - d != x for a large fraction of
-# coordinates. Each pass below therefore checks invertibility coordinate-wise
-# and records the original bits of the (rare) coordinates that fail; the
-# next pass takes each chunk's entry out as it replays it, so the old record
-# shrinks as the new one grows. It holds a tiny fraction of the vector for
-# unit-scale parameters and epsilon ~ 1e-3, indexed in the smallest unsigned
-# type that holds chunk - 1.
+# coordinates. Each pass below therefore checks invertibility coordinate-wise,
+# on bit patterns so that -0.0 and NaN payloads count, and records the
+# original bits of the (rare) coordinates that fail; the next pass takes each
+# chunk's entry out as it replays it, so the old record shrinks as the new one
+# grows. It holds a tiny fraction of the vector for unit-scale parameters and
+# epsilon ~ 1e-3, indexed in the smallest unsigned type that holds a
+# chunk-local index.
 
 _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
 
 
 class _Stream:
-    """One direction's noise, walked from its start by every pass.
+    """One direction's scaled step d = fl(epsilon*z), walked from its start by
+    every pass.
 
-    It holds no generator between passes. A vector of one chunk keeps its
-    noise, drawn by `generate_noise`, until the shift that restores the base;
-    a longer one is walked by `iter_noise_chunks`. `shift` keeps its sign and
-    undo record for the next shift to read.
+    It holds no generator between passes. A vector of one chunk keeps d: its
+    noise, drawn by `generate_noise`, is scaled once in place and kept until
+    the shift that restores the base. A longer one is walked by
+    `iter_noise_chunks`, each drawn chunk scaled in place. `shift` keeps its
+    sign and undo record for the next shift to read.
     """
 
-    def __init__(self, seed: PerturbationSeed, size: int, chunk: int):
-        self.seed, self.size, self.chunk = seed, size, chunk
-        self.kept = generate_noise(seed, size) if size <= chunk else None
+    def __init__(self, seed: PerturbationSeed, size: int, chunk: int, epsilon: float):
+        epsilon = 1.0 * epsilon  # a float for any real epsilon, a Fraction too
+        self.seed, self.size, self.chunk, self.epsilon = seed, size, chunk, epsilon
+        self.kept = None
+        if size <= chunk:
+            self.kept = generate_noise(seed, size)
+            self.kept *= epsilon
         self.sign, self.undo = 0.0, {}
 
-    def shift(self, values: np.ndarray, epsilon: float, sign: float) -> None:
-        """values <- fl(base + sign*epsilon*z), where sign is +1, -1 or 0.
+    def shift(self, values: np.ndarray, sign: float) -> None:
+        """values <- fl(base + sign*d), where sign is +1, -1 or 0.
 
         `base` is the unperturbed vector: `values` itself before the first
-        shift, afterwards values - last_sign*epsilon*z with the coordinates of
-        the last undo record put back, which recovers it exactly. sign = 0
-        restores the base only and drops the kept noise. Works in place with
-        two chunk-sized scratch buffers: z is drawn into the first unless it
-        is kept, and the shifted chunk goes there once z has been scaled.
+        shift, afterwards values - last_sign*d with the coordinates of the
+        last undo record put back, which recovers it exactly. d is only added
+        or subtracted, never rescaled. sign = 0 restores the base only and
+        drops the kept d. A kept d is shifted whole, through two temporaries
+        of its size; a longer vector through two chunk buffers, the exactness
+        check writing into the drawn chunk.
         """
         record: _Record = {}
-        zbuf, d = np.empty((2, min(self.chunk, values.size)))
-        walk = (((0, self.kept),) if self.kept is not None
-                else iter_noise_chunks(self.seed, self.size, self.chunk, zbuf))
-        for start, z in walk:
-            m = z.size
-            base, dm, up = values[start:start + m], d[:m], zbuf[:m]
-            if self.sign:
-                base -= np.multiply(z, self.sign * epsilon, out=dm)
-                fix = self.undo.pop(start, None)
-                if fix is not None:
-                    base[fix[0]] = fix[1]
-            if sign:
-                np.multiply(z, sign * epsilon, out=dm)
-                np.add(base, dm, out=up)
-                bad = np.nonzero(np.subtract(up, dm, out=dm) != base)[0]
-                if bad.size:
-                    record[start] = (bad.astype(np.min_scalar_type(self.chunk - 1)), base[bad])
-                base[:] = up
+        if self.kept is not None:
+            self._block(values, self.kept, sign, 0, record, None, None)
+            if not sign:
+                self.kept = None
+        else:
+            zbuf, up = np.empty((2, self.chunk))
+            for start, d in iter_noise_chunks(self.seed, self.size, self.chunk, zbuf):
+                d *= self.epsilon
+                m = d.size
+                self._block(values[start:start + m], d, sign, start, record, up[:m], d)
         self.sign, self.undo = sign, record
-        if not sign:
-            self.kept = None
+
+    def _block(self, base, d, sign, start, record, up, back) -> None:
+        """One block of `shift`: take the last shift out of `base`, put the new
+        one in and record the coordinates that fl(up - sign*d) does not give
+        back bit for bit."""
+        if self.sign:
+            (np.subtract if self.sign > 0 else np.add)(base, d, out=base)
+            fix = self.undo.pop(start, None)
+            if fix is not None:
+                base[fix[0]] = fix[1]
+        if sign:
+            up = (np.add if sign > 0 else np.subtract)(base, d, out=up)
+            back = (np.subtract if sign > 0 else np.add)(up, d, out=back)
+            bad = (back.view(np.uint64) != base.view(np.uint64)).nonzero()[0]
+            if bad.size:
+                index = np.min_scalar_type(min(self.chunk, self.size) - 1)
+                record[start] = (bad.astype(index), base[bad])
+            base[:] = up
+
+
+def _check_chunk(chunk) -> None:
+    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
 
 
 def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
@@ -302,29 +331,31 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     place (z is streamed from `seed`, never stored whole), restores theta
     bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps). Theta is
     restored too when a loss is non-finite or `loss_fn` raises. An epsilon
-    that `check_step_size` refuses raises ConfigError before theta is touched.
+    that `check_step_size` refuses raises ConfigError, and a chunk that is not
+    an integer >= 1 ValueError, before theta is touched.
     """
     check_step_size("epsilon", epsilon, positive=True)
-    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk), epsilon)
+    _check_chunk(chunk)
+    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk, epsilon))
     return g
 
 
-def _spsa_full(loss_fn, theta, stream, epsilon):
+def _spsa_full(loss_fn, theta, stream):
     """(g, loss_plus, loss_minus); theta is restored however the losses end,
     a non-finite value or an exception from `loss_fn`."""
     values = theta.values
-    stream.shift(values, epsilon, +1.0)
+    stream.shift(values, +1.0)
     try:
         loss_plus = float(loss_fn(theta))
-        if not np.isfinite(loss_plus):
+        if not math.isfinite(loss_plus):
             raise NonfiniteLossError(f"loss at +epsilon perturbation is {loss_plus}")
-        stream.shift(values, epsilon, -1.0)
+        stream.shift(values, -1.0)
         loss_minus = float(loss_fn(theta))
     finally:
-        stream.shift(values, epsilon, 0.0)
-    if not np.isfinite(loss_minus):
+        stream.shift(values, 0.0)
+    if not math.isfinite(loss_minus):
         raise NonfiniteLossError(f"loss at -epsilon perturbation is {loss_minus}")
-    return (loss_plus - loss_minus) / (2.0 * epsilon), loss_plus, loss_minus
+    return (loss_plus - loss_minus) / (2.0 * stream.epsilon), loss_plus, loss_minus
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +375,12 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     gradient raises NonfiniteGradError; either way, and when `loss_fn` raises,
     theta is at its pre-step value, since the update has not begun. If the
     update itself overflows (finite gradients whose scaled sum is not), theta
-    keeps the non-finite values written and NonfiniteLossError is raised."""
+    keeps the non-finite values written and NonfiniteLossError is raised.
+    A chunk that is not an integer >= 1 raises ValueError before theta is
+    touched."""
     if step_index < 0:
         raise ConfigError(f"step_index must be >= 0, got {step_index}")
+    _check_chunk(chunk)
     sseed = step_seed(cfg.master_seed, step_index)
     n = cfg.num_perturbations
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))
@@ -354,10 +388,10 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
 
     gs, losses = [], []
     for s in seeds:
-        g, lp, lm = _spsa_full(loss_fn, theta, _Stream(s, size, chunk), cfg.epsilon)
+        g, lp, lm = _spsa_full(loss_fn, theta, _Stream(s, size, chunk, cfg.epsilon))
         gs.append(g)
         losses.append((lp, lm))
-    if not np.all(np.isfinite(gs)):
+    if not all(map(math.isfinite, gs)):
         raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
     if cfg.learning_rate > 0:
         scale = cfg.learning_rate / n

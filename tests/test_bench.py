@@ -61,6 +61,10 @@ def make_plan(**overrides) -> ExperimentPlan:
 # plan validation
 # ---------------------------------------------------------------------------
 
+def test_a_plan_without_a_budget_takes_the_larger_total():
+    assert make_plan(budget_bytes=None).budget_bytes == make_plan().budget_bytes
+
+
 def test_plan_totals_are_matched():
     plan = make_plan()
     bp_total = memory_for_mode(plan.bp_model, MemoryMode.BP).total_bytes

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -542,8 +543,8 @@ def test_shift_exception_records_are_sparse():
     from mezofit.zo import _Stream
 
     values = np.random.default_rng(8).standard_normal(200_000)
-    stream = _Stream(PerturbationSeed(4, 0), values.size, 16384)
-    stream.shift(values, 1e-3, +1.0)
+    stream = _Stream(PerturbationSeed(4, 0), values.size, 16384, 1e-3)
+    stream.shift(values, +1.0)
     recorded = sum(idx.size for idx, _ in stream.undo.values())
     assert recorded < 0.01 * values.size
 
@@ -557,16 +558,94 @@ def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(chunk, i
 
     theta = flat(np.random.default_rng(8).standard_normal(200_000))
     before = theta.values.tobytes()
-    stream = _Stream(PerturbationSeed(4, 0), len(theta), chunk)
-    stream.shift(theta.values, 1e-3, +1.0)
+    stream = _Stream(PerturbationSeed(4, 0), len(theta), chunk, 1e-3)
+    stream.shift(theta.values, +1.0)
     assert {idx.dtype for idx, _ in stream.undo.values()} == {np.dtype(index)}
     top = max(int(idx.max()) for idx, _ in stream.undo.values())
     assert top < chunk and (chunk <= 1 << 16 or top > 0xFFFF)  # uint32 past uint16's range
-    stream.shift(theta.values, 1e-3, 0.0)
+    stream.shift(theta.values, 0.0)
     assert theta.values.tobytes() == before
     for s in range(5):
         spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), 1e-3, chunk=chunk)
         assert theta.values.tobytes() == before
+
+
+@pytest.mark.parametrize("size, chunk", [(6, DEFAULT_CHUNK), (300, 97), (6, 1 << 70)],
+                         ids=["one-chunk", "many-chunks", "chunk-past-uint64"])
+def test_negative_zeros_come_back_bitwise(size, chunk):
+    # -0.0 == +0.0 as floats, so only a bit-pattern check records them
+    values = np.random.default_rng(3).standard_normal(size)
+    values[::2] = -0.0
+    theta = flat(values)
+    before = theta.values.tobytes()
+    for eps in (1e-3, 5e-324):
+        for s in range(3):
+            spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), eps,
+                                        chunk=chunk)
+            assert theta.values.tobytes() == before
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=0.0, num_perturbations=3, master_seed=1)
+    mezo_step(quadratic, theta, cfg, 0, chunk=chunk)
+    assert theta.values.tobytes() == before
+
+
+@pytest.mark.parametrize("chunk", [-5, 0, 1.5, True])
+def test_a_chunk_that_is_not_a_positive_integer_is_refused_up_front(monkeypatch, chunk):
+    out = _checked_out(monkeypatch)
+    theta = flat([1.0, -0.0, 2.0])
+    before = theta.values.tobytes()
+    never = lambda t: pytest.fail("the loss ran")
+    with pytest.raises(ValueError, match="chunk"):
+        spsa_directional_derivative(never, theta, PerturbationSeed(1, 0), 1e-3, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk"):
+        mezo_step(never, theta, ZOConfig(), 0, chunk=chunk)
+    assert out[0] == 0 and theta.values.tobytes() == before
+
+
+_SNAN = np.frombuffer((0x7FF0_0000_0000_0001).to_bytes(8, "little"))[0]
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e250, -1e250,
+                      np.inf, -np.inf, np.nan, -_SNAN])
+
+
+@pytest.mark.parametrize("size, chunk", [(1, 97), (6, 97), (97, 97), (98, 97), (296, 97),
+                                         (3376, DEFAULT_CHUNK)])
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1e-3, 0.5, 1e300, 1e308, 10 ** 300,
+                                     Fraction(1, 3)])
+def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(size, chunk,
+                                                                           epsilon):
+    from mezofit.zo import _Stream
+
+    for offset in range(_SPECIALS.size):
+        values = np.random.default_rng(offset).standard_normal(size)
+        values[::2] = np.resize(np.roll(_SPECIALS, -offset), values[::2].size)
+        before = values.tobytes()
+        seed = PerturbationSeed(offset, 7)
+        with np.errstate(all="ignore"):  # at 1e308, epsilon * z overflows
+            d = generate_noise(seed, size) * float(epsilon)
+            plus, minus = (values + d).tobytes(), (values - d).tobytes()
+            for first, second in ((+1.0, -1.0), (-1.0, +1.0)):
+                stream = _Stream(seed, size, chunk, epsilon)
+                for sign in (first, second):
+                    stream.shift(values, sign)
+                    assert values.tobytes() == (plus if sign > 0 else minus)
+                stream.shift(values, 0.0)
+                assert values.tobytes() == before
+
+
+@pytest.mark.parametrize("size, chunk, per_step, per_estimate",
+                         [(1000, DEFAULT_CHUNK, 2, 1), (1000, 97, 4, 3)],
+                         ids=["one-chunk", "many-chunks"])
+def test_draw_budget_per_step_and_per_estimate(monkeypatch, size, chunk, per_step,
+                                               per_estimate):
+    # each draw is one keyed_philox loan: a redraw added anywhere fails here
+    taken, take = [], zo.keyed_philox
+    monkeypatch.setattr(zo, "keyed_philox", lambda k0, k1: taken.append(k0) or take(k0, k1))
+    theta = flat(np.random.default_rng(2).standard_normal(size))
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=4, master_seed=7)
+    mezo_step(quadratic, theta, cfg, 0, chunk=chunk)
+    assert len(taken) == per_step * cfg.num_perturbations
+    taken.clear()
+    spsa_directional_derivative(quadratic, theta, PerturbationSeed(2, 0), 1e-3, chunk=chunk)
+    assert len(taken) == per_estimate
 
 
 def test_zo_config_validation():

@@ -104,10 +104,10 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.nda
     float order of dgain = sum(dy*x*r) and dx = dy*gain*r - x*r**3*sum(dy*gain*x)/D."""
     t = dy * x
     t *= r
-    dgain = np.sum(t, axis=(0, 1), out=out)
+    dgain = np.add.reduce(t, axis=(0, 1), out=out)
     dx = np.multiply(dy, gain, out=dy)
     np.multiply(dx, x, out=t)
-    s = np.sum(t, axis=-1, keepdims=True)
+    s = np.add.reduce(t, axis=-1, keepdims=True)
     dx *= r
     r **= 3
     np.multiply(x, r, out=t)
@@ -292,7 +292,7 @@ def _row_terms(rows, gather, out):
 
 def _mean_nll(picked, mask, count) -> float:
     """Minus the mean of the (B*N, 1) picked log-probabilities under `mask`."""
-    return float(-np.sum(picked.reshape(mask.shape), where=mask) / count)
+    return float(-np.add.reduce(picked.reshape(mask.shape), axis=None, where=mask) / count)
 
 
 def _loss_backward(logits, targets):

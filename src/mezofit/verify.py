@@ -83,8 +83,8 @@ def check_quadratic_unbiasedness(directions: int = 120_000, epsilon: float = EPS
     q = m + m.T
     theta = _flat(rng.standard_normal(QUADRATIC_DIM))
 
-    def loss(t):
-        return float(0.5 * t.values @ q @ t.values)
+    def loss(t):  # float(0.5 * v @ q @ v) bit for bit, as the README's notes show
+        return 0.5 * float(t.values.dot(q).dot(t.values))
 
     acc = np.zeros(QUADRATIC_DIM)
     base = step_seed(seed, 0)

@@ -200,14 +200,13 @@ def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_
 
 def check_step_size(name: str, value, positive: bool) -> None:
     """The one rule for step sizes: ConfigError naming `name` and `value`
-    unless it is a number in [0, largest float], and above 0 when `positive`.
-    Learning rates may be 0; epsilon, `positive`, may not. NaN, inf, an int
-    past the largest float and a value that does not compare fail."""
-    try:
-        ok = (0.0 < value if positive else 0.0 <= value) and value <= _FLOAT_MAX
-    except TypeError:
-        ok = False
-    if not ok:
+    unless it is a real number (`numbers.Real`, bool excluded) in [0, largest
+    float], and above 0 when `positive`. Learning rates may be 0; epsilon,
+    `positive`, may not. NaN, inf, an int past the largest float, a bool, a
+    Decimal and a string fail; a Fraction or a numpy float passes."""
+    real = type(value) in (float, int) or (  # the common case skips the ABC checks
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and (0.0 < value if positive else 0.0 <= value) and value <= _FLOAT_MAX):
         raise ConfigError(f"{name} must lie in {'(' if positive else '['}0, "
                           f"{_FLOAT_MAX!r}], got {shown(value)}")
 
@@ -316,6 +315,8 @@ class _Stream:
 
 
 def _check_chunk(chunk) -> None:
+    if type(chunk) is int and chunk >= 1:  # the common case skips the ABC checks
+        return
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
 
@@ -394,7 +395,7 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     if not all(map(math.isfinite, gs)):
         raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
     if cfg.learning_rate > 0:
-        scale = cfg.learning_rate / n
+        scale = float(cfg.learning_rate / n)  # a float for a Fraction rate too
         zbuf, abuf = np.empty((2, min(chunk, size)))
         walks = [iter_noise_chunks(s, size, chunk, zbuf) for s in seeds]  # in lockstep
         finite = True
@@ -423,12 +424,12 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
     An eta that `check_step_size` refuses raises ConfigError before it is called."""
     check_step_size("eta", eta, positive=False)
     grad, loss = loss_and_grad_fn(theta)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonfiniteLossError(f"loss is {loss}")
     if grad.values.shape != theta.values.shape:
         raise ValueError("gradient and parameter shapes differ")
-    if not np.all(np.isfinite(grad.values)):
+    if not np.isfinite(grad.values).all():
         raise NonfiniteGradError("gradient contains NaN/Inf")
-    grad.values *= eta
+    grad.values *= float(eta)  # a Fraction eta too
     theta.values -= grad.values
     return theta

@@ -1,5 +1,6 @@
 import re
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ def test_plan_refuses_a_learning_rate_past_the_largest_float(grid):
     # an int rate compares below inf but overflows the float update
     with pytest.raises(ConfigError, match=grid):
         make_plan(**{grid: (0.5, 10 ** 400)})
+
+
+@pytest.mark.parametrize("grid", ["lr_grid_bp", "lr_grid_mezo"])
+@pytest.mark.parametrize("rate", [True, Decimal("0.5"), "0.5"], ids=["bool", "decimal", "str"])
+def test_plan_refuses_a_learning_rate_that_is_not_a_real_number(grid, rate):
+    # refused as the plan is built, so no run trains before it fails
+    with pytest.raises(ConfigError, match=grid):
+        make_plan(**{grid: (0.5, rate)})
 
 
 @pytest.mark.parametrize("bp_batch, mezo_batch", [(16, 16), (16, 8), (8, 16)])

@@ -133,19 +133,31 @@ def test_no_unused_parameters(module):
     assert unused_parameters((SRC / module).read_text()) == []
 
 
+def referenced_attributes(source: str) -> set[str]:
+    """Each attribute and import alias that `source` refers to: the ways
+    code reaches a method, where a bare name would be some other function."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.alias)
+            or isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
+
+
 def unreferenced_public_names(defining: dict[str, str], referring: list[str]) -> list[str]:
     """`module:name` of each public top-level function and class and each
     public method in `defining` that no source in `defining` or `referring`
-    refers to (see `referenced_names`)."""
+    refers to: a top-level name by any reference (see `referenced_names`), a
+    method only by an attribute or an import (see `referenced_attributes`)."""
     defined = []
     for module, source in defining.items():
         for node in ast.parse(source).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
-            defined += [(module, n.name) for n in (node, *members)
+            defined += [(module, n.name, n is not node) for n in (node, *members)
                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    used = set().union(*map(referenced_names, (*defining.values(), *referring)))
-    return sorted(f"{module}:{name}" for module, name in defined
-                  if not name.startswith("_") and name not in used)
+    sources = (*defining.values(), *referring)
+    used = set().union(*map(referenced_names, sources))
+    attributes = set().union(*map(referenced_attributes, sources))
+    return sorted(f"{module}:{name}" for module, name, method in defined
+                  if not name.startswith("_") and name not in (attributes if method else used))
 
 
 def test_lint_flags_unreferenced_public_names():
@@ -169,9 +181,25 @@ def test_lint_flags_unreferenced_public_names():
         "a.py:Orphan", "a.py:assigned_only", "a.py:orphan", "a.py:unused_method"]
 
 
+def test_lint_does_not_count_a_same_named_function_as_a_use_of_a_method():
+    defining = {"a.py": ("class Box:\n    def peak(self):\n        return 0\n"
+                         "    def read(self):\n        return 1\n"
+                         "    def imported(self):\n        return 2\n")}
+    referring = ["def peak(fn):\n    return fn()\npeak(print)\nBox().read()\n",
+                 "from a import imported\n"]
+    assert unreferenced_public_names(defining, referring) == ["a.py:peak"]
+
+
+# Public names that only tests call, each with the reason it stays in src/.
+# An entry that gains a caller fails the lint too, so the list stays current.
+ONLY_TESTS_CALL = [
+    "model.py:peak_bytes",  # the shape model that ROADMAP direction 3's `measure` prints
+]
+
+
 def test_no_unreferenced_public_names():
     """Every public name in the package is used by the package or the
     benchmark; code that only the tests call does not belong in src/."""
     defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
     referring = [p.read_text() for p in PERFBENCH.glob("*.py")]
-    assert unreferenced_public_names(defining, referring) == []
+    assert unreferenced_public_names(defining, referring) == ONLY_TESTS_CALL

@@ -1,0 +1,54 @@
+import hashlib
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mezofit import verify
+from mezofit.memory import ConfigError
+
+# Entries of normal magnitude: every product and partial sum of v.q.v stays
+# far from the subnormal range, where halving would round.
+_ENTRY = st.just(0.0) | st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(arrays(np.float64, (n, n), elements=_ENTRY),
+                        arrays(np.float64, n, elements=_ENTRY))))
+def test_halving_after_the_dots_gives_the_matmul_quadratic_bitwise(case):
+    # ((0.5 v) @ q) @ v == 0.5 ((v @ q) @ v): scaling by a power of two
+    # commutes with rounding away from the subnormal range
+    m, v = case
+    q = m + m.T
+    assert 0.5 * float(v.dot(q).dot(v)) == float(0.5 * v @ q @ v)
+
+
+# sha256 of the projected gradients (float64, in call order) of the
+# quadratic check's first 2,000 directions at seed 0 and the default epsilon,
+# recorded with numpy 2.4.6 on x86-64 when its loss was `float(0.5 * v @ q @ v)`
+QUADRATIC_GRADIENTS_SHA256 = "62b12e665c690d14b7ac749edaa90609d7e124d3e81d336654e3f4eceb68a7ee"
+
+
+def test_quadratic_check_projected_gradients_match_golden_hash(monkeypatch):
+    gs, estimate = [], verify.spsa_directional_derivative
+    monkeypatch.setattr(verify, "spsa_directional_derivative",
+                        lambda *a, **kw: gs.append(estimate(*a, **kw)) or gs[-1])
+    result = verify.check_quadratic_unbiasedness(directions=2000, seed=0)
+    assert len(gs) == 2000
+    assert hashlib.sha256(np.array(gs).tobytes()).hexdigest() == QUADRATIC_GRADIENTS_SHA256
+    assert result.detail == "relative error 0.0303 over 2000 directions (tolerance 0.02)"
+
+
+@pytest.mark.parametrize("epsilon", [True, Decimal("0.001"), "0.001"],
+                         ids=["bool", "decimal", "str"])
+def test_the_battery_refuses_an_epsilon_that_is_not_a_real_number_before_any_check(
+        monkeypatch, epsilon):
+    for name in ("check_restoration", "check_quadratic_unbiasedness", "check_fd_gradient",
+                 "check_cosine_positivity"):
+        monkeypatch.setattr(verify, name, lambda **kw: pytest.fail("a check ran"))
+    with pytest.raises(ConfigError, match="epsilon"):
+        verify.run_verification(epsilon=epsilon)

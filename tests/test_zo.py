@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,38 @@ def test_spsa_rejects_bad_epsilon():
     with pytest.raises(ConfigError):
         spsa_directional_derivative(quadratic, flat([1.0]),
                                     PerturbationSeed(0, 0), 0.0)
+
+
+NOT_REAL = [True, Decimal("0.001"), "0.001", 1e-3 + 0j, None]
+NOT_REAL_IDS = ["bool", "decimal", "str", "complex", "none"]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+def test_a_step_size_that_is_not_a_real_number_is_refused_before_theta_is_touched(value):
+    theta = flat([1.0, -0.0, 2.0])
+    before = theta.values.tobytes()
+    never = lambda t: pytest.fail("the loss ran")
+    with pytest.raises(ConfigError, match="epsilon"):
+        spsa_directional_derivative(never, theta, PerturbationSeed(1, 0), value)
+    with pytest.raises(ConfigError, match="eta"):
+        bp_sgd_step(never, theta, value)
+    for field in ("epsilon", "learning_rate"):
+        with pytest.raises(ConfigError, match=field):
+            ZOConfig(**{field: value})
+    assert theta.values.tobytes() == before
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 1000), np.float64(1e-3), 1e-3],
+                         ids=["fraction", "numpy-float", "float"])
+def test_a_real_step_size_of_any_type_gives_the_float_results(value):
+    def run(step):
+        theta = flat([1.0, -0.5, 2.0])
+        g = spsa_directional_derivative(quadratic, theta, PerturbationSeed(1, 0), step)
+        bp_sgd_step(lambda t: (flat(t.values.copy()), quadratic(t)), theta, step)
+        _, report = mezo_step(quadratic, theta, ZOConfig(step, step, 2, 3), 0)
+        return g, report, theta.values.tobytes()
+
+    assert run(value) == run(1e-3)
 
 
 @pytest.mark.parametrize("epsilon", [np.inf, 10 ** 400], ids=["inf", "int-1e400"])

@@ -5,6 +5,12 @@ Runs a learning-rate grid per method on a synthetic task, evaluates on a
 held-out split on a fixed cadence, and reports running-max accuracy curves.
 All randomness derives from the plan's run_seed, so repeated runs produce
 identical numbers except for the wall-clock fields.
+
+An experiment draws its data once, before its first run: one read-only
+training stream that every run slices step by step, steps * max(batch_size)
+* seq_len * 16 bytes of int64 tokens and targets (819,200 B for the desk
+plan), and one read-only eval set. So `wall_clock_s`, `wall_time_s` and
+`cpu_time_s` count training and evaluation only, the same for both methods.
 """
 from __future__ import annotations
 
@@ -63,6 +69,8 @@ class ExperimentPlan:
                 raise ConfigError(f"{name} needs at least one rate")
             for lr in getattr(self, name):
                 check_step_size(name, lr, positive=False)
+            # a numpy float or a Fraction would print as such in the CSV and JSON
+            object.__setattr__(self, name, tuple(float(lr) for lr in getattr(self, name)))
         bp_total = memory_for_mode(self.bp_model, MemoryMode.BP).total_bytes
         mezo_total = memory_for_mode(self.mezo_model, MemoryMode.MEZO).total_bytes
         if self.budget_bytes is None:
@@ -145,12 +153,28 @@ def _eval_points(steps: int, eval_every: int) -> list[int]:
 
 
 def run_experiment(plan: ExperimentPlan, progress: bool = False) -> ExperimentResult:
-    """Train every (method, learning rate) combination in the plan."""
+    """Train every (method, learning rate) combination in the plan.
+
+    The data is drawn once, before the first run, and held read-only: the
+    training stream of max(steps, 1) * max(batch_size) samples (steps *
+    max(batch_size) * seq_len * 16 bytes, 819,200 B for the desk plan) and
+    the eval set with its defined-target count. Samples are keyed by index,
+    so step s of a run with batch size B trains on rows [s*B, (s+1)*B) of
+    the stream, the bits `task.batch` gives for those indices; the probe
+    loss binds step 0's rows. `wall_clock_s`, `wall_time_s` and `cpu_time_s`
+    count training and evaluation only, the same for both methods."""
+    batch = max(plan.bp_model.batch_size, plan.mezo_model.batch_size)
+    stream = plan.task.batch(range(max(plan.steps, 1) * batch))
+    eval_set = plan.task.eval_batch(EVAL_SEQUENCES)
+    for array in (*stream, *eval_set):
+        array.flags.writeable = False
+    eval_total = int(np.count_nonzero(eval_set[1] >= 0))
     result = ExperimentResult(plan)
     for method, grid, cfg in (("bp", plan.lr_grid_bp, plan.bp_model),
                               ("mezo", plan.lr_grid_mezo, plan.mezo_model)):
         for lr in grid:
-            result.runs.append(_run_single(plan, method, lr, cfg, progress))
+            result.runs.append(_run_single(plan, method, lr, cfg, stream,
+                                           eval_set, eval_total, progress))
     return result
 
 
@@ -162,18 +186,22 @@ def _crop_to_window(cfg: ModelConfig, tokens: np.ndarray,
     return tokens[:, -window:], targets[:, -window:]
 
 
-def _run_single(plan: ExperimentPlan, method: str, lr: float,
-                cfg: ModelConfig, progress: bool) -> RunResult:
+def _run_single(plan: ExperimentPlan, method: str, lr: float, cfg: ModelConfig,
+                stream: tuple[np.ndarray, np.ndarray],
+                eval_set: tuple[np.ndarray, np.ndarray], eval_total: int,
+                progress: bool) -> RunResult:
     model = ToyTransformer(cfg)
     init_seed = splitmix64(plan.run_seed ^ (0xB0 if method == "bp" else 0x2E0))
     theta = model.init_params(init_seed)
-    task = plan.task
-    batch_size = cfg.batch_size
-    eval_tokens, eval_targets = task.eval_batch(EVAL_SEQUENCES)
+    B = cfg.batch_size
+
+    def step_batch(step: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(step * B, (step + 1) * B)
+        return _crop_to_window(cfg, stream[0][rows], stream[1][rows])
+
     # a defined target outside the context window counts as wrong: the model cannot see it
-    eval_window = _crop_to_window(cfg, eval_tokens, eval_targets)
-    eval_total = int(np.count_nonzero(eval_targets >= 0))
-    probe_loss = model.loss_fn(*_crop_to_window(cfg, *task.batch(range(batch_size))))
+    eval_window = _crop_to_window(cfg, *eval_set)
+    probe_loss = model.loss_fn(*step_batch(0))
 
     eval_at = set(_eval_points(plan.steps, plan.eval_every))
     run = RunResult(method, lr, [])
@@ -195,8 +223,7 @@ def _run_single(plan: ExperimentPlan, method: str, lr: float,
     evaluate(0)
     zo_cfg = dataclasses.replace(plan.zo, learning_rate=lr)
     for step in range(plan.steps):
-        tokens, targets = _crop_to_window(
-            cfg, *task.batch(range(step * batch_size, (step + 1) * batch_size)))
+        tokens, targets = step_batch(step)
         try:
             if method == "bp":
                 bp_sgd_step(lambda t: model.backward(t, tokens, targets), theta, lr)

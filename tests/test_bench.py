@@ -1,6 +1,8 @@
+import json
 import re
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,16 +111,23 @@ def test_plan_refuses_a_learning_rate_that_is_not_a_real_number(grid, rate):
         make_plan(**{grid: (0.5, rate)})
 
 
+def matched_pair_plan(bp_batch: int, mezo_batch: int, steps: int,
+                      mezo_stored_layers: float = 0.25) -> ExperimentPlan:
+    """A plan over the matched pair of perfbench/train_matched.ini, at its
+    budget of 26,624 B, with the given batch sizes and MeZO stored layers."""
+    mezo = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
+                       vocab_size=8, batch_size=mezo_batch,
+                       stored_layers=mezo_stored_layers)
+    bp = mezo.replace(context_length=4, hidden_dim=8, batch_size=bp_batch, stored_layers=1.0)
+    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=8, seq_len=8, seed=0)
+    return make_plan(steps=steps, bp_model=bp, mezo_model=mezo, task=task,
+                     budget_bytes=26624.0)
+
+
 @pytest.mark.parametrize("bp_batch, mezo_batch", [(16, 16), (16, 8), (8, 16)])
 def test_plan_refuses_train_samples_that_reach_the_eval_split(bp_batch, mezo_batch):
     # train indices are [0, 2^40); a run draws steps * batch_size of them.
-    # The models are the matched pair of perfbench/train_matched.ini.
-    mezo = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
-                       vocab_size=8, batch_size=mezo_batch, stored_layers=0.25)
-    bp = mezo.replace(context_length=4, hidden_dim=8, batch_size=bp_batch, stored_layers=1.0)
-    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=8, seq_len=8, seed=0)
-    plan = lambda steps: make_plan(steps=steps, bp_model=bp, mezo_model=mezo, task=task,
-                                   budget_bytes=26624.0)
+    plan = lambda steps: matched_pair_plan(bp_batch, mezo_batch, steps)
     if bp_batch == mezo_batch:
         assert plan(2 ** 40 // 16).steps == 2 ** 40 // 16
     steps = 2 ** 40 // 16 + 1
@@ -128,9 +137,116 @@ def test_plan_refuses_train_samples_that_reach_the_eval_split(bp_batch, mezo_bat
         plan(steps)
 
 
+@pytest.mark.parametrize("bp_grid, mezo_grid", [
+    ((np.float64(0.5), np.float64(0.25)), (np.float64(1e-3),)),
+    ((Fraction(1, 2),), (Fraction(1, 1000), Fraction(1, 3))),
+], ids=["numpy", "fraction"])
+def test_rates_of_any_real_type_round_trip_through_the_csv_and_json(bp_grid, mezo_grid):
+    # a numpy float printed as np.float64(0.5) and a Fraction's repr holds a comma
+    plan = make_plan(steps=2, eval_every=1, lr_grid_bp=bp_grid, lr_grid_mezo=mezo_grid)
+    assert plan.lr_grid_bp == tuple(float(lr) for lr in bp_grid)
+    assert plan.lr_grid_mezo == tuple(float(lr) for lr in mezo_grid)
+    assert all(type(lr) is float for lr in plan.lr_grid_bp + plan.lr_grid_mezo)
+    result = run_experiment(plan)
+    records = result.all_records()
+    parsed = parse_csv(emit_csv(records))
+    assert parsed == sorted(records, key=lambda r: (r.method, r.learning_rate, r.step))
+    summary = json.loads(json.dumps(summarize(result)))
+    assert summary["methods"]["bp"]["best_learning_rate"] in plan.lr_grid_bp
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 # ---------------------------------------------------------------------------
+
+def capture_step_batches(monkeypatch) -> list:
+    """Wrap `ToyTransformer.loss_fn` and `backward` so that each records what
+    it is handed: (call, model config, tokens, targets)."""
+    seen = []
+    real_loss_fn, real_backward = ToyTransformer.loss_fn, ToyTransformer.backward
+
+    def loss_fn(self, tokens, targets):
+        seen.append(("loss_fn", self.cfg, tokens, targets))
+        return real_loss_fn(self, tokens, targets)
+
+    def backward(self, params, tokens, targets):
+        seen.append(("backward", self.cfg, tokens, targets))
+        return real_backward(self, params, tokens, targets)
+
+    monkeypatch.setattr(ToyTransformer, "loss_fn", loss_fn)
+    monkeypatch.setattr(ToyTransformer, "backward", backward)
+    return seen
+
+
+def per_step_batches(plan: ExperimentPlan) -> list:
+    """What each run of the plan is handed when every step draws its own
+    batch: the probe loss binds step 0's batch, then each step's batch goes
+    to `backward` (BP) or `loss_fn` (MeZO), cropped to the model's window."""
+    expected = []
+    for method, grid, cfg in (("bp", plan.lr_grid_bp, plan.bp_model),
+                              ("mezo", plan.lr_grid_mezo, plan.mezo_model)):
+        B, window = cfg.batch_size, min(cfg.context_length, plan.task.seq_len)
+
+        def drawn(step):
+            tokens, targets = plan.task.batch(range(step * B, (step + 1) * B))
+            return tokens[:, -window:], targets[:, -window:]
+
+        call = "backward" if method == "bp" else "loss_fn"
+        for _ in grid:
+            expected.append(("loss_fn", cfg, *drawn(0)))
+            expected += [(call, cfg, *drawn(step)) for step in range(plan.steps)]
+    return expected
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("plan", [
+    *(pytest.param(lambda kind=kind: make_plan(task=ToyTask(kind, vocab_size=16, seq_len=7,
+                                                            seed=3),
+                                               lr_grid_bp=(0.5, 0.1)), id=kind.value)
+      for kind in TaskKind),
+    # MeZO at batch 8 stores half a layer, so its total stays at the 26,624 B budget
+    pytest.param(lambda: matched_pair_plan(16, 8, steps=5, mezo_stored_layers=0.5),
+                 id="bp16-mezo8"),
+    pytest.param(lambda: make_plan(steps=0), id="zero-steps"),
+])
+def test_every_run_trains_on_the_batches_per_step_draws_give(monkeypatch, plan):
+    plan = plan()
+    expected = per_step_batches(plan)
+    seen = capture_step_batches(monkeypatch)
+    result = run_experiment(plan)
+    assert not any(run.failed for run in result.runs)
+    assert len(seen) == len(expected)
+    for (call, cfg, tokens, targets), (want_call, want_cfg, want_tokens, want_targets) \
+            in zip(seen, expected):
+        assert (call, cfg) == (want_call, want_cfg)
+        assert same_bits(tokens, want_tokens) and same_bits(targets, want_targets)
+
+
+@pytest.mark.parametrize("steps, bp_rates, mezo_rates", [(0, 1, 1), (1, 2, 1), (7, 1, 3)])
+def test_an_experiment_draws_its_data_in_two_batch_calls_and_steps_cannot_write_it(
+        monkeypatch, steps, bp_rates, mezo_rates):
+    plan = make_plan(steps=steps, lr_grid_bp=(0.5, 0.1)[:bp_rates],
+                     lr_grid_mezo=(1e-3, 1e-4, 1e-5)[:mezo_rates])
+    splits = []
+    real_batch = ToyTask.batch
+
+    def counting_batch(self, indices, split="train"):
+        splits.append(split)
+        return real_batch(self, indices, split)
+
+    monkeypatch.setattr(ToyTask, "batch", counting_batch)
+    seen = capture_step_batches(monkeypatch)
+    run_experiment(plan)
+    assert sorted(splits) == ["eval", "train"]  # the training stream and the eval set
+    assert len(seen) == (bp_rates + mezo_rates) * (steps + 1)
+    for _, _, tokens, targets in seen:
+        for array in (tokens, targets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
 
 def test_zero_steps_gives_only_initial_evaluation():
     result = run_experiment(make_plan(steps=0))

@@ -38,6 +38,7 @@ loss_from_logits = loss_from_logits  # unused here; perfbench's tracer wraps it
 
 EVAL_SEQUENCES = 128  # held-out split size, fixed for determinism
 BUDGET_MATCH_TOLERANCE = 0.15  # the two totals must agree within 15%
+PLATEAU_FRACTION = 0.9  # the 90% of the summary's steps_to_90pct_of_plateau
 
 CSV_COLUMNS = ("method", "learning_rate", "step", "wall_clock_s",
                "train_loss", "eval_accuracy", "running_max_accuracy")
@@ -258,12 +259,12 @@ def emit_csv(records) -> str:
     return out.getvalue()
 
 
-def steps_to_fraction_of_plateau(records: list[RunRecord], fraction: float = 0.9) -> int:
-    """First evaluated step whose running max reaches `fraction` of the final
-    running max (the plateau)."""
+def steps_to_fraction_of_plateau(records: list[RunRecord]) -> int:
+    """First evaluated step whose running max reaches `PLATEAU_FRACTION` of
+    the final running max (the plateau)."""
     plateau = records[-1].running_max_accuracy
     for r in records:
-        if r.running_max_accuracy >= fraction * plateau:
+        if r.running_max_accuracy >= PLATEAU_FRACTION * plateau:
             return r.step
     return records[-1].step
 

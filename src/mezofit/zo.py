@@ -23,12 +23,13 @@ vector through two temporaries of its size; a longer one redraws and scales
 each chunk on every pass and works through two chunk-sized buffers. The update
 walks the n directions' raw z in lockstep. So a step draws from a stream 2n
 times for a one-chunk vector and 4n times for a longer one, and one
-`spsa_directional_derivative` once and three times.
+`spsa_directional_derivative` once and three times. A chunk is the module
+constant `DEFAULT_CHUNK` values; no caller passes a size.
 
 The estimator's own bytes at a loss evaluation are one sparse record of the
 few coordinates whose float perturbation cannot be undone bit for bit by
-arithmetic alone, 10 bytes each at the default chunk (a uint16 chunk-local
-index and the saved float64), plus the whole d only when it fits in one chunk.
+arithmetic alone, 10 bytes each (a uint16 chunk-local index and the saved
+float64), plus the whole d only when it fits in one chunk.
 With a pass's scratch they peak at the kept d plus two temporaries of its size
 for a one-chunk vector, and at two chunk buffers plus the record for a longer
 one. The record makes the parameter vector come back bit-for-bit after an
@@ -49,6 +50,7 @@ from mezofit.memory import ConfigError, check_field_types, shown
 
 DEFAULT_CHUNK = 1 << 16
 _FLOAT_MAX = sys.float_info.max
+_FLOAT64_MAX = np.float64(_FLOAT_MAX)  # the limit for numpy scalars, which widen to it exactly
 
 _MASK64 = (1 << 64) - 1
 
@@ -176,15 +178,17 @@ def generate_noise(seed: PerturbationSeed, length: int) -> np.ndarray:
     return noise
 
 
-def iter_noise_chunks(seed: PerturbationSeed, length: int, chunk: int = DEFAULT_CHUNK,
+def iter_noise_chunks(seed: PerturbationSeed, length: int,
                       out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (offset, block) pieces of the stream without holding it whole.
+    """Yield (offset, block) pieces of the stream, `DEFAULT_CHUNK` values a
+    block, without holding it whole.
 
-    With `out` (at least min(chunk, length) floats) each block is drawn into
-    a view of it, which the next step overwrites. The generator goes back
-    before the last block is yielded; an empty stream takes none."""
+    With `out` (at least min(DEFAULT_CHUNK, length) floats) each block is
+    drawn into a view of it, which the next step overwrites. The generator
+    goes back before the last block is yielded; an empty stream takes none."""
     if length <= 0:
         return
+    chunk = DEFAULT_CHUNK
     gen = keyed_philox(seed.seed, seed.stream_index)
     for start in range(0, length, chunk):
         m = min(chunk, length - start)
@@ -203,10 +207,13 @@ def check_step_size(name: str, value, positive: bool) -> None:
     unless it is a real number (`numbers.Real`, bool excluded) in [0, largest
     float], and above 0 when `positive`. Learning rates may be 0; epsilon,
     `positive`, may not. NaN, inf, an int past the largest float, a bool, a
-    Decimal and a string fail; a Fraction or a numpy float passes."""
+    Decimal and a string fail; a Fraction or a numpy float passes. A numpy
+    scalar meets the limit as a float64, so a float32 is not compared with a
+    limit cast down to its range, and a longdouble past it still fails."""
     real = type(value) in (float, int) or (  # the common case skips the ABC checks
         isinstance(value, numbers.Real) and not isinstance(value, bool))
-    if not (real and (0.0 < value if positive else 0.0 <= value) and value <= _FLOAT_MAX):
+    limit = _FLOAT64_MAX if isinstance(value, np.generic) else _FLOAT_MAX
+    if not (real and (0.0 < value if positive else 0.0 <= value) and value <= limit):
         raise ConfigError(f"{name} must lie in {'(' if positive else '['}0, "
                           f"{_FLOAT_MAX!r}], got {shown(value)}")
 
@@ -246,7 +253,7 @@ class StepReport:
 # chunk's entry out as it replays it, so the old record shrinks as the new one
 # grows. It holds a tiny fraction of the vector for unit-scale parameters and
 # epsilon ~ 1e-3, indexed in the smallest unsigned type that holds a
-# chunk-local index.
+# chunk-local index, fixed once per stream.
 
 _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
 
@@ -255,18 +262,19 @@ class _Stream:
     """One direction's scaled step d = fl(epsilon*z), walked from its start by
     every pass.
 
-    It holds no generator between passes. A vector of one chunk keeps d: its
-    noise, drawn by `generate_noise`, is scaled once in place and kept until
-    the shift that restores the base. A longer one is walked by
-    `iter_noise_chunks`, each drawn chunk scaled in place. `shift` keeps its
-    sign and undo record for the next shift to read.
+    It holds no generator between passes. A vector of at most `DEFAULT_CHUNK`
+    values keeps d: its noise, drawn by `generate_noise`, is scaled once in
+    place and kept until the shift that restores the base. A longer one is
+    walked by `iter_noise_chunks`, each drawn chunk scaled in place. `shift`
+    keeps its sign and undo record for the next shift to read.
     """
 
-    def __init__(self, seed: PerturbationSeed, size: int, chunk: int, epsilon: float):
-        epsilon = 1.0 * epsilon  # a float for any real epsilon, a Fraction too
-        self.seed, self.size, self.chunk, self.epsilon = seed, size, chunk, epsilon
+    def __init__(self, seed: PerturbationSeed, size: int, epsilon: float):
+        epsilon = float(epsilon)  # for any real epsilon: a Fraction, a numpy float32 too
+        self.seed, self.size, self.epsilon = seed, size, epsilon
+        self.index = None  # the undo record's index type, fixed by its first entry
         self.kept = None
-        if size <= chunk:
+        if size <= DEFAULT_CHUNK:
             self.kept = generate_noise(seed, size)
             self.kept *= epsilon
         self.sign, self.undo = 0.0, {}
@@ -288,8 +296,8 @@ class _Stream:
             if not sign:
                 self.kept = None
         else:
-            zbuf, up = np.empty((2, self.chunk))
-            for start, d in iter_noise_chunks(self.seed, self.size, self.chunk, zbuf):
+            zbuf, up = np.empty((2, DEFAULT_CHUNK))
+            for start, d in iter_noise_chunks(self.seed, self.size, zbuf):
                 d *= self.epsilon
                 m = d.size
                 self._block(values[start:start + m], d, sign, start, record, up[:m], d)
@@ -309,35 +317,26 @@ class _Stream:
             back = (np.subtract if sign > 0 else np.add)(up, d, out=back)
             bad = (back.view(np.uint64) != base.view(np.uint64)).nonzero()[0]
             if bad.size:
-                index = np.min_scalar_type(min(self.chunk, self.size) - 1)
-                record[start] = (bad.astype(index), base[bad])
+                if self.index is None:  # a numpy call of about 1 us; most small passes skip it
+                    self.index = np.min_scalar_type(min(DEFAULT_CHUNK, self.size) - 1)
+                record[start] = (bad.astype(self.index), base[bad])
             base[:] = up
-
-
-def _check_chunk(chunk) -> None:
-    if type(chunk) is int and chunk >= 1:  # the common case skips the ABC checks
-        return
-    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
 
 
 def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
                                 theta: ParameterVector,
                                 seed: PerturbationSeed,
-                                epsilon: float,
-                                chunk: int = DEFAULT_CHUNK) -> float:
+                                epsilon: float) -> float:
     """Central-difference directional derivative along a regenerated direction.
 
     Evaluates the loss at theta + eps*z and theta - eps*z by shifting theta in
     place (z is streamed from `seed`, never stored whole), restores theta
     bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps). Theta is
     restored too when a loss is non-finite or `loss_fn` raises. An epsilon
-    that `check_step_size` refuses raises ConfigError, and a chunk that is not
-    an integer >= 1 ValueError, before theta is touched.
+    that `check_step_size` refuses raises ConfigError before theta is touched.
     """
     check_step_size("epsilon", epsilon, positive=True)
-    _check_chunk(chunk)
-    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), chunk, epsilon))
+    g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), epsilon))
     return g
 
 
@@ -366,8 +365,7 @@ def _spsa_full(loss_fn, theta, stream):
 def mezo_step(loss_fn: Callable[[ParameterVector], float],
               theta: ParameterVector,
               cfg: ZOConfig,
-              step_index: int,
-              chunk: int = DEFAULT_CHUNK) -> tuple[ParameterVector, StepReport]:
+              step_index: int) -> tuple[ParameterVector, StepReport]:
     """One MeZO step: average num_perturbations projected gradients, then
     apply theta <- theta - (lr/n) * sum_i g_i * z_i with every z_i regenerated
     from its seed.
@@ -376,12 +374,9 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     gradient raises NonfiniteGradError; either way, and when `loss_fn` raises,
     theta is at its pre-step value, since the update has not begun. If the
     update itself overflows (finite gradients whose scaled sum is not), theta
-    keeps the non-finite values written and NonfiniteLossError is raised.
-    A chunk that is not an integer >= 1 raises ValueError before theta is
-    touched."""
+    keeps the non-finite values written and NonfiniteLossError is raised."""
     if step_index < 0:
         raise ConfigError(f"step_index must be >= 0, got {step_index}")
-    _check_chunk(chunk)
     sseed = step_seed(cfg.master_seed, step_index)
     n = cfg.num_perturbations
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))
@@ -389,15 +384,15 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
 
     gs, losses = [], []
     for s in seeds:
-        g, lp, lm = _spsa_full(loss_fn, theta, _Stream(s, size, chunk, cfg.epsilon))
+        g, lp, lm = _spsa_full(loss_fn, theta, _Stream(s, size, cfg.epsilon))
         gs.append(g)
         losses.append((lp, lm))
     if not all(map(math.isfinite, gs)):
         raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
     if cfg.learning_rate > 0:
         scale = float(cfg.learning_rate / n)  # a float for a Fraction rate too
-        zbuf, abuf = np.empty((2, min(chunk, size)))
-        walks = [iter_noise_chunks(s, size, chunk, zbuf) for s in seeds]  # in lockstep
+        zbuf, abuf = np.empty((2, min(DEFAULT_CHUNK, size)))
+        walks = [iter_noise_chunks(s, size, zbuf) for s in seeds]  # in lockstep
         finite = True
         for start, z in walks[0]:
             m = z.size

@@ -278,7 +278,7 @@ def test_criterion_6_crossover_shape(desk_runs):
     curves = {m: [r for r in records if r.method == m and r.learning_rate == best[m]]
               for m in ("bp", "mezo")}
     plateau = {m: curves[m][-1].running_max_accuracy for m in ("bp", "mezo")}
-    to90 = {m: steps_to_fraction_of_plateau(curves[m], 0.9) for m in ("bp", "mezo")}
+    to90 = {m: steps_to_fraction_of_plateau(curves[m]) for m in ("bp", "mezo")}
 
     ordering = plateau["mezo"] >= plateau["bp"]
     speed = to90["bp"] < to90["mezo"]

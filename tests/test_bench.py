@@ -1,6 +1,8 @@
 import json
 import re
+import sys
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -109,6 +111,29 @@ def test_plan_refuses_a_learning_rate_that_is_not_a_real_number(grid, rate):
     # refused as the plan is built, so no run trains before it fails
     with pytest.raises(ConfigError, match=grid):
         make_plan(**{grid: (0.5, rate)})
+
+
+_WIDE = np.finfo(np.longdouble).max > sys.float_info.max  # x86's 80-bit extended
+
+
+@pytest.mark.parametrize("grid", ["lr_grid_bp", "lr_grid_mezo"])
+@pytest.mark.parametrize("rate", [np.float16(0.25), np.float32(0.25), np.float64(0.25),
+                                  np.int64(1), *([np.longdouble(0.25)] if _WIDE else [])],
+                         ids=lambda rate: type(rate).__name__)
+def test_a_numpy_rate_of_any_width_builds_a_plan_without_a_warning(grid, rate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = make_plan(**{grid: (rate,)})
+    assert getattr(plan, grid) == (float(rate),)
+
+
+@pytest.mark.skipif(not _WIDE, reason="longdouble is no wider than float64 here")
+@pytest.mark.parametrize("grid", ["lr_grid_bp", "lr_grid_mezo"])
+def test_plan_refuses_a_longdouble_rate_past_the_largest_float(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=grid):
+            make_plan(**{grid: (0.5, np.longdouble(sys.float_info.max) * 2)})
 
 
 def matched_pair_plan(bp_batch: int, mezo_batch: int, steps: int,
@@ -365,8 +390,7 @@ def test_summarize_reports_best_per_method():
 def test_steps_to_fraction_of_plateau():
     recs = [RunRecord("bp", 0.5, s, 0.0, 0.0, a, m)
             for s, a, m in [(0, 0.1, 0.1), (3, 0.5, 0.5), (6, 0.9, 0.9), (9, 0.88, 0.9)]]
-    assert steps_to_fraction_of_plateau(recs, 0.9) == 6
-    assert steps_to_fraction_of_plateau(recs, 0.5) == 3
+    assert steps_to_fraction_of_plateau(recs) == 6  # the first running max >= 0.9 * 0.9
 
 
 def test_mezo_step_time_within_forward_pass_band():

@@ -1,6 +1,8 @@
-"""Unused-import, dead-private-name, unreferenced-public-name and
-unused-parameter lints over the package, using only the standard library."""
+"""Unused-import, dead-private-name, unreferenced-public-name,
+unused-parameter and unpassed-default lints over the package, using only the
+standard library."""
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -203,3 +205,79 @@ def test_no_unreferenced_public_names():
     defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
     referring = [p.read_text() for p in PERFBENCH.glob("*.py")]
     assert unreferenced_public_names(defining, referring) == ONLY_TESTS_CALL
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, int | None, str]]:
+    """(function, position, parameter) of each defaulted parameter of each
+    public top-level function and public method in `source`. The position
+    counts from a call's first argument, so a method's `self` takes none; a
+    keyword-only parameter has None."""
+    found = []
+    for node in ast.parse(source).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for fn in (node, *members):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)][fn is not node:]
+            first = len(positional) - len(a.defaults)
+            found += [(fn.name, i, positional[i]) for i in range(first, len(positional))]
+            found += [(fn.name, None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def unpassed_defaults(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """`module:function:parameter` of each defaulted parameter in `defining`
+    (see `defaulted_parameters`) that no call in `defining` or `calling`
+    passes. A call reaches every function of its callee's name, bare or as an
+    attribute, and passes a parameter by keyword or by position; a `*args`
+    passes every positional parameter and a `**kwargs` every one."""
+    positional: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for source in (*defining.values(), *calling):
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positional[name] = max(positional.get(name, 0),
+                                   math.inf if starred else len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)  # None: **
+    return sorted(f"{module}:{fn}:{p}" for module, source in defining.items()
+                  for fn, i, p in defaulted_parameters(source)
+                  if not ({p, None} & keywords.get(fn, set())
+                          or i is not None and positional.get(fn, 0) > i))
+
+
+def test_lint_flags_unpassed_defaults():
+    defining = {
+        "a.py": ('"""g(x=1) in a docstring is no call."""\n'
+                 "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                 "def g(x=0):\n    pass\n"
+                 "def _private(y=0):\n    pass\n"
+                 "class K:\n    def m(self, p=0, q=1):\n        pass\n"
+                 "    def _hidden(self, r=0):\n        pass\n"
+                 "def splat(s=0, t=1):\n    pass\n"
+                 "def spread(u=0):\n    pass\n"
+                 "f(0, 1, d=2)\n"),
+    }
+    calling = ["K().m(5)\nsplat(*args)\nimport a\na.spread(**kw)\n"]
+    assert unpassed_defaults(defining, calling) == ["a.py:f:c", "a.py:f:e", "a.py:g:x",
+                                                    "a.py:m:q"]
+
+
+# Defaulted parameters that only tests pass, each with the reason it stays.
+# An entry that gains a caller fails the lint too, so the list stays current.
+ONLY_TESTS_PASS = [
+    "cli.py:main:argv",  # tests drive the console entry point, which reads sys.argv
+]
+
+
+def test_no_defaulted_parameter_that_only_tests_pass():
+    """A default that neither the package nor the benchmark ever overrides is
+    an option only tests set: a module constant does its work."""
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    calling = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert unpassed_defaults(defining, calling) == ONLY_TESTS_PASS

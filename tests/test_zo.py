@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,6 +40,13 @@ def quadratic(t: ParameterVector) -> float:
     return float(0.5 * np.sum(t.values ** 2))
 
 
+@pytest.fixture
+def set_chunk(monkeypatch):
+    """Walk noise `chunk` values a block for the rest of the test, so small
+    vectors take the multi-chunk paths."""
+    return lambda chunk: monkeypatch.setattr(zo, "DEFAULT_CHUNK", chunk)
+
+
 # ---------------------------------------------------------------------------
 # parameter vector
 # ---------------------------------------------------------------------------
@@ -65,16 +74,17 @@ def test_noise_zero_length():
     assert generate_noise(PerturbationSeed(1, 0), 0).size == 0
 
 
-def test_noise_chunked_equals_whole():
+def test_noise_chunked_equals_whole(set_chunk):
+    set_chunk(333)
     s = PerturbationSeed(5, 1)
     whole = generate_noise(s, 10_000)
-    parts = np.concatenate([z for _, z in iter_noise_chunks(s, 10_000, chunk=333)])
+    parts = np.concatenate([z for _, z in iter_noise_chunks(s, 10_000)])
     assert np.array_equal(whole, parts)
-    sizes = [z.size for _, z in iter_noise_chunks(s, 10_000, chunk=333)]
+    sizes = [z.size for _, z in iter_noise_chunks(s, 10_000)]
     assert max(sizes) == 333
     out = np.empty(333)
     drawn = []
-    for _, z in iter_noise_chunks(s, 10_000, chunk=333, out=out):
+    for _, z in iter_noise_chunks(s, 10_000, out=out):
         assert z.base is out
         drawn.append(z.copy())
     assert np.concatenate(drawn).tobytes() == whole.tobytes()
@@ -130,7 +140,7 @@ def test_keyed_philox_takes_numpy_integer_keys_and_refuses_floats():
         keyed_philox(1.0, 0)
 
 
-def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
+def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss(set_chunk):
     # the loss takes and hands back generators (one per task sample) between
     # the step's noise passes, each of which borrows one; none may be shared
     cfg = ModelConfig(context_length=8, num_layers=1, hidden_dim=16, num_heads=2,
@@ -147,6 +157,7 @@ def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
     drawing = lambda t: loss_of(task.batch(range(cfg.batch_size)))(t)
     bound = model.loss_fn(*fetched)
     for chunk in (1 << 16, 97):  # one chunk; 35 chunks, later ones rewound by state
+        set_chunk(chunk)
         a, b, c = model.init_params(0), model.init_params(0), model.init_params(0)
         for step in range(2):
             # reference: each g_i from a lone estimate, each z_i regenerated whole
@@ -158,9 +169,9 @@ def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
                 acc += generate_noise(s, len(ref)) * g
             ref.values -= acc * (1e-2 / 5)
 
-            _, report_a = mezo_step(loss_of(fetched), a, zcfg, step, chunk=chunk)
-            _, report_b = mezo_step(drawing, b, zcfg, step, chunk=chunk)
-            _, report_c = mezo_step(bound, c, zcfg, step, chunk=chunk)
+            _, report_a = mezo_step(loss_of(fetched), a, zcfg, step)
+            _, report_b = mezo_step(drawing, b, zcfg, step)
+            _, report_c = mezo_step(bound, c, zcfg, step)
             assert report_a == report_b == report_c
             assert report_a.projected_gradients == tuple(gs)
             assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes() \
@@ -171,7 +182,8 @@ def test_mezo_step_is_unchanged_by_batches_drawn_inside_the_loss():
 # spsa directional derivative
 # ---------------------------------------------------------------------------
 
-def test_spsa_restores_theta_bitwise_1000_seeds():
+def test_spsa_restores_theta_bitwise_1000_seeds(set_chunk):
+    set_chunk(64)
     rng = np.random.default_rng(5)
     vals = np.concatenate([
         rng.standard_normal(101),
@@ -186,7 +198,7 @@ def test_spsa_restores_theta_bitwise_1000_seeds():
         return float(np.sum(t.values[:101] ** 2))
 
     for s in range(1000):
-        spsa_directional_derivative(loss, theta, PerturbationSeed(s, 0), 1e-3, chunk=64)
+        spsa_directional_derivative(loss, theta, PerturbationSeed(s, 0), 1e-3)
         assert theta.values.tobytes() == before
 
 
@@ -306,25 +318,26 @@ def raising_on(call: int):
 
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
 @pytest.mark.parametrize("call", [1, 2], ids=["plus", "minus"])
-def test_spsa_restores_theta_when_the_loss_raises(call, chunk):
+def test_spsa_restores_theta_when_the_loss_raises(set_chunk, call, chunk):
+    set_chunk(chunk)
     # scale 3 at epsilon 1e-3 leaves some coordinates in the undo record
     theta = flat(np.random.default_rng(4).standard_normal(4000) * 3)
     before = theta.values.tobytes()
     with pytest.raises(ValueError, match=f"call {call}$"):
-        spsa_directional_derivative(raising_on(call), theta, PerturbationSeed(5, 0), 1e-3,
-                                    chunk=chunk)
+        spsa_directional_derivative(raising_on(call), theta, PerturbationSeed(5, 0), 1e-3)
     assert theta.values.tobytes() == before
 
 
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
 @pytest.mark.parametrize("call", [5, 6], ids=["plus", "minus"])
-def test_mezo_step_restores_theta_when_the_loss_raises(call, chunk):
+def test_mezo_step_restores_theta_when_the_loss_raises(set_chunk, call, chunk):
+    set_chunk(chunk)
     # the third direction's +epsilon or -epsilon evaluation raises
     theta = flat(np.random.default_rng(4).standard_normal(4000) * 3)
     before = theta.values.tobytes()
     cfg = ZOConfig(epsilon=1e-3, learning_rate=0.1, num_perturbations=4, master_seed=1)
     with pytest.raises(ValueError, match=f"call {call}$"):
-        mezo_step(raising_on(call), theta, cfg, 0, chunk=chunk)
+        mezo_step(raising_on(call), theta, cfg, 0)
     assert theta.values.tobytes() == before
 
 
@@ -343,19 +356,22 @@ def test_mezo_step_zero_learning_rate_keeps_theta_bitwise():
     assert all(np.isfinite(g) for g in report.projected_gradients)
 
 
-def test_mezo_step_deterministic_and_chunk_invariant():
+def test_mezo_step_deterministic_and_chunk_invariant(set_chunk):
     rng = np.random.default_rng(1)
     base = rng.standard_normal(700)
     cfg = ZOConfig(epsilon=1e-3, learning_rate=0.05, num_perturbations=3, master_seed=123)
     t1, t2 = flat(base.copy()), flat(base.copy())
-    _, r1 = mezo_step(quadratic, t1, cfg, 5, chunk=64)
-    _, r2 = mezo_step(quadratic, t2, cfg, 5, chunk=4096)
+    set_chunk(64)
+    _, r1 = mezo_step(quadratic, t1, cfg, 5)
+    set_chunk(4096)
+    _, r2 = mezo_step(quadratic, t2, cfg, 5)
     assert np.array_equal(t1.values, t2.values)
     assert r1.projected_gradients == r2.projected_gradients
     assert r1.seeds == r2.seeds
 
     t3 = flat(base.copy())
-    _, _ = mezo_step(quadratic, t3, cfg, 6, chunk=64)  # different step
+    set_chunk(64)
+    _, _ = mezo_step(quadratic, t3, cfg, 6)  # different step
     assert not np.array_equal(t1.values, t3.values)
 
 
@@ -422,7 +438,7 @@ def test_mezo_step_overflowing_update_raises_with_theta_written():
     assert not np.all(np.isfinite(theta.values))
 
 
-def test_mezo_step_memory_overhead_is_bounded():
+def test_mezo_step_memory_overhead_is_bounded(set_chunk):
     # No allocation proportional to the parameter count besides theta itself:
     # peak traced overhead stays a small fraction of theta's footprint.
     dim = 400_000
@@ -433,18 +449,20 @@ def test_mezo_step_memory_overhead_is_bounded():
     def cheap_loss(t):
         return float(t.values @ t.values) * 0.5
 
-    mezo_step(cheap_loss, theta, cfg, 0, chunk=8192)  # warm up code paths
+    set_chunk(8192)
+    mezo_step(cheap_loss, theta, cfg, 0)  # warm up code paths
     tracemalloc.start()
-    mezo_step(cheap_loss, theta, cfg, 1, chunk=8192)
+    mezo_step(cheap_loss, theta, cfg, 1)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < theta.values.nbytes * 0.2
 
 
-def test_mezo_step_holds_less_than_a_chunk_at_every_loss_evaluation():
+def test_mezo_step_holds_less_than_a_chunk_at_every_loss_evaluation(set_chunk):
     # a multi-chunk stream keeps no noise between passes: what is live while
     # the loss runs is the undo record and a few small objects
     dim, chunk = 400_000, 8192
+    set_chunk(chunk)
     theta = flat(np.random.default_rng(3).standard_normal(dim))
     cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-4, num_perturbations=2,
                    master_seed=11)
@@ -454,11 +472,11 @@ def test_mezo_step_holds_less_than_a_chunk_at_every_loss_evaluation():
         held.append(tracemalloc.get_traced_memory()[0])
         return float(t.values @ t.values) * 0.5
 
-    mezo_step(loss, theta, cfg, 0, chunk=chunk)  # warm up code paths
+    mezo_step(loss, theta, cfg, 0)  # warm up code paths
     held.clear()
     tracemalloc.start()
     try:
-        mezo_step(loss, theta, cfg, 1, chunk=chunk)
+        mezo_step(loss, theta, cfg, 1)
     finally:
         tracemalloc.stop()
     assert len(held) == 4
@@ -485,10 +503,11 @@ def _checked_out(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("length, chunk", [(50, 97), (1000, 97)],
                          ids=["one-chunk", "many-chunks"])
-def test_a_noise_walk_hands_its_generator_back_with_its_last_block(monkeypatch, length,
-                                                                   chunk):
+def test_a_noise_walk_hands_its_generator_back_with_its_last_block(monkeypatch, set_chunk,
+                                                                   length, chunk):
+    set_chunk(chunk)
     out = _checked_out(monkeypatch)
-    walk = iter_noise_chunks(PerturbationSeed(5, 1), length, chunk)
+    walk = iter_noise_chunks(PerturbationSeed(5, 1), length)
     blocks = []
     while sum(b.size for b in blocks) < length:
         blocks.append(next(walk)[1])
@@ -516,7 +535,8 @@ def test_init_params_and_generate_noise_leave_no_generator_checked_out(monkeypat
 
 
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 97], ids=["one-chunk", "many-chunks"])
-def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, chunk):
+def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, set_chunk, chunk):
+    set_chunk(chunk)
     out = _checked_out(monkeypatch)
     seen = []
 
@@ -530,27 +550,27 @@ def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, chunk
 
     theta = flat(np.random.default_rng(6).standard_normal(1000))
     cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=4, master_seed=7)
-    mezo_step(scripted(lambda k: quadratic(theta)), theta, cfg, 0, chunk=chunk)
+    mezo_step(scripted(lambda k: quadratic(theta)), theta, cfg, 0)
     assert seen == [0] * 8 and out[0] == 0
     spsa_directional_derivative(scripted(lambda k: quadratic(theta)), theta,
-                                PerturbationSeed(2, 0), 1e-3, chunk=chunk)
+                                PerturbationSeed(2, 0), 1e-3)
     assert seen == [0] * 2 and out[0] == 0
 
     with pytest.raises(NonfiniteLossError):
-        mezo_step(scripted(lambda k: np.inf if k == 3 else 1.0), theta, cfg, 1, chunk=chunk)
+        mezo_step(scripted(lambda k: np.inf if k == 3 else 1.0), theta, cfg, 1)
     assert seen == [0] * 3 and out[0] == 0
     with pytest.raises(NonfiniteLossError):
         spsa_directional_derivative(scripted(lambda k: np.nan if k == 2 else 1.0), theta,
-                                    PerturbationSeed(3, 0), 1e-3, chunk=chunk)
+                                    PerturbationSeed(3, 0), 1e-3)
     assert seen == [0] * 2 and out[0] == 0
     with pytest.raises(NonfiniteGradError):  # finite losses whose difference overflows
-        mezo_step(scripted(lambda k: 1e308 if k % 2 else -1e308), theta, cfg, 2, chunk=chunk)
+        mezo_step(scripted(lambda k: 1e308 if k % 2 else -1e308), theta, cfg, 2)
     assert seen == [0] * 8 and out[0] == 0
     # raised by the update; `raised` keeps its traceback, and so the step's frame, alive
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonfiniteLossError) as raised:
         mezo_step(scripted(lambda k: 1e305 if k % 2 else -1e305), theta,
-                  ZOConfig(learning_rate=1.0, num_perturbations=4), 3, chunk=chunk)
+                  ZOConfig(learning_rate=1.0, num_perturbations=4), 3)
     assert seen == [0] * 8 and out[0] == 0, raised
 
 
@@ -558,25 +578,27 @@ def test_no_generator_is_checked_out_during_a_loss_evaluation(monkeypatch, chunk
     (3376, DEFAULT_CHUNK, 3.5 * 3376 * 8),  # one chunk: kept noise + 2 scratch
     (100_000, 8192, 3 * 8192 * 8),          # many: 2 chunk buffers + undo record
 ], ids=["one-chunk", "many-chunks"])
-def test_noise_only_step_peak_holds_the_estimators_own_bytes(size, chunk, bound):
+def test_noise_only_step_peak_holds_the_estimators_own_bytes(set_chunk, size, chunk, bound):
+    set_chunk(chunk)
     theta = flat(np.random.default_rng(4).standard_normal(size))
     cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-3, num_perturbations=4, master_seed=2)
     zero = lambda t: 0.0
-    mezo_step(zero, theta, cfg, 0, chunk=chunk)  # warm up code paths
+    mezo_step(zero, theta, cfg, 0)  # warm up code paths
     tracemalloc.start()
     try:
-        mezo_step(zero, theta, cfg, 1, chunk=chunk)
+        mezo_step(zero, theta, cfg, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound, peak
 
 
-def test_shift_exception_records_are_sparse():
+def test_shift_exception_records_are_sparse(set_chunk):
     from mezofit.zo import _Stream
 
+    set_chunk(16384)
     values = np.random.default_rng(8).standard_normal(200_000)
-    stream = _Stream(PerturbationSeed(4, 0), values.size, 16384, 1e-3)
+    stream = _Stream(PerturbationSeed(4, 0), values.size, 1e-3)
     stream.shift(values, +1.0)
     recorded = sum(idx.size for idx, _ in stream.undo.values())
     assert recorded < 0.01 * values.size
@@ -584,14 +606,16 @@ def test_shift_exception_records_are_sparse():
 
 @pytest.mark.parametrize("chunk, index", [(DEFAULT_CHUNK, np.uint16), (1 << 17, np.uint32)],
                          ids=["default-chunk", "past-uint16"])
-def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(chunk, index):
+def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(set_chunk, chunk,
+                                                                        index):
     # chunk-local indices in the smallest unsigned type that holds chunk - 1:
     # 10 bytes per recorded coordinate at the default chunk, not 16
     from mezofit.zo import _Stream
 
+    set_chunk(chunk)
     theta = flat(np.random.default_rng(8).standard_normal(200_000))
     before = theta.values.tobytes()
-    stream = _Stream(PerturbationSeed(4, 0), len(theta), chunk, 1e-3)
+    stream = _Stream(PerturbationSeed(4, 0), len(theta), 1e-3)
     stream.shift(theta.values, +1.0)
     assert {idx.dtype for idx, _ in stream.undo.values()} == {np.dtype(index)}
     top = max(int(idx.max()) for idx, _ in stream.undo.values())
@@ -599,13 +623,14 @@ def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(chunk, i
     stream.shift(theta.values, 0.0)
     assert theta.values.tobytes() == before
     for s in range(5):
-        spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), 1e-3, chunk=chunk)
+        spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), 1e-3)
         assert theta.values.tobytes() == before
 
 
 @pytest.mark.parametrize("size, chunk", [(6, DEFAULT_CHUNK), (300, 97), (6, 1 << 70)],
                          ids=["one-chunk", "many-chunks", "chunk-past-uint64"])
-def test_negative_zeros_come_back_bitwise(size, chunk):
+def test_negative_zeros_come_back_bitwise(set_chunk, size, chunk):
+    set_chunk(chunk)
     # -0.0 == +0.0 as floats, so only a bit-pattern check records them
     values = np.random.default_rng(3).standard_normal(size)
     values[::2] = -0.0
@@ -613,25 +638,11 @@ def test_negative_zeros_come_back_bitwise(size, chunk):
     before = theta.values.tobytes()
     for eps in (1e-3, 5e-324):
         for s in range(3):
-            spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), eps,
-                                        chunk=chunk)
+            spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), eps)
             assert theta.values.tobytes() == before
     cfg = ZOConfig(epsilon=1e-3, learning_rate=0.0, num_perturbations=3, master_seed=1)
-    mezo_step(quadratic, theta, cfg, 0, chunk=chunk)
+    mezo_step(quadratic, theta, cfg, 0)
     assert theta.values.tobytes() == before
-
-
-@pytest.mark.parametrize("chunk", [-5, 0, 1.5, True])
-def test_a_chunk_that_is_not_a_positive_integer_is_refused_up_front(monkeypatch, chunk):
-    out = _checked_out(monkeypatch)
-    theta = flat([1.0, -0.0, 2.0])
-    before = theta.values.tobytes()
-    never = lambda t: pytest.fail("the loss ran")
-    with pytest.raises(ValueError, match="chunk"):
-        spsa_directional_derivative(never, theta, PerturbationSeed(1, 0), 1e-3, chunk=chunk)
-    with pytest.raises(ValueError, match="chunk"):
-        mezo_step(never, theta, ZOConfig(), 0, chunk=chunk)
-    assert out[0] == 0 and theta.values.tobytes() == before
 
 
 _SNAN = np.frombuffer((0x7FF0_0000_0000_0001).to_bytes(8, "little"))[0]
@@ -643,10 +654,11 @@ _SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e250, -1e250
                                          (3376, DEFAULT_CHUNK)])
 @pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1e-3, 0.5, 1e300, 1e308, 10 ** 300,
                                      Fraction(1, 3)])
-def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(size, chunk,
-                                                                           epsilon):
+def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(set_chunk, size,
+                                                                           chunk, epsilon):
     from mezofit.zo import _Stream
 
+    set_chunk(chunk)
     for offset in range(_SPECIALS.size):
         values = np.random.default_rng(offset).standard_normal(size)
         values[::2] = np.resize(np.roll(_SPECIALS, -offset), values[::2].size)
@@ -656,7 +668,7 @@ def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(siz
             d = generate_noise(seed, size) * float(epsilon)
             plus, minus = (values + d).tobytes(), (values - d).tobytes()
             for first, second in ((+1.0, -1.0), (-1.0, +1.0)):
-                stream = _Stream(seed, size, chunk, epsilon)
+                stream = _Stream(seed, size, epsilon)
                 for sign in (first, second):
                     stream.shift(values, sign)
                     assert values.tobytes() == (plus if sign > 0 else minus)
@@ -667,18 +679,41 @@ def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(siz
 @pytest.mark.parametrize("size, chunk, per_step, per_estimate",
                          [(1000, DEFAULT_CHUNK, 2, 1), (1000, 97, 4, 3)],
                          ids=["one-chunk", "many-chunks"])
-def test_draw_budget_per_step_and_per_estimate(monkeypatch, size, chunk, per_step,
-                                               per_estimate):
+def test_draw_budget_per_step_and_per_estimate(monkeypatch, set_chunk, size, chunk,
+                                               per_step, per_estimate):
     # each draw is one keyed_philox loan: a redraw added anywhere fails here
+    set_chunk(chunk)
     taken, take = [], zo.keyed_philox
     monkeypatch.setattr(zo, "keyed_philox", lambda k0, k1: taken.append(k0) or take(k0, k1))
     theta = flat(np.random.default_rng(2).standard_normal(size))
     cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=4, master_seed=7)
-    mezo_step(quadratic, theta, cfg, 0, chunk=chunk)
+    mezo_step(quadratic, theta, cfg, 0)
     assert len(taken) == per_step * cfg.num_perturbations
     taken.clear()
-    spsa_directional_derivative(quadratic, theta, PerturbationSeed(2, 0), 1e-3, chunk=chunk)
+    spsa_directional_derivative(quadratic, theta, PerturbationSeed(2, 0), 1e-3)
     assert len(taken) == per_estimate
+
+
+@pytest.mark.parametrize("size, per_step, per_estimate",
+                         [(DEFAULT_CHUNK, 2, 1), (DEFAULT_CHUNK + 1, 4, 3)],
+                         ids=["at-the-chunk", "one-past-it"])
+def test_the_kept_or_walked_switch_sits_at_the_default_chunk(monkeypatch, set_chunk, size,
+                                                            per_step, per_estimate):
+    # no chunk is set: DEFAULT_CHUNK values keep d, one more are walked in two chunks
+    taken, take = [], zo.keyed_philox
+    monkeypatch.setattr(zo, "keyed_philox", lambda k0, k1: taken.append(k0) or take(k0, k1))
+    base = np.random.default_rng(9).standard_normal(size) * 3
+    theta = flat(base.copy())
+    spsa_directional_derivative(quadratic, theta, PerturbationSeed(2, 0), 1e-3)
+    assert len(taken) == per_estimate and theta.values.tobytes() == base.tobytes()
+    taken.clear()
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=2, master_seed=7)
+    _, report = mezo_step(quadratic, theta, cfg, 0)
+    assert len(taken) == per_step * cfg.num_perturbations
+    set_chunk(4096)
+    walked = flat(base.copy())
+    _, walked_report = mezo_step(quadratic, walked, cfg, 0)
+    assert walked_report == report and walked.values.tobytes() == theta.values.tobytes()
 
 
 def test_zo_config_validation():
@@ -696,6 +731,50 @@ def test_zo_config_refuses_a_learning_rate_past_the_largest_float():
     # mezo_step would run all 2n losses, then overflow at lr / n
     with pytest.raises(ConfigError, match="learning_rate"):
         ZOConfig(1e-3, 10 ** 400, 2, 0)
+
+
+# a longdouble only where it is wider than a float64 (x86's 80-bit extended)
+_WIDE = np.finfo(np.longdouble).max > sys.float_info.max
+NUMPY_STEP_SIZES = [np.float16(0.25), np.float32(0.25), np.float64(0.25), np.int64(1),
+                    *([np.longdouble(0.25)] if _WIDE else [])]
+NUMPY_PAST_THE_LIMIT = [np.float32(np.nan), np.float32(np.inf), np.float16(-np.inf),
+                        *([np.longdouble(sys.float_info.max) * 2] if _WIDE else [])]
+
+
+def _numpy_id(value) -> str:
+    return f"{type(value).__name__}-{value!s}"  # format() would print a longdouble as a float
+
+
+@pytest.mark.parametrize("value", NUMPY_STEP_SIZES, ids=_numpy_id)
+def test_a_numpy_step_size_of_any_width_gives_the_float_results_without_a_warning(value):
+    # the limit check widens to float64 rather than casting the limit to inf, and the
+    # estimator works in float, so a float32 epsilon gives float projected gradients
+    def run(step):
+        theta = flat([1.0, -0.5, 2.0])
+        g = spsa_directional_derivative(quadratic, theta, PerturbationSeed(1, 0), step)
+        bp_sgd_step(lambda t: (flat(t.values.copy()), quadratic(t)), theta, step)
+        _, report = mezo_step(quadratic, theta, ZOConfig(step, step, 2, 3), 0)
+        return g, report, theta.values.tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(value)
+    assert got == run(float(value))
+    assert all(type(g) is float for g in (got[0], *got[1].projected_gradients))
+
+
+@pytest.mark.parametrize("value", NUMPY_PAST_THE_LIMIT, ids=_numpy_id)
+def test_a_numpy_step_size_past_the_largest_float_is_refused_without_a_warning(value):
+    theta = flat([1.0, -0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in ("epsilon", "learning_rate"):
+            with pytest.raises(ConfigError, match=field):
+                ZOConfig(**{field: value})
+        with pytest.raises(ConfigError, match="epsilon"):
+            spsa_directional_derivative(quadratic, theta, PerturbationSeed(1, 0), value)
+        with pytest.raises(ConfigError, match="eta"):
+            bp_sgd_step(lambda t: pytest.fail("the gradient ran"), theta, value)
 
 
 # ---------------------------------------------------------------------------

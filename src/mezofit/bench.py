@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mezofit.memory import ConfigError, MemoryMode, ModelConfig, memory_for_mode
+from mezofit.memory import ConfigError, MemoryMode, ModelConfig, memory_for_mode, real_setting
 from mezofit.model import ToyTransformer, loss_from_logits
 from mezofit.tasks import EVAL_INDEX_BASE, ToyTask
 from mezofit.zo import (
@@ -29,7 +29,6 @@ from mezofit.zo import (
     NonfiniteLossError,
     ZOConfig,
     bp_sgd_step,
-    check_step_size,
     mezo_step,
     splitmix64,
 )
@@ -68,15 +67,15 @@ class ExperimentPlan:
         for name in ("lr_grid_bp", "lr_grid_mezo"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} needs at least one rate")
-            for lr in getattr(self, name):
-                check_step_size(name, lr, positive=False)
-            # a numpy float or a Fraction would print as such in the CSV and JSON
-            object.__setattr__(self, name, tuple(float(lr) for lr in getattr(self, name)))
+            # stored as floats: a numpy float or a Fraction would print as such in the CSV
+            object.__setattr__(self, name, tuple(real_setting(name, lr, positive=False)
+                                                 for lr in getattr(self, name)))
         bp_total = memory_for_mode(self.bp_model, MemoryMode.BP).total_bytes
         mezo_total = memory_for_mode(self.mezo_model, MemoryMode.MEZO).total_bytes
-        if self.budget_bytes is None:
-            object.__setattr__(self, "budget_bytes", max(bp_total, mezo_total))
-        if not max(bp_total, mezo_total) <= self.budget_bytes:  # a NaN budget fails too
+        budget = self.budget_bytes
+        object.__setattr__(self, "budget_bytes", max(bp_total, mezo_total) if budget is None
+                           else real_setting("budget_bytes", budget, positive=True))
+        if not max(bp_total, mezo_total) <= self.budget_bytes:
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "
                 f"{mezo_total:.4g} B against a budget of {self.budget_bytes:.4g} B")

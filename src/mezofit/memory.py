@@ -31,10 +31,10 @@ class ConfigError(ValueError):
 
 @functools.cache
 def field_types(cls) -> MappingProxyType:
-    """Each dataclass field mapped to int or float as its annotation says
-    (``int | None`` maps to int); read-only, since every caller shares it."""
-    return MappingProxyType({name: int if int in (hint, *typing.get_args(hint)) else float
-                             for name, hint in typing.get_type_hints(cls).items()})
+    """Each dataclass field annotated int or float (either may be ``| None``) mapped
+    to that type, other fields left out; read-only, since every caller shares it."""
+    return MappingProxyType({name: kind for name, hint in typing.get_type_hints(cls).items()
+                             for kind in (int, float) if hint in (kind, kind | None)})
 
 
 def shown(v) -> str:
@@ -45,12 +45,33 @@ def shown(v) -> str:
         return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
 
 
-def check_field_types(obj) -> None:
-    """ConfigError unless each field of `obj` holds its `field_types` kind and no bool."""
+def real_setting(name: str, value, positive: bool) -> float:
+    """`value` as a Python float, the one rule for a real-valued setting: a bool,
+    a value that is not a `numbers.Real` and one whose float is not in [0,
+    largest float], or is 0 when `positive`, raise ConfigError naming `name`.
+    So a Fraction, a numpy float or a longdouble runs as the float it names."""
+    x = value
+    if type(value) is not float:  # the common case skips the ABC checks
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            x = float(value) if real else math.nan
+        except OverflowError:  # an int or a Fraction past the largest float
+            x = math.nan
+    if not ((0.0 < x if positive else 0.0 <= x) and x <= sys.float_info.max):  # NaN fails
+        raise ConfigError(f"{name} must be a real number in {'(' if positive else '['}0, "
+                          f"{sys.float_info.max!r}], got {shown(value)}")
+    return x
+
+
+def check_field_types(obj, positive: tuple[str, ...] = ()) -> None:
+    """ConfigError unless each `field_types` int field of `obj` holds an int, no bool,
+    and `real_setting` takes each float field (> 0 if in `positive`), stored as its float."""
     for name, kind in field_types(type(obj)).items():
         v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, int if kind is int else numbers.Real):
-            raise ConfigError(f"{name} must be {'integral' if kind is int else 'real'}, got {v!r}")
+        if kind is float:
+            object.__setattr__(obj, name, real_setting(name, v, name in positive))
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{name} must be integral, got {v!r}")
 
 
 class InfeasibleError(ValueError):
@@ -90,7 +111,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kv_heads is None:
             object.__setattr__(self, "kv_heads", self.num_heads)
-        check_field_types(self)
+        check_field_types(self, positive=("bytes_per_param", "expansion_factor"))
         for field, kind in field_types(ModelConfig).items():
             v = getattr(self, field)
             if kind is int and v < 1:
@@ -103,10 +124,7 @@ class ModelConfig:
                 f"({self.hidden_dim} % {self.num_heads} != 0)")
         if self.num_heads % self.kv_heads != 0:
             raise ConfigError(f"kv_heads must divide num_heads {self.num_heads}, got {self.kv_heads}")
-        for field in ("bytes_per_param", "expansion_factor"):
-            if not 0 < (v := getattr(self, field)) <= sys.float_info.max:  # NaN fails too
-                raise ConfigError(f"{field} must be finite and > 0, got {shown(v)}")
-        if not 0 <= self.stored_layers <= self.num_layers:
+        if self.stored_layers > self.num_layers:  # real_setting refused a negative one
             raise ConfigError(
                 f"stored_layers must lie in [0, num_layers], got "
                 f"{shown(self.stored_layers)} with num_layers={self.num_layers}")

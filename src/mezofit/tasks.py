@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mezofit.memory import ConfigError
+from mezofit.memory import ConfigError, check_field_types
 from mezofit.zo import keyed_philox, release_philox, splitmix64
 
 EVAL_INDEX_BASE = 1 << 40  # train uses [0, 2^40), eval starts here
@@ -67,6 +67,11 @@ class ToyTask:
     seed: int
 
     def __post_init__(self) -> None:
+        try:  # a plain string names its kind too
+            object.__setattr__(self, "kind", TaskKind(self.kind))
+        except ValueError:
+            raise ConfigError(f"kind must be one of {', '.join(TaskKind)}, got {self.kind!r}") from None
+        check_field_types(self)
         if self.vocab_size < 2 or self.seq_len < 2:
             raise ConfigError("vocab_size and seq_len must be at least 2")
         if self.kind is TaskKind.SEQUENCE_COPY:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mezofit.memory import ModelConfig
+from mezofit.memory import ModelConfig, real_setting
 from mezofit.model import ToyTransformer
 from mezofit.tasks import ToyTask, TaskKind
 from mezofit.zo import (
@@ -21,7 +21,6 @@ from mezofit.zo import (
     PerturbationSeed,
     Segment,
     ZOConfig,
-    check_step_size,
     generate_noise,
     mezo_step,
     spsa_directional_derivative,
@@ -165,7 +164,7 @@ def run_verification(dim: int = RESTORE_DIM, seed: int = SEED,
         raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    check_step_size("epsilon", epsilon, positive=True)  # up front, before any check runs
+    epsilon = real_setting("epsilon", epsilon, positive=True)  # before any check runs
     return [
         check_restoration(dim=dim, epsilon=epsilon, seed=seed),
         check_quadratic_unbiasedness(epsilon=epsilon, seed=seed),

@@ -38,7 +38,6 @@ estimate.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -46,11 +45,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from mezofit.memory import ConfigError, check_field_types, shown
+from mezofit.memory import ConfigError, check_field_types, real_setting, shown
 
 DEFAULT_CHUNK = 1 << 16
-_FLOAT_MAX = sys.float_info.max
-_FLOAT64_MAX = np.float64(_FLOAT_MAX)  # the limit for numpy scalars, which widen to it exactly
 
 _MASK64 = (1 << 64) - 1
 
@@ -202,22 +199,6 @@ def iter_noise_chunks(seed: PerturbationSeed, length: int,
 # hyperparameters
 # ---------------------------------------------------------------------------
 
-def check_step_size(name: str, value, positive: bool) -> None:
-    """The one rule for step sizes: ConfigError naming `name` and `value`
-    unless it is a real number (`numbers.Real`, bool excluded) in [0, largest
-    float], and above 0 when `positive`. Learning rates may be 0; epsilon,
-    `positive`, may not. NaN, inf, an int past the largest float, a bool, a
-    Decimal and a string fail; a Fraction or a numpy float passes. A numpy
-    scalar meets the limit as a float64, so a float32 is not compared with a
-    limit cast down to its range, and a longdouble past it still fails."""
-    real = type(value) in (float, int) or (  # the common case skips the ABC checks
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
-    limit = _FLOAT64_MAX if isinstance(value, np.generic) else _FLOAT_MAX
-    if not (real and (0.0 < value if positive else 0.0 <= value) and value <= limit):
-        raise ConfigError(f"{name} must lie in {'(' if positive else '['}0, "
-                          f"{_FLOAT_MAX!r}], got {shown(value)}")
-
-
 @dataclass(frozen=True)
 class ZOConfig:
     epsilon: float = 1e-3
@@ -226,9 +207,7 @@ class ZOConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        check_step_size("epsilon", self.epsilon, positive=True)
-        check_step_size("learning_rate", self.learning_rate, positive=False)
+        check_field_types(self, positive=("epsilon",))
         if not 1 <= self.num_perturbations <= sys.maxsize:
             raise ConfigError(f"num_perturbations must be an integer in [1, {sys.maxsize}], "
                               f"got {shown(self.num_perturbations)}")
@@ -260,7 +239,7 @@ _Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx,
 
 class _Stream:
     """One direction's scaled step d = fl(epsilon*z), walked from its start by
-    every pass.
+    every pass; epsilon is a Python float, as `real_setting` returns it.
 
     It holds no generator between passes. A vector of at most `DEFAULT_CHUNK`
     values keeps d: its noise, drawn by `generate_noise`, is scaled once in
@@ -270,7 +249,6 @@ class _Stream:
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, epsilon: float):
-        epsilon = float(epsilon)  # for any real epsilon: a Fraction, a numpy float32 too
         self.seed, self.size, self.epsilon = seed, size, epsilon
         self.index = None  # the undo record's index type, fixed by its first entry
         self.kept = None
@@ -333,9 +311,9 @@ def spsa_directional_derivative(loss_fn: Callable[[ParameterVector], float],
     place (z is streamed from `seed`, never stored whole), restores theta
     bit-for-bit, and returns (loss_plus - loss_minus) / (2*eps). Theta is
     restored too when a loss is non-finite or `loss_fn` raises. An epsilon
-    that `check_step_size` refuses raises ConfigError before theta is touched.
+    that `real_setting` refuses raises ConfigError before theta is touched.
     """
-    check_step_size("epsilon", epsilon, positive=True)
+    epsilon = real_setting("epsilon", epsilon, positive=True)
     g, _, _ = _spsa_full(loss_fn, theta, _Stream(seed, len(theta), epsilon))
     return g
 
@@ -390,7 +368,7 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     if not all(map(math.isfinite, gs)):
         raise NonfiniteGradError(f"projected gradients {gs} are not all finite")
     if cfg.learning_rate > 0:
-        scale = float(cfg.learning_rate / n)  # a float for a Fraction rate too
+        scale = cfg.learning_rate / n
         zbuf, abuf = np.empty((2, min(DEFAULT_CHUNK, size)))
         walks = [iter_noise_chunks(s, size, zbuf) for s in seeds]  # in lockstep
         finite = True
@@ -416,8 +394,8 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
                 eta: float) -> ParameterVector:
     """Vanilla SGD: theta <- theta - eta * grad, consuming the gradient buffer.
     `loss_and_grad_fn` returns (gradient, loss) as the toy model's backward does.
-    An eta that `check_step_size` refuses raises ConfigError before it is called."""
-    check_step_size("eta", eta, positive=False)
+    An eta that `real_setting` refuses raises ConfigError before it is called."""
+    eta = real_setting("eta", eta, positive=False)
     grad, loss = loss_and_grad_fn(theta)
     if not math.isfinite(loss):
         raise NonfiniteLossError(f"loss is {loss}")
@@ -425,6 +403,6 @@ def bp_sgd_step(loss_and_grad_fn: Callable[[ParameterVector],
         raise ValueError("gradient and parameter shapes differ")
     if not np.isfinite(grad.values).all():
         raise NonfiniteGradError("gradient contains NaN/Inf")
-    grad.values *= float(eta)  # a Fraction eta too
+    grad.values *= eta
     theta.values -= grad.values
     return theta

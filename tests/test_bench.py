@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import time
@@ -76,6 +77,24 @@ def test_plan_totals_are_matched():
     mz_total = memory_for_mode(plan.mezo_model, MemoryMode.MEZO).total_bytes
     assert max(bp_total, mz_total) <= plan.budget_bytes
     assert max(bp_total, mz_total) / min(bp_total, mz_total) <= 1.15
+
+
+@pytest.mark.parametrize("budget", ["26624", math.inf, math.nan, 0.0, -1.0, True, 10 ** 400],
+                         ids=["str", "inf", "nan", "zero", "negative", "bool", "int-1e400"])
+def test_plan_refuses_a_budget_that_is_not_a_positive_real_number(budget):
+    with pytest.raises(ConfigError, match="^budget_bytes must be"):
+        make_plan(budget_bytes=budget)
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64, Fraction, int],
+                         ids=lambda real: real.__name__)
+def test_plan_stores_a_budget_of_any_real_type_as_its_float(real):
+    budget = make_plan().budget_bytes
+    assert float(real(budget)) == budget  # the default budget is a whole number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = make_plan(budget_bytes=real(budget))
+    assert type(plan.budget_bytes) is float and plan.budget_bytes == budget
 
 
 def test_plan_rejects_budget_violation():

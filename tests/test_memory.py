@@ -1,7 +1,11 @@
+import dataclasses
+import json
 import math
 import random
 import re
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -550,6 +554,21 @@ def test_config_fields_refuse_bools_strings_and_none(cls, field, value):
     make = LLAMA7B.replace if cls is ModelConfig else ZOConfig
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("real", [np.float32, Fraction], ids=["float32", "fraction"])
+def test_model_config_stores_a_real_setting_of_any_type_as_its_float(real):
+    # a float32 once met the largest float as a float32 (an overflow warning),
+    # kept its own precision in the totals and, like a Fraction, broke json.dumps
+    floats = dict(bytes_per_param=2.0, expansion_factor=2.5, stored_layers=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = LLAMA7B.replace(**{k: real(v) for k, v in floats.items()})
+        json.dumps(dataclasses.asdict(cfg))
+        assert all(type(getattr(cfg, k)) is float for k in floats)
+        want = LLAMA7B.replace(**floats)
+        assert cfg == want
+        assert all(memory_for_mode(cfg, m) == memory_for_mode(want, m) for m in MemoryMode)
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,27 @@ def test_task_validation():
         ToyTask(TaskKind.BINARY_QA_SYNTHETIC, vocab_size=4, seq_len=10, seed=0)
     with pytest.raises(ConfigError):
         ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=1, seq_len=6, seed=0)
+
+
+@pytest.mark.parametrize("kind", list(TaskKind), ids=lambda kind: kind.value)
+def test_a_kind_given_as_its_string_builds_the_same_task(kind):
+    task = ToyTask(kind.value, vocab_size=8, seq_len=7, seed=0)
+    assert task.kind is kind and task == ToyTask(kind, vocab_size=8, seq_len=7, seed=0)
+    got, want = task.batch(range(3)), ToyTask(kind, 8, 7, 0).batch(range(3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_kind_string_gets_its_kind_checks():
+    # a string once skipped the copy checks and built binary-QA data
+    with pytest.raises(ConfigError, match="odd seq_len"):
+        ToyTask("sequence_copy", vocab_size=8, seq_len=8, seed=0)
+    with pytest.raises(ConfigError, match="^kind must be one of sequence_copy, "):
+        ToyTask("nonsense", vocab_size=8, seq_len=7, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [("vocab_size", 8.0), ("seq_len", 7.0),
+                                          ("seed", True), ("seed", 0.5), ("vocab_size", "8")])
+def test_task_sizes_and_seed_must_be_integers(field, value):
+    spec = {"vocab_size": 8, "seq_len": 7, "seed": 0, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be integral"):
+        ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, **spec)

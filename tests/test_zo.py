@@ -258,17 +258,26 @@ def test_a_step_size_that_is_not_a_real_number_is_refused_before_theta_is_touche
     assert theta.values.tobytes() == before
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 1000), np.float64(1e-3), 1e-3],
-                         ids=["fraction", "numpy-float", "float"])
-def test_a_real_step_size_of_any_type_gives_the_float_results(value):
+# a longdouble only where it is wider than a float64 (x86's 80-bit extended)
+_WIDE = np.finfo(np.longdouble).max > sys.float_info.max
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("value", [
+    Fraction(1, 1000), Fraction(1, 10), np.float64(1e-3), np.float32(0.1), np.float16(0.1),
+    *([np.longdouble(0.1)] if _WIDE else []), 1e-3,
+], ids=["fraction", "fraction-tenth", "numpy-float", "float32", "float16",
+        *(["longdouble"] if _WIDE else []), "float"])
+def test_a_real_step_size_of_any_type_gives_the_float_results(value, n):
+    # the rate becomes its float before mezo_step divides it by n
     def run(step):
         theta = flat([1.0, -0.5, 2.0])
         g = spsa_directional_derivative(quadratic, theta, PerturbationSeed(1, 0), step)
         bp_sgd_step(lambda t: (flat(t.values.copy()), quadratic(t)), theta, step)
-        _, report = mezo_step(quadratic, theta, ZOConfig(step, step, 2, 3), 0)
+        _, report = mezo_step(quadratic, theta, ZOConfig(step, step, n, 3), 0)
         return g, report, theta.values.tobytes()
 
-    assert run(value) == run(1e-3)
+    assert run(value) == run(float(value))
 
 
 @pytest.mark.parametrize("epsilon", [np.inf, 10 ** 400], ids=["inf", "int-1e400"])
@@ -668,7 +677,7 @@ def test_shifts_are_plain_float_steps_and_restore_bitwise_at_extreme_epsilon(set
             d = generate_noise(seed, size) * float(epsilon)
             plus, minus = (values + d).tobytes(), (values - d).tobytes()
             for first, second in ((+1.0, -1.0), (-1.0, +1.0)):
-                stream = _Stream(seed, size, epsilon)
+                stream = _Stream(seed, size, float(epsilon))  # the float the entry points pass
                 for sign in (first, second):
                     stream.shift(values, sign)
                     assert values.tobytes() == (plus if sign > 0 else minus)
@@ -733,8 +742,6 @@ def test_zo_config_refuses_a_learning_rate_past_the_largest_float():
         ZOConfig(1e-3, 10 ** 400, 2, 0)
 
 
-# a longdouble only where it is wider than a float64 (x86's 80-bit extended)
-_WIDE = np.finfo(np.longdouble).max > sys.float_info.max
 NUMPY_STEP_SIZES = [np.float16(0.25), np.float32(0.25), np.float64(0.25), np.int64(1),
                     *([np.longdouble(0.25)] if _WIDE else [])]
 NUMPY_PAST_THE_LIMIT = [np.float32(np.nan), np.float32(np.inf), np.float16(-np.inf),

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mezofit.memory import ConfigError, MemoryMode, ModelConfig, memory_for_mode, real_setting
+from mezofit.memory import (
+    ConfigError,
+    MemoryMode,
+    ModelConfig,
+    check_field_types,
+    memory_for_mode,
+    real_setting,
+)
 from mezofit.model import ToyTransformer, loss_from_logits
 from mezofit.tasks import EVAL_INDEX_BASE, ToyTask
 from mezofit.zo import (
@@ -57,6 +64,7 @@ class ExperimentPlan:
     run_seed: int
 
     def __post_init__(self) -> None:
+        check_field_types(self, positive=("budget_bytes",))
         if self.steps < 0 or self.eval_every < 1:
             raise ConfigError("steps must be >= 0 and eval_every >= 1")
         batch = max(self.bp_model.batch_size, self.mezo_model.batch_size)
@@ -72,9 +80,8 @@ class ExperimentPlan:
                                                  for lr in getattr(self, name)))
         bp_total = memory_for_mode(self.bp_model, MemoryMode.BP).total_bytes
         mezo_total = memory_for_mode(self.mezo_model, MemoryMode.MEZO).total_bytes
-        budget = self.budget_bytes
-        object.__setattr__(self, "budget_bytes", max(bp_total, mezo_total) if budget is None
-                           else real_setting("budget_bytes", budget, positive=True))
+        if self.budget_bytes is None:
+            object.__setattr__(self, "budget_bytes", max(bp_total, mezo_total))
         if not max(bp_total, mezo_total) <= self.budget_bytes:
             raise ConfigError(
                 f"matched-budget violation: BP needs {bp_total:.4g} B and MeZO "

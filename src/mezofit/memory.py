@@ -65,9 +65,12 @@ def real_setting(name: str, value, positive: bool) -> float:
 
 def check_field_types(obj, positive: tuple[str, ...] = ()) -> None:
     """ConfigError unless each `field_types` int field of `obj` holds an int, no bool,
-    and `real_setting` takes each float field (> 0 if in `positive`), stored as its float."""
+    and `real_setting` takes each float field (> 0 if in `positive`), stored as its float.
+    A None in a field annotated ``| None`` is left as it is."""
     for name, kind in field_types(type(obj)).items():
         v = getattr(obj, name)
+        if v is None and typing.get_type_hints(type(obj))[name] is not kind:
+            continue
         if kind is float:
             object.__setattr__(obj, name, real_setting(name, v, name in positive))
         elif isinstance(v, bool) or not isinstance(v, int):

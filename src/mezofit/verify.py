@@ -160,6 +160,9 @@ def run_verification(dim: int = RESTORE_DIM, seed: int = SEED,
                      epsilon: float = EPSILON) -> list[CheckResult]:
     """The full check battery used by the CLI. `dim` sizes the restoration
     check's vector only; the other checks run at their fixed spec."""
+    for name, v in (("dim", dim), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if not 1 <= dim <= MAX_VERIFY_DIM:
         raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
     if seed < 0:

@@ -28,8 +28,10 @@ constant `DEFAULT_CHUNK` values; no caller passes a size.
 
 The estimator's own bytes at a loss evaluation are one sparse record of the
 few coordinates whose float perturbation cannot be undone bit for bit by
-arithmetic alone, 10 bytes each (a uint16 chunk-local index and the saved
-float64), plus the whole d only when it fits in one chunk.
+arithmetic alone, plus the whole d only when it fits in one chunk. A
+recorded coordinate takes a uint16 chunk-local index and its saved float64
+(10 bytes) for a one-chunk vector, or its bit offset (mostly 3 or 4 bytes
+in all) for a longer one.
 With a pass's scratch they peak at the kept d plus two temporaries of its size
 for a one-chunk vector, and at two chunk buffers plus the record for a longer
 one. The record makes the parameter vector come back bit-for-bit after an
@@ -228,13 +230,19 @@ class StepReport:
 # Plain float adds lose low bits, so x + d - d != x for a large fraction of
 # coordinates. Each pass below therefore checks invertibility coordinate-wise,
 # on bit patterns so that -0.0 and NaN payloads count, and records the
-# original bits of the (rare) coordinates that fail; the next pass takes each
-# chunk's entry out as it replays it, so the old record shrinks as the new one
-# grows. It holds a tiny fraction of the vector for unit-scale parameters and
-# epsilon ~ 1e-3, indexed in the smallest unsigned type that holds a
-# chunk-local index, fixed once per stream.
+# (rare) coordinates that fail; the next pass takes each chunk's entry out as
+# it replays it, so the old record shrinks as the new one grows. It holds
+# about 0.4% of the vector for unit-scale parameters and epsilon ~ 1e-3, and
+# about 2.5% at scale 1/sqrt(128), indexed in the smallest unsigned type that
+# holds a chunk-local index, fixed once per stream.
+#
+# A walked stream saves each coordinate as off = bits(x) - bits(fl(up -/+ d))
+# mod 2^64, read as signed. The next pass recomputes exactly fl(up -/+ d), and
+# adding off to its bits mod 2^64 gives x back for every bit pattern; most
+# offsets are a few ulps, and only sign crossings, NaN payloads and the like
+# need the wider types. A kept stream saves the float64 values themselves.
 
-_Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved values)
+_Record = dict[int, tuple[np.ndarray, np.ndarray]]  # chunk start -> (local idx, saved)
 
 
 class _Stream:
@@ -245,7 +253,8 @@ class _Stream:
     values keeps d: its noise, drawn by `generate_noise`, is scaled once in
     place and kept until the shift that restores the base. A longer one is
     walked by `iter_noise_chunks`, each drawn chunk scaled in place. `shift`
-    keeps its sign and undo record for the next shift to read.
+    keeps its sign and undo record for the next shift to read: the saved
+    values of a kept stream, the signed bit offsets of a walked one.
     """
 
     def __init__(self, seed: PerturbationSeed, size: int, epsilon: float):
@@ -284,12 +293,15 @@ class _Stream:
     def _block(self, base, d, sign, start, record, up, back) -> None:
         """One block of `shift`: take the last shift out of `base`, put the new
         one in and record the coordinates that fl(up - sign*d) does not give
-        back bit for bit."""
+        back bit for bit: their values if d is kept, else their bit offsets."""
         if self.sign:
             (np.subtract if self.sign > 0 else np.add)(base, d, out=base)
             fix = self.undo.pop(start, None)
             if fix is not None:
-                base[fix[0]] = fix[1]
+                if self.kept is None:  # offsets from the bits just given back
+                    base.view(np.int64)[fix[0]] += fix[1]
+                else:
+                    base[fix[0]] = fix[1]
         if sign:
             up = (np.add if sign > 0 else np.subtract)(base, d, out=up)
             back = (np.subtract if sign > 0 else np.add)(up, d, out=back)
@@ -297,7 +309,12 @@ class _Stream:
             if bad.size:
                 if self.index is None:  # a numpy call of about 1 us; most small passes skip it
                     self.index = np.min_scalar_type(min(DEFAULT_CHUNK, self.size) - 1)
-                record[start] = (bad.astype(self.index), base[bad])
+                saved = base[bad]
+                if self.kept is None:  # bits(x) - bits(back) mod 2^64, as signed
+                    saved = saved.view(np.int64) - back.view(np.int64)[bad]
+                    saved = saved.astype(np.min_scalar_type(
+                        min(int(saved.min()), -int(saved.max()) - 1)))
+                record[start] = (bad.astype(self.index), saved)
             base[:] = up
 
 
@@ -352,9 +369,16 @@ def mezo_step(loss_fn: Callable[[ParameterVector], float],
     gradient raises NonfiniteGradError; either way, and when `loss_fn` raises,
     theta is at its pre-step value, since the update has not begun. If the
     update itself overflows (finite gradients whose scaled sum is not), theta
-    keeps the non-finite values written and NonfiniteLossError is raised."""
-    if step_index < 0:
-        raise ConfigError(f"step_index must be >= 0, got {step_index}")
+    keeps the non-finite values written and NonfiniteLossError is raised. A
+    `step_index` that is not an integer >= 0, or is a bool, raises ConfigError
+    before theta is touched."""
+    try:  # a numpy integer runs as the int it names
+        index = None if isinstance(step_index, bool) else operator.index(step_index)
+    except TypeError:
+        index = None
+    if index is None or index < 0:
+        raise ConfigError(f"step_index must be an integer >= 0, got {shown(step_index)}")
+    step_index = index
     sseed = step_seed(cfg.master_seed, step_index)
     n = cfg.num_perturbations
     seeds = tuple(PerturbationSeed(sseed, i) for i in range(n))

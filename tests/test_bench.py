@@ -97,6 +97,13 @@ def test_plan_stores_a_budget_of_any_real_type_as_its_float(real):
     assert type(plan.budget_bytes) is float and plan.budget_bytes == budget
 
 
+@pytest.mark.parametrize("field", ["steps", "eval_every", "run_seed"])
+@pytest.mark.parametrize("value", [2.5, "3", True, None], ids=repr)
+def test_plan_refuses_an_integer_field_that_is_not_an_int(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be integral"):
+        make_plan(**{field: value})
+
+
 def test_plan_rejects_budget_violation():
     with pytest.raises(ConfigError, match="matched-budget"):
         make_plan(budget_bytes=1000.0)

@@ -68,6 +68,19 @@ def test_train_matched_mezo_peak_within_its_bound_by_shape(perfbench_path):
     assert wl.memory_pass()["mezo_peak_bytes"] <= bound
 
 
+def test_step_mid_mezo_peak_within_8_percent_of_one_loss_evaluation(perfbench_path):
+    # the MeZO peak the benchmark reads at step-mid: a walked step holds two
+    # chunk buffers between loss calls and only its undo record through them
+    import workloads
+
+    wl = workloads.StepMid(0)
+    step_peak = wl.memory_pass()["mezo_peak_bytes"]
+    loss_fn = wl._loss_fn(*wl.task.batch(range(wl.cfg.batch_size)))
+    loss_fn(wl.theta_mezo)  # warm
+    loss_peak = workloads.peak_bytes(lambda: loss_fn(wl.theta_mezo))
+    assert step_peak <= 1.08 * loss_peak, (step_peak, loss_peak)
+
+
 @pytest.mark.parametrize("method", ["mezo", "bp"])
 def test_train_matched_evaluation_peaks_no_higher_than_a_step_loss(perfbench_path, method):
     # A block holds at most a step's batch, so `correct` over a run's 128

@@ -43,6 +43,17 @@ def test_quadratic_check_projected_gradients_match_golden_hash(monkeypatch):
     assert result.detail == "relative error 0.0303 over 2000 directions (tolerance 0.02)"
 
 
+@pytest.mark.parametrize("name, value", [("dim", True), ("dim", 2.0), ("seed", True),
+                                         ("seed", 1.5), ("seed", "0")], ids=repr)
+def test_the_battery_refuses_a_dim_or_seed_that_is_not_an_int_before_any_check(
+        monkeypatch, name, value):
+    for check in ("check_restoration", "check_quadratic_unbiasedness", "check_fd_gradient",
+                  "check_cosine_positivity"):
+        monkeypatch.setattr(verify, check, lambda **kw: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        verify.run_verification(**{name: value})
+
+
 @pytest.mark.parametrize("epsilon", [True, Decimal("0.001"), "0.001"],
                          ids=["bool", "decimal", "str"])
 def test_the_battery_refuses_an_epsilon_that_is_not_a_real_number_before_any_check(

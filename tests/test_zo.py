@@ -617,8 +617,8 @@ def test_shift_exception_records_are_sparse(set_chunk):
                          ids=["default-chunk", "past-uint16"])
 def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(set_chunk, chunk,
                                                                         index):
-    # chunk-local indices in the smallest unsigned type that holds chunk - 1:
-    # 10 bytes per recorded coordinate at the default chunk, not 16
+    # chunk-local indices in the smallest unsigned type that holds chunk - 1,
+    # 2 bytes at the default chunk, not 8
     from mezofit.zo import _Stream
 
     set_chunk(chunk)
@@ -634,6 +634,79 @@ def test_undo_record_indices_take_the_smallest_type_and_restore_bitwise(set_chun
     for s in range(5):
         spsa_directional_derivative(quadratic, theta, PerturbationSeed(s, 0), 1e-3)
         assert theta.values.tobytes() == before
+
+
+def test_a_walked_record_holds_signed_bit_offsets_in_their_smallest_type():
+    # a walked stream saves bits(x) - bits(fl(up -/+ d)), at most 4 bytes per recorded
+    # coordinate with its uint16 index here, where a saved float64 takes 10
+    from mezofit.zo import _Stream
+
+    values = np.random.default_rng(8).standard_normal(200_000) / np.sqrt(128)
+    before = values.tobytes()
+    stream = _Stream(PerturbationSeed(4, 0), values.size, 1e-3)
+    stream.shift(values, +1.0)
+    entries = list(stream.undo.values())
+    assert len(entries) == 4  # 200,000 values walk four default chunks
+    for idx, off in entries:
+        assert idx.dtype == np.uint16 and off.dtype.kind == "i" and off.size == idx.size
+        if off.itemsize > 1:  # no narrower signed type holds them all
+            narrower = np.iinfo(np.dtype(f"i{off.itemsize // 2}"))
+            assert off.min() < narrower.min or off.max() > narrower.max
+    recorded = sum(idx.size for idx, _ in entries)
+    assert recorded > 0.01 * values.size
+    assert sum(idx.nbytes + off.nbytes for idx, off in entries) <= 4 * recorded
+    stream.shift(values, -1.0)
+    stream.shift(values, 0.0)
+    assert values.tobytes() == before
+
+
+def test_a_walked_record_over_special_values_takes_int64_offsets_and_restores_bitwise(
+        set_chunk):
+    # -0.0, a sign-crossing subnormal or a quieted signalling NaN lies 2^63 or
+    # more bit patterns from what the next pass gives back
+    from mezofit.zo import _Stream
+
+    set_chunk(97)
+    values = np.random.default_rng(5).standard_normal(296)
+    values[::2] = np.resize(_SPECIALS, values[::2].size)
+    before = values.tobytes()
+    stream = _Stream(PerturbationSeed(5, 7), values.size, 1e-3)
+    with np.errstate(invalid="ignore"):
+        stream.shift(values, +1.0)
+        assert np.dtype(np.int64) in {off.dtype for _, off in stream.undo.values()}
+        stream.shift(values, -1.0)
+        assert np.dtype(np.int64) in {off.dtype for _, off in stream.undo.values()}
+        stream.shift(values, 0.0)
+    assert values.tobytes() == before
+
+
+def test_a_kept_record_saves_float64_values():
+    # a stream of one chunk already holds 8*P bytes of d: its record stays the saved values
+    from mezofit.zo import _Stream
+
+    values = np.random.default_rng(8).standard_normal(3376) / np.sqrt(128)
+    before = values.tobytes()
+    stream = _Stream(PerturbationSeed(4, 0), values.size, 1e-3)
+    stream.shift(values, +1.0)
+    assert stream.undo and all(saved.dtype == np.float64 for _, saved in stream.undo.values())
+    stream.shift(values, 0.0)
+    assert values.tobytes() == before
+
+
+def test_bytes_held_at_each_loss_evaluation_of_a_walked_step_stay_small():
+    # at P = 853,120 and scale 1/sqrt(128) about 2.5% of coordinates are
+    # recorded; saved as float64 with their index they took about 225 KB
+    theta = flat(np.random.default_rng(0).standard_normal(853_120) / np.sqrt(128))
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-3, num_perturbations=2, master_seed=3)
+    held = []
+    mezo_step(lambda t: 0.0, theta, cfg, 0)  # warm up code paths
+    tracemalloc.start()
+    try:
+        mezo_step(lambda t: held.append(tracemalloc.get_traced_memory()[0]) or 0.0,
+                  theta, cfg, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4 and max(held) <= 110_000, held
 
 
 @pytest.mark.parametrize("size, chunk", [(6, DEFAULT_CHUNK), (300, 97), (6, 1 << 70)],
@@ -734,6 +807,25 @@ def test_zo_config_validation():
         ZOConfig(num_perturbations=0)
     with pytest.raises(ConfigError):
         mezo_step(quadratic, flat([1.0]), ZOConfig(), -1)
+
+
+def test_a_numpy_integer_step_index_runs_as_the_int_it_names():
+    cfg = ZOConfig(epsilon=1e-3, learning_rate=1e-2, num_perturbations=2, master_seed=7)
+    runs = []
+    for index in (2, np.int64(2), np.uint8(2)):
+        theta = flat(np.random.default_rng(1).standard_normal(50))
+        _, report = mezo_step(quadratic, theta, cfg, index)
+        runs.append((report, type(report.step_index), theta.values.tobytes()))
+    assert runs[1] == runs[0] == runs[2]
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 1.5, np.float64(2.0), "2", None],
+                         ids=repr)
+def test_a_step_index_that_is_not_an_integer_is_refused_before_theta_moves(index):
+    theta = flat([1.0, -0.5, 2.0])
+    with pytest.raises(ConfigError, match="^step_index must be an integer"):
+        mezo_step(lambda t: pytest.fail("a loss ran"), theta, ZOConfig(), index)
+    assert theta.values.tolist() == [1.0, -0.5, 2.0]
 
 
 def test_zo_config_refuses_a_learning_rate_past_the_largest_float():

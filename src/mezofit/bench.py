@@ -26,6 +26,7 @@ from mezofit.memory import (
     MemoryMode,
     ModelConfig,
     check_field_types,
+    int_setting,
     memory_for_mode,
     real_setting,
 )
@@ -65,8 +66,8 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         check_field_types(self, positive=("budget_bytes",))
-        if self.steps < 0 or self.eval_every < 1:
-            raise ConfigError("steps must be >= 0 and eval_every >= 1")
+        int_setting("steps", self.steps, 0)
+        int_setting("eval_every", self.eval_every, 1)
         batch = max(self.bp_model.batch_size, self.mezo_model.batch_size)
         if self.steps * batch > EVAL_INDEX_BASE:  # train indices must stay below eval's
             raise ConfigError(

@@ -29,6 +29,7 @@ from mezofit.memory import (
     InfeasibleError,
     MemoryMode,
     SweepAxis,
+    int_setting,
     max_dimension,
     memory_for_mode,
     sweep,
@@ -83,15 +84,11 @@ def cmd_plan(args) -> int:
 
 def _sweep_values(axis: SweepAxis, lo: int, hi: int, points: int,
                   heads: int) -> tuple[int, ...]:
-    if lo < 1:
-        raise ConfigError(f"--from must be at least 1, got {lo}")
-    if hi > np.iinfo(np.int64).max:  # numpy makes object arrays of ends past uint64
-        raise ConfigError(f"--to must be at most {np.iinfo(np.int64).max}, got {hi}")
+    int_setting("--from", lo, 1)
+    int_setting("--to", hi, None, np.iinfo(np.int64).max)  # numpy makes object arrays past uint64
     if lo >= hi:
         raise ConfigError(f"--from ({lo}) must be below --to ({hi})")
-    if not 2 <= points <= hi - lo + 1:
-        raise ConfigError(f"--points must lie in [2, {hi - lo + 1}], the count of integers "
-                          f"from --from to --to, got {points}")
+    int_setting("--points", points, 2, hi - lo + 1)  # at most the integers from --from to --to
     if axis is SweepAxis.L:
         values = np.linspace(lo, hi, points)
     else:

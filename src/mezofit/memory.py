@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -63,18 +64,31 @@ def real_setting(name: str, value, positive: bool) -> float:
     return x
 
 
+def int_setting(name: str, value, lo: int | None = None, hi: float | None = None) -> int:
+    """`value` as a Python int, the one rule for an integer setting: a bool, a
+    value `operator.index` refuses (a float, a string) and one outside [lo, hi]
+    raise ConfigError naming `name`. So a numpy integer runs as the int it names."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or lo is not None and n < lo or hi is not None and n > hi:
+        bounds = ("" if lo is None and hi is None else f" >= {lo}" if hi is None
+                  else f" <= {hi!r}" if lo is None else f" in [{lo}, {hi!r}]")
+        raise ConfigError(f"{name} must be an integer{bounds}, got {shown(value)}")
+    return n
+
+
 def check_field_types(obj, positive: tuple[str, ...] = ()) -> None:
-    """ConfigError unless each `field_types` int field of `obj` holds an int, no bool,
-    and `real_setting` takes each float field (> 0 if in `positive`), stored as its float.
-    A None in a field annotated ``| None`` is left as it is."""
+    """Store each `field_types` int field of `obj` as `int_setting` returns it and
+    each float field as `real_setting` does (> 0 if in `positive`); either raises
+    ConfigError. A None in a field annotated ``| None`` is left as it is."""
     for name, kind in field_types(type(obj)).items():
         v = getattr(obj, name)
         if v is None and typing.get_type_hints(type(obj))[name] is not kind:
             continue
-        if kind is float:
-            object.__setattr__(obj, name, real_setting(name, v, name in positive))
-        elif isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{name} must be integral, got {v!r}")
+        object.__setattr__(obj, name, real_setting(name, v, name in positive) if kind is float
+                           else int_setting(name, v))
 
 
 class InfeasibleError(ValueError):
@@ -116,11 +130,8 @@ class ModelConfig:
             object.__setattr__(self, "kv_heads", self.num_heads)
         check_field_types(self, positive=("bytes_per_param", "expansion_factor"))
         for field, kind in field_types(ModelConfig).items():
-            v = getattr(self, field)
-            if kind is int and v < 1:
-                raise ConfigError(f"{field} must be a positive integer, got {shown(v)}")
-            if kind is int and v > sys.float_info.max:
-                raise ConfigError(f"{field} must not exceed the largest float")
+            if kind is int:
+                int_setting(field, getattr(self, field), 1, sys.float_info.max)
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim must be divisible by num_heads "
@@ -235,7 +246,7 @@ class SweepPoint:
 def sweep(base: ModelConfig, axis: SweepAxis, values,
           checkpointed: bool = False) -> list[SweepPoint]:
     """BP/MeZO totals and their ratio at each of `values` (positive, increasing) along `axis`."""
-    values = [int(v) for v in values]
+    values = [int_setting("sweep value", v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
     if not values or values[0] < 1:

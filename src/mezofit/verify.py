@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mezofit.memory import ModelConfig, real_setting
+from mezofit.memory import ModelConfig, int_setting, real_setting
 from mezofit.model import ToyTransformer
 from mezofit.tasks import ToyTask, TaskKind
 from mezofit.zo import (
@@ -160,14 +160,9 @@ def run_verification(dim: int = RESTORE_DIM, seed: int = SEED,
                      epsilon: float = EPSILON) -> list[CheckResult]:
     """The full check battery used by the CLI. `dim` sizes the restoration
     check's vector only; the other checks run at their fixed spec."""
-    for name, v in (("dim", dim), ("seed", seed)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    if not 1 <= dim <= MAX_VERIFY_DIM:
-        raise ValueError(f"dim must be in [1, {MAX_VERIFY_DIM}], got {dim}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    epsilon = real_setting("epsilon", epsilon, positive=True)  # before any check runs
+    dim = int_setting("dim", dim, 1, MAX_VERIFY_DIM)  # these three before any check runs
+    seed = int_setting("seed", seed, 0)
+    epsilon = real_setting("epsilon", epsilon, positive=True)
     return [
         check_restoration(dim=dim, epsilon=epsilon, seed=seed),
         check_quadratic_unbiasedness(epsilon=epsilon, seed=seed),

@@ -100,8 +100,15 @@ def test_plan_stores_a_budget_of_any_real_type_as_its_float(real):
 @pytest.mark.parametrize("field", ["steps", "eval_every", "run_seed"])
 @pytest.mark.parametrize("value", [2.5, "3", True, None], ids=repr)
 def test_plan_refuses_an_integer_field_that_is_not_an_int(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be integral"):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
         make_plan(**{field: value})
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_plan_stores_numpy_integer_fields_as_their_ints(integer):
+    plan = make_plan(steps=integer(6), eval_every=integer(3), run_seed=integer(99))
+    assert plan == make_plan()
+    assert all(type(v) is int for v in (plan.steps, plan.eval_every, plan.run_seed))
 
 
 def test_plan_rejects_budget_violation():

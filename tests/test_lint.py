@@ -1,6 +1,6 @@
 """Unused-import, dead-private-name, unreferenced-public-name,
-unused-parameter and unpassed-default lints over the package, using only the
-standard library."""
+unused-parameter, unpassed-default and integer-type-check lints over the
+package, using only the standard library."""
 import ast
 import math
 from pathlib import Path
@@ -281,3 +281,32 @@ def test_no_defaulted_parameter_that_only_tests_pass():
     defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
     calling = [p.read_text() for p in PERFBENCH.glob("*.py")]
     assert unpassed_defaults(defining, calling) == ONLY_TESTS_PASS
+
+
+def int_type_checks(source: str) -> list[int]:
+    """Line of each `isinstance(x, int)` or `isinstance(x, bool)` call in
+    `source`, either type alone or in a tuple of types."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(getattr(k, "id", None) in ("int", "bool") for k in kinds):
+                found.append(node.lineno)
+    return found
+
+
+def test_lint_flags_int_type_checks():
+    source = ('"""isinstance(doc, int) in a docstring is no call."""\n'
+              "isinstance(a, int)\nisinstance(b, (str, bool))\nisinstance(c, float)\n"
+              "isinstance(d, numbers.Integral)\nx = int(e)\ntype(f) is int\n")
+    assert int_type_checks(source) == [2, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "memory.py"])
+def test_only_memory_decides_what_an_integer_setting_is(module):
+    """`memory.int_setting` is the one rule for an integer setting (and
+    `real_setting` for a real one), so no other module tests for an int or a
+    bool itself; `zo.keyed_philox`'s operator.index on Philox keys is no setting."""
+    assert int_type_checks((SRC / module).read_text()) == []

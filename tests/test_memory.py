@@ -334,6 +334,10 @@ def test_sweep_validation():
                           ((4, 4), "increasing")):
         with pytest.raises(ConfigError, match=match):
             sweep(LLAMA7B, SweepAxis.N, values)
+    # each of these once ran int() on its values: 2 and 4, 3, 1, 8
+    for values in ([2.5, 4.9], ["3", 4], [True, 2], [np.float64(8.7), 16]):
+        with pytest.raises(ConfigError, match="^sweep value must be an integer"):
+            sweep(LLAMA7B, SweepAxis.N, values)
     for axis in (SweepAxis.D, "d"):
         with pytest.raises(ConfigError, match="4097 for hidden_dim"):
             # 4097 is not divisible by the 32 heads of the base config
@@ -549,6 +553,8 @@ def test_config_messages_name_the_field_of_an_int_too_long_to_print(cls, field, 
 @pytest.mark.parametrize("cls, field", [
     *((ModelConfig, f) for f in ("bytes_per_param", "expansion_factor", "stored_layers")),
     *((ZOConfig, f) for f in ("epsilon", "learning_rate", "num_perturbations", "master_seed")),
+    *((ModelConfig, f) for f in ("context_length", "num_layers", "hidden_dim", "num_heads",
+                                 "vocab_size", "num_mlps", "batch_size")),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_config_fields_refuse_bools_strings_and_none(cls, field, value):
     make = LLAMA7B.replace if cls is ModelConfig else ZOConfig
@@ -569,6 +575,20 @@ def test_model_config_stores_a_real_setting_of_any_type_as_its_float(real):
         want = LLAMA7B.replace(**floats)
         assert cfg == want
         assert all(memory_for_mode(cfg, m) == memory_for_mode(want, m) for m in MemoryMode)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("make, ints", [
+    (LLAMA7B.replace, dict(context_length=64, num_layers=2, hidden_dim=64, num_heads=4,
+                           kv_heads=2, num_mlps=2, vocab_size=100, batch_size=3)),
+    (ZOConfig, dict(num_perturbations=3, master_seed=7)),
+], ids=["ModelConfig", "ZOConfig"])
+def test_config_stores_a_numpy_integer_setting_as_its_int(make, ints, integer):
+    # a numpy integer was once refused in every one of these fields
+    cfg = make(**{k: integer(v) for k, v in ints.items()})
+    assert cfg == make(**ints)
+    assert all(type(getattr(cfg, k)) is int for k in ints)
+    json.dumps(dataclasses.asdict(cfg))
 
 
 # ---------------------------------------------------------------------------

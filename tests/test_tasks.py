@@ -216,8 +216,18 @@ def test_a_kind_string_gets_its_kind_checks():
 
 
 @pytest.mark.parametrize("field, value", [("vocab_size", 8.0), ("seq_len", 7.0),
-                                          ("seed", True), ("seed", 0.5), ("vocab_size", "8")])
+                                          ("seed", True), ("seed", 0.5), ("vocab_size", "8"),
+                                          ("seed", None)])
 def test_task_sizes_and_seed_must_be_integers(field, value):
     spec = {"vocab_size": 8, "seq_len": 7, "seed": 0, field: value}
-    with pytest.raises(ConfigError, match=f"^{field} must be integral"):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
         ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, **spec)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_a_task_stores_numpy_integer_sizes_and_seed_as_their_ints(integer):
+    task = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=integer(8), seq_len=integer(7),
+                   seed=integer(3))
+    want = ToyTask(TaskKind.NEXT_TOKEN_SYNTHETIC, vocab_size=8, seq_len=7, seed=3)
+    assert task == want and all(type(v) is int for v in (task.vocab_size, task.seq_len, task.seed))
+    assert all(np.array_equal(a, b) for a, b in zip(task.batch(range(3)), want.batch(range(3))))

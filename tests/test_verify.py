@@ -44,7 +44,13 @@ def test_quadratic_check_projected_gradients_match_golden_hash(monkeypatch):
 
 
 @pytest.mark.parametrize("name, value", [("dim", True), ("dim", 2.0), ("seed", True),
-                                         ("seed", 1.5), ("seed", "0")], ids=repr)
+                                         ("seed", 1.5), ("seed", "0"), ("dim", None),
+                                         ("seed", None),
+                                         # ints too long for repr, which once ended
+                                         # the battery with Python's digit-limit error
+                                         pytest.param("dim", 10 ** 5000, id="dim-huge"),
+                                         pytest.param("seed", -10 ** 5000, id="seed--huge")],
+                         ids=repr)
 def test_the_battery_refuses_a_dim_or_seed_that_is_not_an_int_before_any_check(
         monkeypatch, name, value):
     for check in ("check_restoration", "check_quadratic_unbiasedness", "check_fd_gradient",
@@ -52,6 +58,18 @@ def test_the_battery_refuses_a_dim_or_seed_that_is_not_an_int_before_any_check(
         monkeypatch.setattr(verify, check, lambda **kw: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         verify.run_verification(**{name: value})
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_the_battery_runs_a_numpy_integer_dim_as_its_int(monkeypatch, integer):
+    ran = []
+    monkeypatch.setattr(verify, "check_restoration", lambda **kw: ran.append(kw))
+    for check in ("check_quadratic_unbiasedness", "check_fd_gradient",
+                  "check_cosine_positivity"):
+        monkeypatch.setattr(verify, check, lambda **kw: None)
+    verify.run_verification(dim=integer(8))
+    verify.run_verification(dim=8)
+    assert ran[0] == ran[1] and type(ran[0]["dim"]) is int
 
 
 @pytest.mark.parametrize("epsilon", [True, Decimal("0.001"), "0.001"],
